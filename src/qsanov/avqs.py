@@ -170,13 +170,10 @@ def min_relative_entropy_hull(
     for _ in range(max(0, restarts - len(starts))):
         starts.append(rng.dirichlet(np.ones(k)))
     if k <= 3:
-        best_grid, best_val = None, math.inf
-        for w in _weight_grid(k, 100):
-            v = value(w)
-            if v < best_val:
-                best_val, best_grid = v, w
-        if best_grid is not None:
-            starts.append(np.asarray(best_grid))
+        grid = [
+            np.array(w.counts, dtype=float) / 100 for w in enumerate_frequencies(k, 100)
+        ]
+        starts.append(min(grid, key=value))
 
     best_w = starts[0]
     best = value(best_w)
@@ -201,20 +198,6 @@ def min_relative_entropy_hull(
         if fw < best:
             best, best_w = fw, w
     return float(best), best_w
-
-
-def _weight_grid(k: int, steps: int):
-    if k == 1:
-        yield np.array([1.0])
-        return
-    for cuts in itertools.combinations_with_replacement(range(steps + 1), k - 1):
-        prev = 0
-        w = []
-        for c in cuts:
-            w.append(c - prev)
-            prev = c
-        w.append(steps - prev)
-        yield np.array(w, dtype=float) / steps
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +283,10 @@ def delta_net(generators, delta: float, rng=None) -> Net:
     Net points are themselves states, so their hull stays inside the state
     set. For delta >= 2 the single point I/d suffices (every pair of
     states is within trace distance 1 <= delta/2). Otherwise greedy
-    selection over a deterministic parameterized pool runs until the pool
-    is covered within delta/2. Containment of the smoothed generators in
-    the hull of the net is checked numerically.
+    selection over a deterministic parameterized pool, with the smoothed
+    generators appended, runs until the pool is covered within delta/2.
+    Containment of the smoothed generators in the hull of the net is
+    checked numerically.
     """
     gens = [assert_state(g) for g in generators]
     d = gens[0].shape[0]
@@ -320,7 +304,7 @@ def delta_net(generators, delta: float, rng=None) -> Net:
                 _in_hull_residual([centre], s) <= 1e-4 for s in smoothed
             ),
         )
-    pool = _state_pool(d, rng)
+    pool = np.concatenate([_state_pool(d, rng), np.stack(smoothed)])
     mindist = _trace_dists(pool, pool[0])
     chosen = [0]
     while mindist.max() > delta / 2.0 and len(chosen) < pool.shape[0]:
@@ -328,14 +312,11 @@ def delta_net(generators, delta: float, rng=None) -> Net:
         chosen.append(nxt)
         mindist = np.minimum(mindist, _trace_dists(pool, pool[nxt]))
     points = [pool[i] for i in chosen]
-    cover = max(
-        min(trace_distance(s, p) for p in points) for s in smoothed
-    )
     contains = all(_in_hull_residual(points, s) <= 1e-4 for s in smoothed)
     return Net(
         points=points,
         radius=delta,
-        cover_radius=float(max(cover, mindist.max())),
+        cover_radius=float(mindist.max()),
         hull_contains_smoothed=contains,
     )
 

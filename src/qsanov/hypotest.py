@@ -16,15 +16,7 @@ import numpy as np
 
 from .errors import VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
-from .schur_weyl import (
-    DENSE_LIMIT,
-    block_projector,
-    block_weight,
-    guard_dimension,
-    tensor_power,
-    word_codes,
-    words_of_type,
-)
+from .schur_weyl import block_projector, dense_from_blocks, tensor_power
 from .tableaux import ALPHA, enumerate_frames, enumerate_frequencies, l1_distance
 
 SIGMA_MIN_EIG = 1e-12
@@ -76,16 +68,9 @@ def _null_candidates(spec: TestSpec) -> list[np.ndarray]:
         pitch = max(spec.epsilon / 4.0, 1e-3)
     steps = max(1, math.ceil(1.0 / pitch))
     out = []
-    stack = [(len(spec.null_set), steps, ())]
-    while stack:
-        slots, remaining, prefix = stack.pop()
-        if slots == 1:
-            weights = np.array(prefix + (remaining,), dtype=float) / steps
-            mix = sum(w * s for w, s in zip(weights, spec.null_set))
-            out.append(mix)
-            continue
-        for c in range(remaining + 1):
-            stack.append((slots - 1, remaining - c, prefix + (c,)))
+    for grid_point in enumerate_frequencies(len(spec.null_set), steps):
+        weights = np.array(grid_point.counts, dtype=float) / steps
+        out.append(sum(w * s for w, s in zip(weights, spec.null_set)))
     return out
 
 
@@ -128,23 +113,10 @@ def build_test(spec: TestSpec, labels=None) -> np.ndarray:
     rotates the result back to computational coordinates. Hermitian and
     idempotent; real whenever the eigenbasis is real.
     """
-    d, n = spec.d, spec.n
-    dim = guard_dimension(d, n, DENSE_LIMIT)
     if labels is None:
         labels = lambda_set(spec)
-    pinched = np.zeros((dim, dim))
-    for f, lam in sorted(labels):
-        block = block_projector(f, lam).block
-        codes = word_codes(words_of_type(f), d)
-        pinched[np.ix_(codes, codes)] += block
-    b = spec.basis
-    if np.allclose(b, np.eye(d), atol=1e-14):
-        return pinched
-    t = tensor_power(b, n)
-    out = t @ pinched @ t.conj().T
-    if np.abs(out.imag).max() < 1e-15:
-        out = out.real
-    return out
+    pieces = ((f, block_projector(f, lam).block) for f, lam in sorted(labels))
+    return dense_from_blocks(pieces, spec.d, spec.n, spec.basis)
 
 
 def _infer_sites(op_dim: int, d: int) -> int:
@@ -355,8 +327,8 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
             t_hi = t_mid
     if vecs is None:
         _, vecs = caught(0.5 * (t_lo + t_hi))
-    p_out = np.einsum("ji,jk,ki->i", vecs.conj(), big_r, vecs).real
-    q_out = np.einsum("ji,jk,ki->i", vecs.conj(), big_s, vecs).real
+    p_out = np.einsum("ji,ji->i", vecs.conj(), big_r @ vecs).real
+    q_out = np.einsum("ji,ji->i", vecs.conj(), big_s @ vecs).real
     np.clip(p_out, 0.0, None, out=p_out)
     np.clip(q_out, 0.0, None, out=q_out)
     return _fractional_np(p_out, q_out, target)

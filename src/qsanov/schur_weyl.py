@@ -8,11 +8,14 @@ the sorted frequency; the component multiplicities are Kostka numbers.
 
 Projectors onto the components are computed inside each word block. Every
 central element of the group algebra acts on a frame component as an exact
-integer scalar (its central character), and the class sums of short cycles
-already separate all frames with at most three rows up to n = 12. Lagrange
-interpolation in those class-sum matrices therefore yields each component
-projector exactly, at polynomial cost, and agrees with the classical
-central idempotent built from the full character sum.
+integer scalar (its central character). The k-cycle class sums Z_k commute,
+so for the fewest cycle lengths 2..K whose central characters tell the
+candidate frames of a block apart, the real combination
+sum_k (pi/7)**(k-2) Z_k is one symmetric matrix whose eigenspaces are the
+frame components. A single eigendecomposition per block therefore yields
+all of its projectors, and each eigenvalue is checked against the exact
+target sum_k (pi/7)**(k-2) chi_k(lam). The projectors agree with the
+classical central idempotents built from the full character sum.
 
 Matrices handled here are real in the word basis. Dense full-space
 materialization is guarded: index-level work allows d**n up to 60000,
@@ -39,6 +42,7 @@ from .tableaux import (
     enumerate_frequencies,
     hook_dimension,
     relative_entropy,
+    type_class_size,
 )
 
 GUARD_LIMIT = 60000
@@ -171,10 +175,6 @@ class PermOperator:
                 length += 1
             lengths.append(length)
         return tuple(sorted(lengths, reverse=True))
-
-
-def perm_action(perm, d: int) -> PermOperator:
-    return PermOperator(perm, d)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +323,20 @@ def class_sum_on_words(words: np.ndarray, d: int, k: int) -> np.ndarray:
 
 
 _BLOCK_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], np.ndarray]] = {}
+_CYCLE_WEIGHT = math.pi / 7.0
 
 
 def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     """All frame-component projectors on the word block of frequency f.
+
+    The candidate frames are those dominating f. With 2..K the fewest
+    cycle lengths whose central characters chi_k tell the candidates
+    apart, the lam component is the eigenspace of
+    sum_k (pi/7)**(k-2) Z_k for the value sum_k (pi/7)**(k-2) chi_k(lam),
+    so one eigh yields every projector. Each eigenvector goes to the
+    nearest target value; ArithmeticError is raised when the characters do
+    not separate the frames, or when an eigenvalue lies more than a quarter
+    of the smallest target gap from its target.
 
     Returns a dict mapping frame parts to the projector matrix in the
     word basis (real symmetric, size |T_f|). Results are cached per f;
@@ -349,40 +359,59 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     candidates = [
         fr.parts for fr in enumerate_frames(d, n) if dominance(counts, fr.parts)
     ]
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    groups: list[tuple[list[tuple[int, ...]], np.ndarray]] = [
-        (candidates, np.eye(m))
-    ]
-    k = 2
-    eye = np.eye(m)
-    while True:
-        for lams, proj in groups:
-            if len(lams) == 1:
-                blocks[lams[0]] = (proj + proj.T) / 2.0
-        groups = [g for g in groups if len(g[0]) > 1]
-        if not groups:
-            break
+    chars = [()] * len(candidates)
+    k = 1
+    while len(set(chars)) < len(candidates):
+        k += 1
         if k > n:
             raise ArithmeticError("cycle class sums failed to separate frames")
-        z = class_sum_on_words(words, d, k)
-        split_groups = []
-        for lams, proj in groups:
-            by_value: dict[int, list[tuple[int, ...]]] = {}
-            for lam in lams:
-                by_value.setdefault(central_character(lam, n, k), []).append(lam)
-            if len(by_value) == 1:
-                split_groups.append((lams, proj))
-                continue
-            for value, sub in by_value.items():
-                q = proj
-                for other in by_value:
-                    if other != value:
-                        q = q @ (z - other * eye) / (value - other)
-                split_groups.append((sub, q))
-        groups = split_groups
-        k += 1
+        chars = [
+            c + (central_character(lam, n, k),) for c, lam in zip(chars, candidates)
+        ]
+    weights = _CYCLE_WEIGHT ** np.arange(k - 1)
+    targets = np.asarray(chars, dtype=float) @ weights
+    mixed = np.zeros((m, m))
+    for j, w in enumerate(weights, start=2):
+        mixed += w * class_sum_on_words(words, d, j)
+    vals, vecs = np.linalg.eigh(mixed)
+    owner = np.abs(vals[:, None] - targets[None, :]).argmin(axis=1)
+    gap = np.diff(np.sort(targets)).min(initial=np.inf)
+    if np.abs(vals - targets[owner]).max() > gap / 4.0:
+        raise ArithmeticError("class-sum eigenvalues do not match the frame targets")
+    blocks: dict[tuple[int, ...], np.ndarray] = {}
+    for i, lam in enumerate(candidates):
+        sel = vecs[:, owner == i]
+        blocks[lam] = sel @ sel.T
     _BLOCK_CACHE[counts] = blocks
     return blocks
+
+
+def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
+    """Dense d**n operator assembled from (f, block) word-block pieces.
+
+    Each block lands on the rows and columns of the words with letter
+    counts f; pieces sharing an f add up. With a basis, the sum is rotated
+    out of it by basis^(x n), and the result is returned real when its
+    imaginary part is below 1e-15. Only the columns of basis^(x n) at the
+    placed words enter the rotation.
+    """
+    dim = guard_dimension(d, n, DENSE_LIMIT)
+    out = np.zeros((dim, dim))
+    used = np.zeros(dim, dtype=bool)
+    for f, block in pieces:
+        codes = word_codes(words_of_type(f), d)
+        out[np.ix_(codes, codes)] += block
+        used[codes] = True
+    if basis is None:
+        return out
+    b = assert_basis(basis)
+    if np.allclose(b, np.eye(d), atol=1e-14):
+        return out
+    t = tensor_power(b, n)[:, used]
+    out = t @ out[np.ix_(used, used)] @ t.conj().T
+    if np.abs(out.imag).max() < 1e-15:
+        out = out.real
+    return out
 
 
 @dataclass
@@ -418,17 +447,7 @@ class ProjectorBlock:
         return float(np.trace(self.block))
 
     def matrix(self) -> np.ndarray:
-        dim = guard_dimension(self.d, self.n, DENSE_LIMIT)
-        codes = word_codes(self.words, self.d)
-        full = np.zeros((dim, dim))
-        full[np.ix_(codes, codes)] = self.block
-        if self.basis is None:
-            return full
-        b = assert_basis(self.basis)
-        if np.allclose(b, np.eye(self.d), atol=1e-14):
-            return full
-        t = tensor_power(b, self.n)
-        return t @ full @ t.conj().T
+        return dense_from_blocks([(self.f, self.block)], self.d, self.n, self.basis)
 
     def to_json_dict(self) -> dict:
         mat = self.matrix()
@@ -468,15 +487,8 @@ def frequency_projector(f, basis=None) -> np.ndarray:
     counts = _freq_counts(f)
     d = len(counts)
     n = sum(counts)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    codes = word_codes(words_of_type(counts), d)
-    if basis is None:
-        out = np.zeros((dim, dim))
-        out[codes, codes] = 1.0
-        return out
-    b = assert_basis(basis)
-    cols = tensor_power(b, n)[:, codes]
-    return cols @ cols.conj().T
+    guard_dimension(d, n, DENSE_LIMIT)  # before the identity block is allocated
+    return dense_from_blocks([(counts, np.eye(type_class_size(counts)))], d, n, basis)
 
 
 def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
@@ -488,15 +500,12 @@ def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
     lam_p = _frame_parts(lam)
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    out = np.zeros((dim, dim))
-    for f in enumerate_frequencies(d, n):
-        block = frequency_blocks(f.counts).get(lam_p)
-        if block is None:
-            continue
-        codes = word_codes(words_of_type(f.counts), d)
-        out[np.ix_(codes, codes)] += block
-    return out
+    pieces = (
+        (f.counts, block)
+        for f in enumerate_frequencies(d, n)
+        if (block := frequency_blocks(f.counts).get(lam_p)) is not None
+    )
+    return dense_from_blocks(pieces, d, n)
 
 
 def completeness_check(d: int, n: int) -> float:

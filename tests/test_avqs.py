@@ -175,21 +175,24 @@ def test_delta_net_trivial_regime():
 
 
 def test_delta_net_small_delta_covers_smoothed_hull():
-    delta = 0.5
-    net = delta_net(ALPHABET, delta)
-    assert net.hull_contains_smoothed
-    assert net.cover_radius <= delta / 2 + 1e-12
-    assert net.cardinality <= net_cardinality_bound(delta, 2)
-    for p in net.points:
-        vals = np.linalg.eigvalsh(p)
-        assert vals.min() >= -1e-12 and abs(np.trace(p).real - 1) < 1e-12
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        t = rng.uniform()
-        hull_point = t * ALPHABET[0] + (1 - t) * ALPHABET[1]
-        smoothed = depolarize(hull_point, delta)
-        dist = min(trace_distance(smoothed, p) for p in net.points)
-        assert dist <= delta, dist
+    # the lone generator's smoothed state lies outside the fixed pool's cover
+    angle = 2 * math.pi / 3
+    lone = [bloch_state([0.62 * math.sin(angle), 0.0, 0.62 * math.cos(angle)])]
+    for gens, delta in [(ALPHABET, 0.5), (lone, 0.2)]:
+        net = delta_net(gens, delta)
+        assert net.hull_contains_smoothed
+        assert net.cover_radius <= delta / 2 + 1e-12
+        assert net.cardinality <= net_cardinality_bound(delta, 2)
+        for p in net.points:
+            vals = np.linalg.eigvalsh(p)
+            assert vals.min() >= -1e-12 and abs(np.trace(p).real - 1) < 1e-12
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            t = rng.uniform()
+            hull_point = t * gens[0] + (1 - t) * gens[-1]
+            smoothed = depolarize(hull_point, delta)
+            dist = min(trace_distance(smoothed, p) for p in net.points)
+            assert dist <= delta, dist
 
 
 def test_smoothed_test_duality():

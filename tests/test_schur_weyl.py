@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsanov import schur_weyl
 from qsanov.errors import SizeGuardError
 from qsanov.quantum import random_state
 from qsanov.schur_weyl import (
@@ -184,12 +185,24 @@ def test_central_characters_are_ratios():
 
 def test_blocks_match_brute_central_idempotent():
     cases = [(2, n) for n in range(2, 6)] + [(3, n) for n in range(2, 5)]
-    for d, n in cases:
-        for f in enumerate_frequencies(d, n):
-            blocks = frequency_blocks(f.counts)
-            for lam, block in blocks.items():
-                brute = brute_central_idempotent(f.counts, lam)
-                assert np.abs(block - brute).max() < 1e-10, (f.counts, lam)
+    freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
+    # at d = 3, n = 6 the 2-cycle class sum alone does not separate the frames
+    freqs += [(2, 2, 2), (3, 2, 1)]
+    for f in freqs:
+        for lam, block in frequency_blocks(f).items():
+            brute = brute_central_idempotent(f, lam)
+            assert np.abs(block - brute).max() < 1e-10, (f, lam)
+
+
+def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
+    # Z_2 targets on f = (2, 2) are 6, 2 and 0: a shift of 1 is half the smallest gap
+    monkeypatch.setattr(schur_weyl, "_BLOCK_CACHE", {})
+    exact = schur_weyl.class_sum_on_words
+    monkeypatch.setattr(
+        schur_weyl, "class_sum_on_words", lambda w, d, k: exact(w, d, k) + np.eye(len(w))
+    )
+    with pytest.raises(ArithmeticError):
+        frequency_blocks((2, 2))
 
 
 def test_block_algebra():
