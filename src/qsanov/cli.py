@@ -199,7 +199,12 @@ def _mode_avqs(cfg: dict, seed: int, fmt: str) -> str:
     rows = []
     for n in _n_values(cfg):
         p_n = avqs_test(alphabet, sigma, eps, n)
-        worst = max(word_type_one(p_n, w, alphabet) for w in enumerate_words(s_size, n))
+        # P is permutation invariant: one sorted word per letter-count type
+        words = (
+            tuple(s for s, c in enumerate(t.counts) for _ in range(c))
+            for t in enumerate_frequencies(s_size, n)
+        )
+        worst = max(word_type_one(p_n, w, alphabet) for w in words)
         t2 = type_two(p_n, sigma)
         exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         gam = gamma(n, nu, d, sigma, s_size)

@@ -5,6 +5,11 @@ label pairs (f, lam) whose normalized frequency and frame both sit within
 epsilon (in l1) of the pinched diagonal and the spectrum of some null
 state. The acceptance operator is the sum of the corresponding projector
 blocks, built in the eigenbasis of sigma.
+
+The Neyman-Pearson baseline works on the U(d) irrep blocks of rho^n and
+sigma^n (Schur-Weyl duality): for qubits these are det^k Sym^(n-2k), with
+the S_n irrep dimension as multiplicity, so its cost is polynomial in n.
+For d >= 3 it still works on the dense d**n pair.
 """
 
 from __future__ import annotations
@@ -17,7 +22,13 @@ import numpy as np
 from .errors import VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
 from .schur_weyl import block_projector, dense_from_blocks, tensor_power
-from .tableaux import ALPHA, enumerate_frames, enumerate_frequencies, l1_distance
+from .tableaux import (
+    ALPHA,
+    enumerate_frames,
+    enumerate_frequencies,
+    hook_dimension,
+    l1_distance,
+)
 
 SIGMA_MIN_EIG = 1e-12
 
@@ -282,53 +293,145 @@ def _fractional_np(p: np.ndarray, q: np.ndarray, target: float) -> float:
     return float(beta)
 
 
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    """(a + a^dag) / 2, returned real when its imaginary part is below 1e-15."""
+    a = (a + a.conj().T) / 2.0
+    return a.real if np.abs(a.imag).max() < 1e-15 else a
+
+
+def _sym_powers(x: np.ndarray, n: int) -> dict[int, np.ndarray]:
+    """Sym^m(x) of a 2 x 2 matrix for m = n, n - 2, ..., 0.
+
+    Written in the orthonormal symmetric basis, whose vector a is the
+    normalized sum of the words with a zeros. With p = x00 u + x10 v and
+    q = x01 u + x11 v, c[a, b] is the coefficient of u^a v^(m-a) in
+    p^b q^(m-b), grown one factor at a time, and
+    Sym^m(x)[a, b] = c[a, b] sqrt(C(m, b) / C(m, a)).
+    """
+    (x00, x01), (x10, x11) = x
+    c = np.ones((1, 1), dtype=x.dtype)
+    out = {}
+    for m in range(n + 1):
+        if m:
+            grown = np.zeros((m + 1, m + 1), dtype=x.dtype)
+            grown[1:, 1:] += x00 * c
+            grown[:-1, 1:] += x10 * c
+            grown[1:, 0] += x01 * c[:, 0]
+            grown[:-1, 0] += x11 * c[:, 0]
+            c = grown
+        if (n - m) % 2 == 0:
+            log_binom = np.array(
+                [math.lgamma(m + 1) - math.lgamma(a + 1) - math.lgamma(m - a + 1)
+                 for a in range(m + 1)]
+            )
+            out[m] = c * np.exp(0.5 * (log_binom[None, :] - log_binom[:, None]))
+    return out
+
+
+def _qubit_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """U(2) irrep blocks (d_lam, pi_lam(rho), pi_lam(sigma)) of rho^n and sigma^n.
+
+    lam = (n - k, k) acts as det^k Sym^(n-2k), of size n - 2k + 1, and
+    occurs d_lam = C(n, k) - C(n, k - 1) times. No d**n matrix is formed.
+    """
+    sym_r, sym_s = _sym_powers(rho, n), _sym_powers(sigma, n)
+    det = lambda x: max(float((x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]).real), 0.0)
+    det_r, det_s = det(rho), det(sigma)
+    return [
+        (
+            float(hook_dimension((n - k, k))),
+            _hermitian(det_r**k * sym_r[n - 2 * k]),
+            _hermitian(det_s**k * sym_s[n - 2 * k]),
+        )
+        for k in range(n // 2 + 1)
+    ]
+
+
+def _dense_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """The single block (1, rho^n, sigma^n), dense and guarded."""
+    return [(1.0, _hermitian(tensor_power(rho, n)), _hermitian(tensor_power(sigma, n)))]
+
+
+def _log_threshold_bracket(rho, sigma, n: int) -> tuple[float, float]:
+    """(lo, hi) in log t around the Neyman-Pearson threshold of rho^n vs sigma^n.
+
+    Above hi, rho^n - t sigma^n <= 0. Below lo it is positive definite when
+    rho is nonsingular; otherwise lo sits a factor of machine epsilon under
+    (r_low / s_max)**n, r_low the least eigenvalue of rho above
+    SIGMA_MIN_EIG, where the positive part misses O(eps^2) of rho^n.
+    """
+    r = np.linalg.eigvalsh(rho)
+    s = np.linalg.eigvalsh(sigma)
+    if s[0] <= 0:
+        raise ValueError("sigma must be nonsingular")
+    r_low = float(r[r > SIGMA_MIN_EIG].min())
+    lo = n * math.log(r_low / s[-1]) + math.log(np.finfo(float).eps)
+    hi = n * math.log(r[-1] / s[0])
+    return lo, hi
+
+
+def _diag_in(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Diagonal of vecs^dag a vecs."""
+    return np.einsum("ji,ji->i", vecs.conj(), a @ vecs).real
+
+
+def _np_over_blocks(blocks, bracket, target: float, tol: float) -> float:
+    """Neyman-Pearson optimum over (multiplicity, R, S) blocks.
+
+    Bisects log t in `bracket` down to width tol: each step diagonalizes
+    every block of R - t S, scaled by 1/(1 + t) so that no t overflows,
+    and sums multiplicity x (R mass on the positive part). The fractional
+    test then runs on the per-eigenvector (multiplicity p, multiplicity q)
+    of the last step's eigenbases. That is exact: the copies of a block
+    share one likelihood ratio.
+    """
+    lo, hi = bracket
+
+    def split(log_t: float) -> tuple[float, list[np.ndarray]]:
+        shift = float(np.logaddexp(0.0, log_t))
+        w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
+        got = 0.0
+        bases = []
+        for mult, r, s in blocks:
+            vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
+            got += mult * float(_diag_in(vecs, r)[vals > 0].sum())
+            bases.append(vecs)
+        return got, bases
+
+    bases = None
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        got, bases = split(mid)
+        if got >= target:
+            lo = mid
+        else:
+            hi = mid
+    if bases is None:
+        _, bases = split(0.5 * (lo + hi))
+    p_out, q_out = [], []
+    for (mult, r, s), vecs in zip(blocks, bases):
+        p_out.append(mult * np.clip(_diag_in(vecs, r), 0.0, None))
+        q_out.append(mult * np.clip(_diag_in(vecs, s), 0.0, None))
+    return _fractional_np(np.concatenate(p_out), np.concatenate(q_out), target)
+
+
 def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     """Optimal type-two error at type-one level nu for rho^n against sigma^n.
 
-    Bisects the likelihood threshold t: diagonalize rho^n - t sigma^n,
-    count the null mass caught by the positive part, then take the optimal
-    fractional test in the final eigenbasis so the type-one constraint is
-    met exactly (within tol).
+    Both operators commute with S_n, so they split into U(d) irrep blocks
+    pi_lam(.) (x) 1_{d_lam} and the optimal test does too. For d = 2 the
+    blocks are det^k Sym^(n-2k) of size n - 2k + 1 (lam = (n - k, k)), so
+    no 2**n matrix is formed and n is bound by no dense guard; for d >= 3
+    the one block is the dense pair (rho^n, sigma^n). The likelihood
+    threshold t is bisected in log t to relative width tol, then the
+    optimal fractional test meets the type-one constraint exactly.
     """
     rho_m = assert_state(rho)
     s_m = assert_state(sigma)
     if not 0.0 <= nu < 1.0:
         raise ValueError("nu must be in [0, 1)")
-    big_r = tensor_power(rho_m, n)
-    big_s = tensor_power(s_m, n)
-    hermitize = lambda a: (a + a.conj().T) / 2.0
-    big_r = hermitize(big_r)
-    big_s = hermitize(big_s)
-    if np.abs(big_r.imag).max() < 1e-15 and np.abs(big_s.imag).max() < 1e-15:
-        big_r = big_r.real
-        big_s = big_s.real
-    target = 1.0 - nu
-
-    def caught(t: float) -> tuple[float, np.ndarray]:
-        vals, vecs = np.linalg.eigh(big_r - t * big_s)
-        pos = vecs[:, vals > 0]
-        got = float(np.einsum("ij,ji->", pos.conj().T @ big_r, pos).real)
-        return got, vecs
-
-    r_max = float(np.linalg.eigvalsh(rho_m).max())
-    s_min = float(np.linalg.eigvalsh(s_m).min())
-    if s_min <= 0:
-        raise ValueError("sigma must be nonsingular")
-    t_lo, t_hi = 0.0, (r_max / s_min) ** n + 1.0
-    vecs = None
-    for _ in range(200):
-        if t_hi - t_lo <= tol * max(1.0, t_lo):
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        got, vecs = caught(t_mid)
-        if got >= target:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    if vecs is None:
-        _, vecs = caught(0.5 * (t_lo + t_hi))
-    p_out = np.einsum("ji,ji->i", vecs.conj(), big_r @ vecs).real
-    q_out = np.einsum("ji,ji->i", vecs.conj(), big_s @ vecs).real
-    np.clip(p_out, 0.0, None, out=p_out)
-    np.clip(q_out, 0.0, None, out=q_out)
-    return _fractional_np(p_out, q_out, target)
+    bracket = _log_threshold_bracket(rho_m, s_m, n)
+    blocks = (_qubit_blocks if rho_m.shape[0] == 2 else _dense_blocks)(rho_m, s_m, n)
+    return _np_over_blocks(blocks, bracket, 1.0 - nu, tol)

@@ -426,7 +426,6 @@ class ProjectorBlock:
 
     f: tuple[int, ...]
     lam: tuple[int, ...]
-    words: np.ndarray
     block: np.ndarray
     basis: np.ndarray | None = None
 
@@ -472,14 +471,13 @@ def block_projector(f, lam, basis=None) -> ProjectorBlock:
         raise ValueError("frequency and frame must count the same n")
     if len(lam_p) > len(counts):
         raise ValueError("frame has more rows than the alphabet has letters")
-    words = words_of_type(counts)
-    blocks = frequency_blocks(counts)
-    block = blocks.get(lam_p)
+    block = frequency_blocks(counts).get(lam_p)
     if block is None:
-        block = np.zeros((words.shape[0], words.shape[0]))
+        m = type_class_size(counts)
+        block = np.zeros((m, m))
     if basis is not None:
         basis = assert_basis(basis)
-    return ProjectorBlock(f=counts, lam=lam_p, words=words, block=block, basis=basis)
+    return ProjectorBlock(f=counts, lam=lam_p, block=block, basis=basis)
 
 
 def frequency_projector(f, basis=None) -> np.ndarray:

@@ -7,6 +7,9 @@ import pytest
 from qsanov.errors import VerificationError
 from qsanov.hypotest import (
     TestSpec,
+    _dense_blocks,
+    _log_threshold_bracket,
+    _np_over_blocks,
     build_test,
     epsilon_schedule,
     feasibility_bound,
@@ -213,6 +216,47 @@ def test_neyman_pearson_noncommuting_sane():
     t1 = type_one(p, rho)
     t2 = type_two(p, sigma)
     assert neyman_pearson(rho, sigma, 4, t1) <= t2 + 1e-9
+
+
+def test_neyman_pearson_qubit_blocks_match_dense_core():
+    # The d = 2 irrep-block path against the dense single-block core, on
+    # inputs fixed in advance: random complex pairs, a pure rho, rho = sigma.
+    pairs = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pairs.append((random_state(2, rng), random_state(2, rng)))
+    rng = np.random.default_rng(6)
+    pairs.append((random_state(2, rng, rank=1), random_state(2, rng)))
+    tie = random_state(2, np.random.default_rng(7))
+    pairs.append((tie, tie))
+    for i, (rho, sigma) in enumerate(pairs):
+        for n in range(2, 9):
+            dense = _dense_blocks(rho, sigma, n)
+            bracket = _log_threshold_bracket(rho, sigma, n)
+            for nu in (0.05, 0.3):
+                want = _np_over_blocks(dense, bracket, 1.0 - nu, 1e-10)
+                got = neyman_pearson(rho, sigma, n, nu)
+                assert abs(got - want) <= 1e-9 * abs(want), (i, n, nu, got, want)
+
+
+def test_neyman_pearson_threshold_bracket_does_not_overflow():
+    # (r_max / s_min)**n = 900**128, about 1e378, is past the float range;
+    # the commuting optimum is the classical one over the 129 types.
+    n = 128
+    rho, sigma = np.diag([0.9, 0.1]), np.diag([0.999, 0.001])
+
+    def type_masses(x0):
+        return np.array([
+            math.exp(math.lgamma(n + 1) - math.lgamma(a + 1) - math.lgamma(n - a + 1)
+                     + a * math.log(x0) + (n - a) * math.log(1.0 - x0))
+            for a in range(n + 1)
+        ])
+
+    p, q = type_masses(0.9), type_masses(0.999)
+    for nu in (0.05, 0.3):
+        beta = neyman_pearson(rho, sigma, n, nu)
+        assert math.isfinite(beta)
+        assert abs(beta - classical_np(p, q, 1.0 - nu)) < 1e-12, nu
 
 
 def test_spec_validation():
