@@ -62,10 +62,12 @@ from .schur_weyl import (
 )
 from .hypotest import (
     ExponentReport,
+    LabelErrors,
     TestSpec,
     build_test,
     epsilon_schedule,
     feasibility_bound,
+    label_errors,
     lambda_set,
     neyman_pearson,
     run_sanov,

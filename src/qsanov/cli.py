@@ -15,11 +15,12 @@ import sys
 import numpy as np
 
 from .avqs import enumerate_words, gamma, min_relative_entropy_hull, word_type_one
-from .avqs import avqs_test
 from .errors import SizeGuardError, VerificationError
 from .hypotest import (
     TestSpec,
+    _fractional_np,
     build_test,
+    label_errors,
     lambda_set,
     neyman_pearson,
     run_sanov,
@@ -198,14 +199,21 @@ def _mode_avqs(cfg: dict, seed: int, fmt: str) -> str:
     min_d, _ = min_relative_entropy_hull(alphabet, sigma, rng=np.random.default_rng(seed))
     rows = []
     for n in _n_values(cfg):
-        p_n = avqs_test(alphabet, sigma, eps, n)
-        # P is permutation invariant: one sorted word per letter-count type
-        words = (
-            tuple(s for s, c in enumerate(t.counts) for _ in range(c))
-            for t in enumerate_frequencies(s_size, n)
-        )
-        worst = max(word_type_one(p_n, w, alphabet) for w in words)
-        t2 = type_two(p_n, sigma)
+        spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=eps, n=n, hull=True)
+        labels = lambda_set(spec)
+        if d == 2:
+            errs = label_errors(spec, labels, alphabet)
+            worst = max(errs.misses.values())
+        else:
+            errs = label_errors(spec, labels)
+            p_n = build_test(spec, labels)
+            # P is permutation invariant: one sorted word per letter-count type
+            words = (
+                tuple(s for s, c in enumerate(t.counts) for _ in range(c))
+                for t in enumerate_frequencies(s_size, n)
+            )
+            worst = max(word_type_one(p_n, w, alphabet) for w in words)
+        t2 = errs.type_two
         exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         gam = gamma(n, nu, d, sigma, s_size)
         rows.append([n, s_size, eps, 0.0, worst, t2, exponent, min_d, gam])
@@ -380,20 +388,6 @@ def _mode_example(cfg: dict, seed: int, fmt: str) -> str:
 # verify battery
 
 
-def _classical_np(p: np.ndarray, q: np.ndarray, target: float) -> float:
-    order = np.argsort(-np.where(q > 0, p / np.where(q > 0, q, 1.0), np.inf), kind="stable")
-    beta = caught = 0.0
-    for idx in order:
-        if caught >= target - 1e-15:
-            break
-        frac = 1.0
-        if caught + p[idx] > target and p[idx] > 0:
-            frac = (target - caught) / p[idx]
-        caught += p[idx] * frac
-        beta += q[idx] * frac
-    return beta
-
-
 def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
     """Cross-checks across the library; raises VerificationError on failure."""
     lines = [f"verify d={d} n_max={n_max} seed={seed}"]
@@ -452,6 +446,20 @@ def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
         t_pairs.append((n, t1, t2))
     lines.append("ok sanov-commuting")
 
+    bloch_pair = (bloch_state([0.4, 0.2, 0.3]), bloch_state([0.3, -0.1, 0.4]))
+    for rho_l, sigma_l in ((rho, sigma), bloch_pair):
+        for n in (4, min(5, n_max)):
+            spec = TestSpec(sigma=sigma_l, null_set=[rho_l], epsilon=0.25, n=n)
+            labels = lambda_set(spec)
+            errs = label_errors(spec, labels, [rho_l])
+            p_n = build_test(spec, labels)
+            if (
+                abs(errs.misses[(n,)] - type_one(p_n, rho_l)) > 1e-12
+                or abs(errs.type_two - type_two(p_n, sigma_l)) > 1e-12
+            ):
+                raise VerificationError(f"sanov-labels: label errors off the dense ones at n={n}")
+    lines.append("ok sanov-labels")
+
     for n, t1, t2 in t_pairs:
         beta = neyman_pearson(rho, sigma, n, t1)
         if beta > t2 + 1e-12:
@@ -464,7 +472,7 @@ def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
         outcome_q = np.array(
             [np.prod(q_vec[list(w)]) for w in enumerate_words(2, n)]
         )
-        cls = _classical_np(outcome_p, outcome_q, 1.0 - t1)
+        cls = _fractional_np(outcome_p, outcome_q, 1.0 - t1)
         if abs(beta - cls) > 1e-9:
             raise VerificationError("np-ordering: commuting beta off the classical value")
     lines.append("ok np-ordering")

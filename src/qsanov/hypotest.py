@@ -6,6 +6,14 @@ epsilon (in l1) of the pinched diagonal and the spectrum of some null
 state. The acceptance operator is the sum of the corresponding projector
 blocks, built in the eigenbasis of sigma.
 
+Its errors are sums over the labels (`label_errors`). The type-two error
+is sum K_{f,lam} d_lam t^f at every d. At d = 2 the type-one error of a
+state, and of every word state of an alphabet, is the mass of the U(2)
+irreps det^k Sym^(n-2k) on the rejected labels, so no 2**n operator is
+formed. At d >= 3 the type-one error still comes from the dense projector
+(`build_test`, `type_one`); those dense functions also remain the oracles
+of the label path.
+
 The Neyman-Pearson baseline works on the U(d) irrep blocks of rho^n and
 sigma^n (Schur-Weyl duality): for qubits these are det^k Sym^(n-2k), with
 the S_n irrep dimension as multiplicity, so its cost is polynomial in n.
@@ -19,14 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VerificationError
+from .errors import SizeGuardError, VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
 from .schur_weyl import block_projector, dense_from_blocks, tensor_power
 from .tableaux import (
     ALPHA,
+    dominance,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
+    kostka,
     l1_distance,
 )
 
@@ -155,6 +165,171 @@ def type_two(p_n, sigma) -> float:
     return float(np.einsum("ij,ji->", p, big).real)
 
 
+WORD_POLY_LIMIT = 1 << 22
+
+
+@dataclass
+class LabelErrors:
+    """Errors of a label test, computed from its labels alone.
+
+    `type_two` is tr{P sigma^n}. `misses` maps each letter-count type c of
+    the alphabet (c[s] letters s) to tr{(1 - P) rho_w}, which is the same
+    for every word w of that type because P is permutation invariant. A
+    one-state alphabet [rho] has the single type (n,), whose miss is the
+    type-one error of rho.
+    """
+
+    type_two: float
+    misses: dict[tuple[int, ...], float]
+
+
+def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
+    """Type-two error at every d, and the word-state misses at d = 2.
+
+    The type-two error is sum over the labels of K_{f,lam} d_lam t^f, since
+    sigma^n is diagonal in its own eigenbasis. The misses are the mass of
+    X = sum_s y_s rho'_s (rho' = B^dag rho B, B the sigma eigenbasis) on
+    the rejected labels, read off per monomial y^c and divided by the
+    multinomial C(n; c) (see `_qubit_label_mass`). No d**n operator is
+    formed. Raises ValueError for an alphabet at d >= 3.
+    """
+    if labels is None:
+        labels = lambda_set(spec)
+    n, log_t = spec.n, np.log(spec.t)
+    dims = {lam: hook_dimension(lam) for lam in {lam for _, lam in labels}}
+    type_two = 0.0
+    for f, lam in sorted(labels):
+        # at d = 2 every Kostka number is 0 or 1, by dominance
+        mult = (kostka(f, lam) if spec.d > 2 else dominance(f, lam)) * dims[lam]
+        if mult:
+            type_two += math.exp(math.log(mult) + float(np.dot(f, log_t)))
+    if not len(alphabet):
+        return LabelErrors(type_two=type_two, misses={})
+    if spec.d != 2:
+        raise ValueError("word-state misses from labels need d = 2")
+    rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
+    for f, lam in labels:
+        k = lam[1] if len(lam) > 1 else 0
+        if k <= f[0] <= n - k:
+            rejected[k, f[0] - k] = False
+    b = spec.basis
+    states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
+    mass = _qubit_label_mass(states, n, rejected)
+    log_fact = _log_factorials(n)
+    misses = {}
+    for c in enumerate_frequencies(len(states), n):
+        log_multinomial = log_fact[n] - sum(log_fact[x] for x in c.counts)
+        miss = float(mass[c.counts[1:]]) * math.exp(-log_multinomial)
+        misses[c.counts] = min(max(miss, 0.0), 1.0)
+    return LabelErrors(type_two=type_two, misses=misses)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    return np.array([math.lgamma(x + 1) for x in range(n + 1)])
+
+
+def _times(p: np.ndarray, deg: int, form, form_deg: int, nvar: int) -> np.ndarray:
+    """Product of forms p (degree deg, batched on leading axes) with `form`.
+
+    A form of degree g in y_0..y_nvar is stored by its coefficients after
+    setting y_0 = 1: entry [c_1, ..., c_nvar] of an array with nvar axes of
+    length g + 1 holds the coefficient of y_0^(g - sum c) y_1^c_1 ... .
+    `form` is a small form given as (exponent, coefficient) pairs.
+    """
+    out = np.zeros(p.shape[: p.ndim - nvar] + (deg + form_deg + 1,) * nvar)
+    for exp, coef in form:
+        out[(...,) + tuple(slice(e, e + deg + 1) for e in exp)] += coef * p
+    return out
+
+
+def _qubit_label_mass(states, n: int, selected: np.ndarray) -> np.ndarray:
+    """sum over selected (k, a) of d_k det(X)^k Sym^(n-2k)(X)[a, a].
+
+    X = sum_s y_s states[s]; the result is a form of degree n in y (see
+    `_times`), whose coefficient of y^c is the mass of all words of letter
+    type c on the selected labels. Label (k, a) is lam = (n - k, k) with
+    f = (k + a, n - k - a), and selected[k, a] picks it.
+
+    With A = X00, D = X11 and E = X01 X10, the diagonal of Sym^m is
+    Sym^m(X)[a, a] = sum_i C(a, i) C(m - a, i) A^(a-i) D^(m-a-i) E^i,
+    the coefficient of u^a v^(m-a) in (A u + X10 v)^a (X01 u + D v)^(m-a)
+    (the growth of `_sym_powers`, read on its diagonal). For one state
+    every term is nonnegative, so a small type-one error keeps its
+    relative precision; A, D, E and det X are real forms, the binomials
+    and d_k are combined in logs, and det^k and E^i enter by Horner steps.
+    """
+    n_states = len(states)
+    nvar = n_states - 1
+    size = (n + 1) ** n_states
+    if size > WORD_POLY_LIMIT:
+        raise SizeGuardError(
+            f"|S| = {n_states}, n = {n}: word-type forms of (n + 1)**|S| = {size} "
+            f"coefficients exceed the guard of {WORD_POLY_LIMIT}"
+        )
+    x00 = np.array([s[0, 0].real for s in states])
+    x11 = np.array([s[1, 1].real for s in states])
+    x01 = np.array([s[0, 1] for s in states])
+    cross = np.real(np.outer(x01, x01.conj()))
+    det = 0.5 * (np.outer(x00, x11) + np.outer(x11, x00)) - cross
+    np.fill_diagonal(det, np.clip(np.diagonal(det), 0.0, None))
+    unit = [tuple(int(s == v + 1) for v in range(nvar)) for s in range(n_states)]
+
+    def linear(v):
+        return [(unit[s], v[s]) for s in range(n_states)]
+
+    def quadratic(q):
+        return [
+            (tuple(a + b for a, b in zip(unit[s], unit[r])), q[s, r] * (1 + (s != r)))
+            for s in range(n_states)
+            for r in range(s, n_states)
+        ]
+
+    a_form, d_form = linear(x00), linear(x11)
+    e_form, det_form = quadratic(cross), quadratic(det)
+    log_fact = _log_factorials(n)
+    log_dim = [math.log(hook_dimension((n - k, k))) for k in range(n // 2 + 1)]
+    # powers[j] = A^j D^(deg - j) for the current degree; terms[q][k] =
+    # sum_j d_k C(a, i) C(m - a, i) A^j D^(M-j) over the selected a = i + j,
+    # with i = q - k and M = n - 2q
+    powers = np.ones((1,) + (1,) * nvar)
+    terms = {}
+    for deg in range(n + 1):
+        if deg:
+            powers = np.concatenate([
+                _times(powers, deg - 1, d_form, 1, nvar),
+                _times(powers[-1:], deg - 1, a_form, 1, nvar),
+            ])
+        if (n - deg) % 2:
+            continue
+        q = (n - deg) // 2
+        j = np.arange(deg + 1)
+        weights = np.zeros((q + 1, deg + 1))
+        for k in range(q + 1):
+            i = q - k
+            a = i + j
+            log_w = (
+                log_dim[k]
+                + log_fact[a] - log_fact[i] - log_fact[j]
+                + log_fact[deg - j + i] - log_fact[i] - log_fact[deg - j]
+            )
+            weights[k] = np.where(selected[k, a], np.exp(log_w), 0.0)
+        terms[q] = np.tensordot(weights, powers, axes=1)
+    total = None
+    for k in range(n // 2, -1, -1):
+        acc = None
+        for q in range((n - 2 * k) // 2 + k, k - 1, -1):
+            deg = n - 2 * q
+            if acc is None:
+                acc = terms[q][k]
+            else:
+                acc = _times(acc, deg - 2, e_form, 2, nvar) + terms[q][k]
+        if total is None:
+            total = acc
+        else:
+            total = _times(total, n - 2 * k - 2, det_form, 2, nvar) + acc
+    return total
+
+
 def theta(n: int, eps: float, d: int, sigma) -> float:
     """Exponent slack (d*d/n) log2(2n) + eps |log2(eps/d)| + d eps max|log2 t|."""
     if eps <= 0:
@@ -227,6 +402,11 @@ def run_sanov(
     beta at the matched type-one level for the divergence-minimizing null
     state. Raises VerificationError if a type-two error exceeds its
     exponent bound.
+
+    The type-two error comes from the labels at every d, and at d = 2 so
+    does the type-one error (`label_errors`), so a qubit sweep forms no
+    2**n operator. At d >= 3 the type-one error is still taken from the
+    dense projector.
     """
     sigma = assert_state(sigma)
     null_states = [assert_state(s) for s in null_set]
@@ -239,9 +419,13 @@ def run_sanov(
         eps = epsilon_schedule(n, nu, d) if epsilon is None else epsilon
         eps = min(eps, 2.0)
         spec = TestSpec(sigma=sigma, null_set=null_states, epsilon=eps, n=n, hull=hull)
-        p_n = build_test(spec)
-        t1 = max(type_one(p_n, s) for s in null_states)
-        t2 = type_two(p_n, sigma)
+        labels = lambda_set(spec)
+        t2 = label_errors(spec, labels).type_two
+        if d == 2:
+            t1 = max(label_errors(spec, labels, [s]).misses[(n,)] for s in null_states)
+        else:
+            p_n = build_test(spec, labels)
+            t1 = max(type_one(p_n, s) for s in null_states)
         th = theta(n, eps, d, sigma)
         bound = 2.0 ** (-n * (ref - th))
         if t2 > bound * (1.0 + 1e-9) + 1e-300:
@@ -380,41 +564,45 @@ def _np_over_blocks(blocks, bracket, target: float, tol: float) -> float:
 
     Bisects log t in `bracket` down to width tol: each step diagonalizes
     every block of R - t S, scaled by 1/(1 + t) so that no t overflows,
-    and sums multiplicity x (R mass on the positive part). The fractional
-    test then runs on the per-eigenvector (multiplicity p, multiplicity q)
-    of the last step's eigenbases. That is exact: the copies of a block
-    share one likelihood ratio.
+    and takes the test onto its positive part, which is optimal at its own
+    level (multiplicity x R mass). The result mixes the tests at the two
+    ends of the final bracket so that the mixture meets the target level:
+    a point on the chord of the convex optimal-beta curve, so it is
+    feasible, exact when no likelihood ratio but the threshold's lies in
+    the bracket (commuting pairs), and off the optimum only to second order
+    in the bracket width otherwise.
     """
     lo, hi = bracket
 
-    def split(log_t: float) -> tuple[float, list[np.ndarray]]:
+    def positive_part(log_t: float) -> tuple[float, float]:
         shift = float(np.logaddexp(0.0, log_t))
         w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
-        got = 0.0
-        bases = []
+        got = beta = 0.0
         for mult, r, s in blocks:
             vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
-            got += mult * float(_diag_in(vecs, r)[vals > 0].sum())
-            bases.append(vecs)
-        return got, bases
+            keep = vecs[:, vals > 0]
+            got += mult * float(_diag_in(keep, r).sum())
+            beta += mult * float(_diag_in(keep, s).sum())
+        return got, beta
 
-    bases = None
+    # above the bracket R - t S <= 0, so the test at hi is empty; evaluating
+    # it would count the rounding of a ratio tied to hi as positive
+    ends = {"hi": (0.0, 0.0)}
     for _ in range(200):
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
-        got, bases = split(mid)
+        got, beta = positive_part(mid)
         if got >= target:
-            lo = mid
+            lo, ends["lo"] = mid, (got, beta)
         else:
-            hi = mid
-    if bases is None:
-        _, bases = split(0.5 * (lo + hi))
-    p_out, q_out = [], []
-    for (mult, r, s), vecs in zip(blocks, bases):
-        p_out.append(mult * np.clip(_diag_in(vecs, r), 0.0, None))
-        q_out.append(mult * np.clip(_diag_in(vecs, s), 0.0, None))
-    return _fractional_np(np.concatenate(p_out), np.concatenate(q_out), target)
+            hi, ends["hi"] = mid, (got, beta)
+    p_lo, b_lo = ends.get("lo") or positive_part(lo)
+    p_hi, b_hi = ends["hi"]
+    if p_lo <= p_hi:
+        return b_lo
+    w = min(max((target - p_hi) / (p_lo - p_hi), 0.0), 1.0)
+    return w * b_lo + (1.0 - w) * b_hi
 
 
 def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
@@ -425,8 +613,8 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     blocks are det^k Sym^(n-2k) of size n - 2k + 1 (lam = (n - k, k)), so
     no 2**n matrix is formed and n is bound by no dense guard; for d >= 3
     the one block is the dense pair (rho^n, sigma^n). The likelihood
-    threshold t is bisected in log t to relative width tol, then the
-    optimal fractional test meets the type-one constraint exactly.
+    threshold t is bisected in log t to relative width tol, then the mix of
+    the tests at the two bracket ends meets the type-one constraint exactly.
     """
     rho_m = assert_state(rho)
     s_m = assert_state(sigma)

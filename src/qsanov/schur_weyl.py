@@ -52,7 +52,7 @@ DENSE_LIMIT = 4096
 def guard_dimension(d: int, n: int, limit: int = GUARD_LIMIT) -> int:
     dim = d**n
     if dim > limit:
-        raise SizeGuardError(f"d**n = {dim} exceeds the guard of {limit}")
+        raise SizeGuardError(f"d = {d}, n = {n}: d**n = {dim} exceeds the guard of {limit}")
     return dim
 
 
@@ -354,7 +354,7 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     m = words.shape[0]
     if m > DENSE_LIMIT:
         raise SizeGuardError(
-            f"word block of size {m} exceeds the dense guard of {DENSE_LIMIT}"
+            f"word block of f = {counts} has {m} words, above the dense guard of {DENSE_LIMIT}"
         )
     candidates = [
         fr.parts for fr in enumerate_frames(d, n) if dominance(counts, fr.parts)

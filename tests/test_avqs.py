@@ -24,10 +24,10 @@ from qsanov.avqs import (
     worst_word_bound,
 )
 from qsanov.errors import SizeGuardError
-from qsanov.hypotest import TestSpec, build_test, theta
+from qsanov.hypotest import TestSpec, build_test, label_errors, lambda_set, theta
 from qsanov.quantum import bloch_state, depolarize, qrel_entropy, random_state, trace_distance
-from qsanov.schur_weyl import invariance_defect, tensor_power
-from qsanov.tableaux import ALPHA
+from qsanov.schur_weyl import block_weight, invariance_defect, tensor_power
+from qsanov.tableaux import ALPHA, enumerate_frequencies
 
 ALPHABET = [np.diag([0.8, 0.2]).astype(complex), bloch_state([0.3, 0.0, 0.0])]
 SIGMA = np.diag([0.75, 0.25])
@@ -59,6 +59,33 @@ def test_word_type_one_definition():
         big = product_state(word, ALPHABET)
         want = 1.0 - np.trace(p @ big).real
         assert abs(word_type_one(p, word, ALPHABET) - want) < 1e-12
+
+
+def test_label_word_misses_match_block_weights():
+    # Seeds and sizes fixed in advance; one word per letter-count type, its
+    # acceptance summed block by block over the accepted labels.
+    for s_size, sizes, seed in ((2, (3, 7, 12), 50), (3, (2, 5, 9), 51)):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(2, rng)
+        alphabet = [random_state(2, rng) for _ in range(s_size)]
+        for n in sizes:
+            spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.3, n=n, hull=True)
+            labels = lambda_set(spec)
+            misses = label_errors(spec, labels, alphabet).misses
+            assert sorted(misses) == sorted(f.counts for f in enumerate_frequencies(s_size, n))
+            for c, miss in misses.items():
+                sites = np.stack([alphabet[s] for s, k in enumerate(c) for _ in range(k)])
+                accept = sum(block_weight(f, lam, sites, basis=spec.basis) for f, lam in labels)
+                assert abs(miss - (1.0 - accept)) < 1e-12, (s_size, n, c)
+
+
+def test_label_word_misses_match_dense_word_type_one():
+    n = 5
+    spec = TestSpec(sigma=SIGMA, null_set=ALPHABET, epsilon=0.3, n=n, hull=True)
+    misses = label_errors(spec, lambda_set(spec), ALPHABET).misses
+    p = avqs_test(ALPHABET, SIGMA, 0.3, n)
+    for word in enumerate_words(2, n):
+        assert abs(misses[(n - sum(word), sum(word))] - word_type_one(p, word, ALPHABET)) < 1e-12
 
 
 def test_slack_formulas():

@@ -33,7 +33,7 @@ def test_verify_exit_zero_and_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert "all checks passed" in text
-    assert text.count("ok ") == 7
+    assert text.count("ok ") == 8
 
 
 def test_parse_errors_exit_two(tmp_path):
@@ -142,6 +142,31 @@ def test_avqs_mode(tmp_path):
         rng=np.random.default_rng(0),
     )
     assert abs(float(cells[7]) - want) < 1e-9
+
+
+def test_avqs_mode_matches_dense_words(tmp_path):
+    # at d = 2 the CSV comes from labels; every word of the dense test agrees
+    from qsanov.avqs import avqs_test, enumerate_words, word_type_one
+    from qsanov.hypotest import type_two
+    from qsanov.quantum import bloch_state
+
+    alphabet = [bloch_state([0.5, 0.2, 0.1]), bloch_state([-0.1, 0.3, 0.2])]
+    sigma = bloch_state([0.2, -0.3, 0.3])
+    cfg = _write_cfg(tmp_path, "avqs.json", {
+        "sigma": {"bloch": [0.2, -0.3, 0.3]},
+        "null_set": [{"bloch": [0.5, 0.2, 0.1]}, {"bloch": [-0.1, 0.3, 0.2]}],
+        "epsilon": 0.3,
+        "n_range": [3, 5],
+    })
+    out = tmp_path / "avqs.csv"
+    assert cli.main(["avqs", "--config", cfg, "--out", str(out)]) == 0
+    for line in out.read_text().strip().split("\n")[1:]:
+        cells = line.split(",")
+        n = int(cells[0])
+        p = avqs_test(alphabet, sigma, 0.3, n)
+        worst = max(word_type_one(p, w, alphabet) for w in enumerate_words(2, n))
+        assert abs(float(cells[4]) - worst) < 1e-11
+        assert abs(float(cells[5]) - type_two(p, sigma)) < 1e-11
 
 
 def test_tableaux_flags_match_library(tmp_path):

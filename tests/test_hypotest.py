@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qsanov.errors import VerificationError
+from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     TestSpec,
     _dense_blocks,
@@ -13,6 +13,7 @@ from qsanov.hypotest import (
     build_test,
     epsilon_schedule,
     feasibility_bound,
+    label_errors,
     lambda_set,
     neyman_pearson,
     run_sanov,
@@ -21,9 +22,11 @@ from qsanov.hypotest import (
     type_one,
     type_two,
 )
+from qsanov.nogo import haar_unitary
 from qsanov.quantum import bloch_state, qrel_entropy, random_state
 from qsanov.tableaux import (
     ALPHA,
+    dominance,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -194,6 +197,22 @@ def test_neyman_pearson_commuting_matches_classical():
             assert abs(beta - classical_np(p, q, 1 - nu)) < 1e-9, (n, nu)
 
 
+def test_neyman_pearson_level_inside_the_top_eigenvector():
+    # sigma = I/2 and a level below the mass of the top eigenvector of rho^n:
+    # the optimum takes a share of that eigenvector alone, whose likelihood
+    # ratio sits exactly on the top of the threshold bracket.
+    q_vec = np.array([0.5, 0.5])
+    for rho in (np.diag([0.73, 0.27]), bloch_state([0.3, 0.0, 0.35])):
+        p_vec = np.linalg.eigvalsh(rho)[::-1]
+        for n in (4, 5):
+            words = list(itertools.product((0, 1), repeat=n))
+            p = np.array([np.prod(p_vec[list(w)]) for w in words])
+            q = np.array([np.prod(q_vec[list(w)]) for w in words])
+            for nu in (0.8, 0.9):
+                beta = neyman_pearson(rho, np.eye(2) / 2, n, nu)
+                assert abs(beta - classical_np(p, q, 1 - nu)) < 1e-12, (n, nu)
+
+
 def test_neyman_pearson_edge_cases():
     sigma = np.diag([0.6, 0.4])
     # equal hypotheses: accepting mass 1 - nu costs exactly 1 - nu
@@ -257,6 +276,100 @@ def test_neyman_pearson_threshold_bracket_does_not_overflow():
         beta = neyman_pearson(rho, sigma, n, nu)
         assert math.isfinite(beta)
         assert abs(beta - classical_np(p, q, 1.0 - nu)) < 1e-12, nu
+
+
+def test_neyman_pearson_finish_is_second_order_in_the_bracket():
+    # A pure rho against a sigma with smallest eigenvalue 0.016 in a random
+    # complex basis: the finish must not move beta to first order in tol.
+    # Below beta ~ 1e-9 the eigh rounding of the S mass on the positive part
+    # (about 1e-18 absolute here, the same at every tol) exceeds 1e-9
+    # relative, hence the absolute floor of 1e-17.
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        rho = random_state(2, rng, rank=1)
+        sigma = _rotated([0.984, 0.016], rng)
+        for n in range(6, 11):
+            for nu in (0.05, 0.3):
+                got = neyman_pearson(rho, sigma, n, nu)
+                want = neyman_pearson(rho, sigma, n, nu, tol=1e-15)
+                assert abs(got - want) <= 1e-9 * want + 1e-17, (seed, n, nu, got, want)
+
+
+def _rotated(spectrum, rng):
+    u = haar_unitary(len(spectrum), rng)
+    return u @ np.diag(spectrum) @ u.conj().T
+
+
+def test_label_errors_match_dense_type_one_and_type_two():
+    # Seeds and sizes fixed in advance: random complex pairs, a rank-1 rho
+    # (det = 0, k = 0 only), sigma just above SIGMA_MIN_EIG, a |S| = 3 hull.
+    cases = []
+    for seed in range(20, 24):
+        rng = np.random.default_rng(seed)
+        cases.append((random_state(2, rng), [random_state(2, rng)], False))
+    rng = np.random.default_rng(24)
+    cases.append((random_state(2, rng), [random_state(2, rng, rank=1)], False))
+    rng = np.random.default_rng(25)
+    cases.append((_rotated([1.0 - 1e-9, 1e-9], rng), [random_state(2, rng)], False))
+    rng = np.random.default_rng(26)
+    cases.append((random_state(2, rng), [random_state(2, rng) for _ in range(3)], True))
+    for i, (sigma, nulls, hull) in enumerate(cases):
+        for n in tuple(range(1, 9)) + ((10,) if i == 0 else ()):
+            spec = TestSpec(sigma=sigma, null_set=nulls, epsilon=0.35, n=n, hull=hull)
+            labels = lambda_set(spec)
+            p = build_test(spec, labels)
+            assert abs(label_errors(spec, labels).type_two - type_two(p, sigma)) < 1e-12
+            for rho in nulls:
+                miss = label_errors(spec, labels, [rho]).misses[(n,)]
+                assert abs(miss - type_one(p, rho)) < 1e-12, (i, n)
+
+
+def test_label_type_two_matches_dense_at_d3():
+    for seed in (30, 31):
+        rng = np.random.default_rng(seed)
+        sigma, nulls = random_state(3, rng), [random_state(3, rng), random_state(3, rng)]
+        for n in range(1, 7):
+            spec = TestSpec(sigma=sigma, null_set=nulls, epsilon=0.4, n=n, hull=True)
+            labels = lambda_set(spec)
+            want = type_two(build_test(spec, labels), sigma)
+            assert abs(label_errors(spec, labels).type_two - want) < 1e-12, (seed, n)
+    with pytest.raises(ValueError):
+        label_errors(spec, labels, nulls)
+
+
+def test_label_errors_at_n_128_are_probabilities():
+    # Rejected mass plus accepted mass (the misses of the complementary
+    # label set) is one for every type, and every miss is a probability.
+    n = 128
+    rng = np.random.default_rng(40)
+    sigma = random_state(2, rng)
+    alphabet = [random_state(2, rng), random_state(2, rng)]
+    spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.3, n=n, hull=True)
+    labels = lambda_set(spec)
+    every = frozenset(
+        (f.counts, fr.parts)
+        for f in enumerate_frequencies(2, n)
+        for fr in enumerate_frames(2, n)
+        if dominance(f.counts, fr.parts)
+    )
+    for letters in (alphabet[:1], alphabet):
+        misses = label_errors(spec, labels, letters).misses
+        accepted = label_errors(spec, every - labels, letters).misses
+        assert len(misses) == (n + 1 if len(letters) == 2 else 1)
+        for c, miss in misses.items():
+            assert math.isfinite(miss) and 0.0 <= miss <= 1.0, c
+            assert abs(miss + accepted[c] - 1.0) < 1e-12, c
+    assert 0.0 < label_errors(spec, labels).type_two < 1.0
+    letters = alphabet + [sigma]
+    big = TestSpec(sigma=sigma, null_set=letters, epsilon=0.3, n=200, hull=True)
+    with pytest.raises(SizeGuardError, match=r"\|S\| = 3, n = 200"):
+        label_errors(big, frozenset(), letters)
+
+
+def test_run_sanov_at_n_128_forms_no_dense_operator():
+    rep, = run_sanov(np.eye(2) / 2, [np.diag([0.7, 0.3])], [128], epsilon=0.25)
+    assert 0.0 < rep.type1_max < 1.0
+    assert 0.0 < rep.np_beta <= rep.type2 < 1.0
 
 
 def test_spec_validation():

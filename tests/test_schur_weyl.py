@@ -17,6 +17,7 @@ from qsanov.schur_weyl import (
     completeness_check,
     compose,
     conjugacy_classes,
+    dense_from_blocks,
     frequency_blocks,
     frequency_projector,
     guard_dimension,
@@ -301,6 +302,15 @@ def test_size_guards():
         frequency_blocks((10, 10))
     with pytest.raises(SizeGuardError):
         tensor_power(np.eye(2), 13)  # dense limit is tighter
+
+
+def test_size_guard_messages_name_what_tripped():
+    with pytest.raises(SizeGuardError, match=r"f = \(8, 7\) has 6435 words"):
+        frequency_blocks((8, 7))
+    with pytest.raises(SizeGuardError, match="d = 2, n = 13"):
+        tensor_power(np.eye(2), 13)
+    with pytest.raises(SizeGuardError, match="d = 3, n = 8"):
+        dense_from_blocks([], 3, 8)
 
 
 def test_block_cache_shares_instances():
