@@ -16,6 +16,7 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import SizeGuardError
 from .hypotest import TestSpec, build_test, theta
 from .quantum import assert_state, depolarize, qrel_entropy, spectrum, trace_distance
 from .schur_weyl import (
@@ -45,16 +46,9 @@ def empirical_mixture(word, alphabet) -> np.ndarray:
     return out / n
 
 
-def avqs_test(alphabet, sigma, epsilon: float, n: int, grid_pitch=None) -> np.ndarray:
+def avqs_test(alphabet, sigma, epsilon: float, n: int) -> np.ndarray:
     """Acceptance projector for the convex hull of the alphabet against sigma."""
-    spec = TestSpec(
-        sigma=sigma,
-        null_set=list(alphabet),
-        epsilon=epsilon,
-        n=n,
-        hull=True,
-        grid_pitch=grid_pitch,
-    )
+    spec = TestSpec(sigma=sigma, null_set=list(alphabet), epsilon=epsilon, n=n, hull=True)
     return build_test(spec)
 
 
@@ -387,12 +381,13 @@ def gamma(
     )
 
 
-def enumerate_words(s_size: int, n: int, limit: int = 10**6, rng=None, samples: int = 4096):
-    """All words when |S|**n <= limit, otherwise a seeded sample."""
-    total = s_size**n
-    if total <= limit:
-        yield from itertools.product(range(s_size), repeat=n)
-        return
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(samples):
-        yield tuple(int(x) for x in rng.integers(0, s_size, size=n))
+WORD_LIMIT = 10**6
+
+
+def enumerate_words(s_size: int, n: int):
+    """Every length-n word over |S| letters; SizeGuardError above 10**6 words."""
+    if s_size**n > WORD_LIMIT:
+        raise SizeGuardError(
+            f"|S| = {s_size}, n = {n}: {s_size**n} words exceed the guard of {WORD_LIMIT}"
+        )
+    return itertools.product(range(s_size), repeat=n)

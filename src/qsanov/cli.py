@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .avqs import enumerate_words, gamma, min_relative_entropy_hull, word_type_one
+from .avqs import enumerate_words, gamma, min_relative_entropy_hull
 from .errors import SizeGuardError, VerificationError
 from .hypotest import (
     TestSpec,
@@ -200,20 +200,8 @@ def _mode_avqs(cfg: dict, seed: int, fmt: str) -> str:
     rows = []
     for n in _n_values(cfg):
         spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=eps, n=n, hull=True)
-        labels = lambda_set(spec)
-        if d == 2:
-            errs = label_errors(spec, labels, alphabet)
-            worst = max(errs.misses.values())
-        else:
-            errs = label_errors(spec, labels)
-            p_n = build_test(spec, labels)
-            # P is permutation invariant: one sorted word per letter-count type
-            words = (
-                tuple(s for s, c in enumerate(t.counts) for _ in range(c))
-                for t in enumerate_frequencies(s_size, n)
-            )
-            worst = max(word_type_one(p_n, w, alphabet) for w in words)
-        t2 = errs.type_two
+        errs = label_errors(spec, alphabet=alphabet)
+        worst, t2 = max(errs.misses.values()), errs.type_two
         exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         gam = gamma(n, nu, d, sigma, s_size)
         rows.append([n, s_size, eps, 0.0, worst, t2, exponent, min_d, gam])
@@ -447,7 +435,10 @@ def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
     lines.append("ok sanov-commuting")
 
     bloch_pair = (bloch_state([0.4, 0.2, 0.3]), bloch_state([0.3, -0.1, 0.4]))
-    for rho_l, sigma_l in ((rho, sigma), bloch_pair):
+    r3 = np.random.default_rng(6)
+    rho3 = random_state(3, r3)
+    qutrit_pair = (rho3, (rho3 + random_state(3, r3)) / 2.0)
+    for rho_l, sigma_l in ((rho, sigma), bloch_pair, qutrit_pair):
         for n in (4, min(5, n_max)):
             spec = TestSpec(sigma=sigma_l, null_set=[rho_l], epsilon=0.25, n=n)
             labels = lambda_set(spec)

@@ -6,13 +6,14 @@ epsilon (in l1) of the pinched diagonal and the spectrum of some null
 state. The acceptance operator is the sum of the corresponding projector
 blocks, built in the eigenbasis of sigma.
 
-Its errors are sums over the labels (`label_errors`). The type-two error
-is sum K_{f,lam} d_lam t^f at every d. At d = 2 the type-one error of a
-state, and of every word state of an alphabet, is the mass of the U(2)
-irreps det^k Sym^(n-2k) on the rejected labels, so no 2**n operator is
-formed. At d >= 3 the type-one error still comes from the dense projector
-(`build_test`, `type_one`); those dense functions also remain the oracles
-of the label path.
+Its errors are sums over the labels (`label_errors`), at every d. The
+type-two error is sum K_{f,lam} d_lam t^f. The type-one error of a state,
+and of every word state of an alphabet, is taken per letter-count type:
+at d = 2 as the mass of the U(2) irreps det^k Sym^(n-2k) on the rejected
+labels, at d >= 3 as one minus the accepted word-block weights
+(`block_weight`) of the sorted word of that type. No d**n operator is
+formed. The dense functions (`build_test`, `type_one`, `type_two`) remain
+as the oracles of the label path and behind the dense AVQS checks.
 
 The Neyman-Pearson baseline works on the U(d) irrep blocks of rho^n and
 sigma^n (Schur-Weyl duality): for qubits these are det^k Sym^(n-2k), with
@@ -29,10 +30,15 @@ import numpy as np
 
 from .errors import SizeGuardError, VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
-from .schur_weyl import block_projector, dense_from_blocks, tensor_power
+from .schur_weyl import (
+    block_projector,
+    dense_from_blocks,
+    frequency_blocks,
+    tensor_power,
+    word_block_state,
+)
 from .tableaux import (
     ALPHA,
-    dominance,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -49,7 +55,7 @@ class TestSpec:
 
     `null_set` lists the null-hypothesis states; with `hull=True` the null
     is their convex hull, probed on a mixing-weight grid of pitch about
-    epsilon/4 (`grid_pitch` overrides).
+    epsilon/4.
     """
 
     sigma: np.ndarray
@@ -57,7 +63,6 @@ class TestSpec:
     epsilon: float
     n: int
     hull: bool = False
-    grid_pitch: float | None = None
 
     def __post_init__(self):
         self.sigma = assert_state(self.sigma)
@@ -84,10 +89,7 @@ class TestSpec:
 def _null_candidates(spec: TestSpec) -> list[np.ndarray]:
     if not spec.hull or len(spec.null_set) == 1:
         return list(spec.null_set)
-    pitch = spec.grid_pitch
-    if pitch is None:
-        pitch = max(spec.epsilon / 4.0, 1e-3)
-    steps = max(1, math.ceil(1.0 / pitch))
+    steps = max(1, math.ceil(1.0 / max(spec.epsilon / 4.0, 1e-3)))
     out = []
     for grid_point in enumerate_frequencies(len(spec.null_set), steps):
         weights = np.array(grid_point.counts, dtype=float) / steps
@@ -184,14 +186,17 @@ class LabelErrors:
 
 
 def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
-    """Type-two error at every d, and the word-state misses at d = 2.
+    """Type-two error and word-state misses of a label test, at every d.
 
     The type-two error is sum over the labels of K_{f,lam} d_lam t^f, since
-    sigma^n is diagonal in its own eigenbasis. The misses are the mass of
-    X = sum_s y_s rho'_s (rho' = B^dag rho B, B the sigma eigenbasis) on
+    sigma^n is diagonal in its own eigenbasis. A miss is taken per
+    letter-count type c of the alphabet, with rho' = B^dag rho B (B the
+    sigma eigenbasis). At d = 2 it is the mass of X = sum_s y_s rho'_s on
     the rejected labels, read off per monomial y^c and divided by the
-    multinomial C(n; c) (see `_qubit_label_mass`). No d**n operator is
-    formed. Raises ValueError for an alphabet at d >= 3.
+    multinomial C(n; c) (see `_qubit_label_mass`). At d >= 3 it is one
+    minus the accepted `block_weight`s of the sorted word of type c, so
+    only the word blocks of accepted frequencies are built. No d**n
+    operator is formed.
     """
     if labels is None:
         labels = lambda_set(spec)
@@ -199,27 +204,39 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     dims = {lam: hook_dimension(lam) for lam in {lam for _, lam in labels}}
     type_two = 0.0
     for f, lam in sorted(labels):
-        # at d = 2 every Kostka number is 0 or 1, by dominance
-        mult = (kostka(f, lam) if spec.d > 2 else dominance(f, lam)) * dims[lam]
+        mult = kostka(f, lam) * dims[lam]
         if mult:
             type_two += math.exp(math.log(mult) + float(np.dot(f, log_t)))
     if not len(alphabet):
         return LabelErrors(type_two=type_two, misses={})
-    if spec.d != 2:
-        raise ValueError("word-state misses from labels need d = 2")
-    rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
-    for f, lam in labels:
-        k = lam[1] if len(lam) > 1 else 0
-        if k <= f[0] <= n - k:
-            rejected[k, f[0] - k] = False
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
-    mass = _qubit_label_mass(states, n, rejected)
-    log_fact = _log_factorials(n)
+    if spec.d == 2:
+        rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
+        for f, lam in labels:
+            k = lam[1] if len(lam) > 1 else 0
+            if k <= f[0] <= n - k:
+                rejected[k, f[0] - k] = False
+        mass = _qubit_label_mass(states, n, rejected)
+        log_fact = _log_factorials(n)
+    else:
+        # the accepted part of each word block, summed over its frames
+        accepted = {}
+        for f, lam in sorted(labels):
+            block = frequency_blocks(f).get(lam)
+            if block is not None:
+                accepted[f] = accepted.get(f, 0.0) + block
     misses = {}
     for c in enumerate_frequencies(len(states), n):
-        log_multinomial = log_fact[n] - sum(log_fact[x] for x in c.counts)
-        miss = float(mass[c.counts[1:]]) * math.exp(-log_multinomial)
+        if spec.d == 2:
+            log_multinomial = log_fact[n] - sum(log_fact[x] for x in c.counts)
+            miss = float(mass[c.counts[1:]]) * math.exp(-log_multinomial)
+        else:
+            sites = [states[s] for s, k in enumerate(c.counts) for _ in range(k)]
+            miss = 1.0 - sum(
+                float(np.einsum("ab,ba->", block, word_block_state(f, sites)).real)
+                for f, block in accepted.items()
+            )
         misses[c.counts] = min(max(miss, 0.0), 1.0)
     return LabelErrors(type_two=type_two, misses=misses)
 
@@ -403,10 +420,9 @@ def run_sanov(
     state. Raises VerificationError if a type-two error exceeds its
     exponent bound.
 
-    The type-two error comes from the labels at every d, and at d = 2 so
-    does the type-one error (`label_errors`), so a qubit sweep forms no
-    2**n operator. At d >= 3 the type-one error is still taken from the
-    dense projector.
+    Both errors come from the labels (`label_errors`) at every d, so no
+    d**n operator is formed: at d >= 3 the type-one error is bound by the
+    word-block guard of `frequency_blocks`, not by d**n.
     """
     sigma = assert_state(sigma)
     null_states = [assert_state(s) for s in null_set]
@@ -421,11 +437,7 @@ def run_sanov(
         spec = TestSpec(sigma=sigma, null_set=null_states, epsilon=eps, n=n, hull=hull)
         labels = lambda_set(spec)
         t2 = label_errors(spec, labels).type_two
-        if d == 2:
-            t1 = max(label_errors(spec, labels, [s]).misses[(n,)] for s in null_states)
-        else:
-            p_n = build_test(spec, labels)
-            t1 = max(type_one(p_n, s) for s in null_states)
+        t1 = max(label_errors(spec, labels, [s]).misses[(n,)] for s in null_states)
         th = theta(n, eps, d, sigma)
         bound = 2.0 ** (-n * (ref - th))
         if t2 > bound * (1.0 + 1e-9) + 1e-300:
@@ -434,7 +446,7 @@ def run_sanov(
             )
         exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         beta = (
-            neyman_pearson(rho_star, sigma, n, max(t1, 0.0)) if np_baseline else math.nan
+            neyman_pearson(rho_star, sigma, n, t1) if np_baseline else math.nan
         )
         reports.append(
             ExponentReport(
@@ -615,11 +627,21 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     the one block is the dense pair (rho^n, sigma^n). The likelihood
     threshold t is bisected in log t to relative width tol, then the mix of
     the tests at the two bracket ends meets the type-one constraint exactly.
+
+    At nu = 0 the test must act as the identity on supp(rho)^n, so the
+    optimum is tr(Pi sigma)^n, Pi the projector onto the eigenvectors of
+    rho above SIGMA_MIN_EIG; the bisection would resolve that level only
+    up to the rounding of a singular rho^n. At nu = 1 the empty test is
+    optimal.
     """
     rho_m = assert_state(rho)
     s_m = assert_state(sigma)
-    if not 0.0 <= nu < 1.0:
-        raise ValueError("nu must be in [0, 1)")
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError("nu must be in [0, 1]")
+    if nu == 0.0:
+        vals, vecs = np.linalg.eigh(rho_m)
+        support = vecs[:, vals > SIGMA_MIN_EIG]
+        return float(_diag_in(support, s_m).sum()) ** n
     bracket = _log_threshold_bracket(rho_m, s_m, n)
     blocks = (_qubit_blocks if rho_m.shape[0] == 2 else _dense_blocks)(rho_m, s_m, n)
     return _np_over_blocks(blocks, bracket, 1.0 - nu, tol)

@@ -156,11 +156,6 @@ class PermOperator:
         out[self.index_map(), np.arange(dim)] = 1.0
         return out
 
-    def __matmul__(self, other: "PermOperator") -> "PermOperator":
-        if not isinstance(other, PermOperator) or other.d != self.d:
-            return NotImplemented
-        return PermOperator(compose(self.perm, other.perm), self.d)
-
     def cycle_type(self) -> tuple[int, ...]:
         seen = [False] * self.n
         lengths = []
@@ -438,10 +433,6 @@ class ProjectorBlock:
         return sum(self.f)
 
     @property
-    def dim(self) -> int:
-        return self.d**self.n
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.block))
 
@@ -536,26 +527,35 @@ def block_weight(f, lam, states, basis=None) -> float:
 
     `states` is a single state (used on every site) or a length-n sequence.
     The product operator is never materialized on the full space: it is
-    restricted to the word block directly.
+    restricted to the word block directly (`word_block_state`).
     """
     counts = _freq_counts(f)
-    lam_p = _frame_parts(lam)
-    n = sum(counts)
-    blocks = frequency_blocks(counts)
-    block = blocks.get(lam_p)
+    block = frequency_blocks(counts).get(_frame_parts(lam))
     if block is None:
         return 0.0
-    sts = _site_states(states, n)
+    prod = word_block_state(counts, states, basis)
+    return float(np.einsum("ab,ba->", block, prod).real)
+
+
+def word_block_state(f, states, basis=None) -> np.ndarray:
+    """A product of single-site states restricted to the word block of f.
+
+    Entry [a, b] is prod_i states[i][w_a[i], w_b[i]] over the sorted words
+    w of letter counts f, with the states taken in `basis` when one is
+    given. `states` is as in `block_weight`.
+    """
+    counts = _freq_counts(f)
+    sts = _site_states(states, sum(counts))
     if basis is not None:
         b = assert_basis(basis)
         sts = [b.conj().T @ s @ b for s in sts]
     words = words_of_type(counts)
     m = words.shape[0]
     prod = np.ones((m, m), dtype=complex)
-    for i in range(n):
+    for i, s in enumerate(sts):
         col = words[:, i]
-        prod *= sts[i][col[:, None], col[None, :]]
-    return float(np.einsum("ab,ba->", block, prod).real)
+        prod *= s[col[:, None], col[None, :]]
+    return prod
 
 
 def _site_states(states, n: int) -> list[np.ndarray]:

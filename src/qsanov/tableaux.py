@@ -169,24 +169,6 @@ def enumerate_frequencies(d: int, n: int) -> list[Frequency]:
     return out
 
 
-def normalize(x) -> np.ndarray:
-    """Normalized probability vector of a frame, frequency, or count vector.
-
-    Frames are padded with zero rows up to their row cap ``d`` before
-    dividing by n, so the result always has an entry per letter.
-    """
-    if isinstance(x, YoungFrame):
-        v = np.asarray(x.padded(), dtype=float)
-    elif isinstance(x, Frequency):
-        v = np.asarray(x.counts, dtype=float)
-    else:
-        v = np.asarray(tuple(x), dtype=float)
-    total = v.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize an empty count vector")
-    return v / total
-
-
 def as_prob_vec(p, tol: float = 1e-9) -> np.ndarray:
     """Validate and return p as a probability vector (clipping tiny negatives)."""
     v = np.asarray(p, dtype=float).copy()
@@ -382,14 +364,18 @@ def _kostka_rec(parts: tuple[int, ...], counts: tuple[int, ...]) -> int:
 def kostka(f, lam) -> int:
     """Number of semistandard fillings of shape lam with content f (exact).
 
-    Enumerates fillings letter by letter: the cells holding each successive
-    letter must form a horizontal strip (weakly increasing rows, strictly
+    With at most two letters in use the filling is forced, so the number
+    is 1 when lam dominates f and 0 otherwise. Else fillings are
+    enumerated letter by letter: the cells holding each successive letter
+    must form a horizontal strip (weakly increasing rows, strictly
     increasing columns).
     """
     counts = _freq_counts(f)
     parts = _frame_parts(lam)
     if sum(counts) != sum(parts):
         raise ValueError("frequency and frame must count the same n")
+    if sum(c > 0 for c in counts) <= 2:
+        return int(dominance(counts, parts))
     return _kostka_rec(parts, counts)
 
 

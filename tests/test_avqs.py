@@ -281,7 +281,9 @@ def test_gamma_composition():
 def test_enumerate_words_modes():
     words = list(enumerate_words(2, 6))
     assert words == list(itertools.product((0, 1), repeat=6))
-    sampled = list(enumerate_words(2, 25, samples=16))
-    assert len(sampled) == 16
-    assert all(len(w) == 25 for w in sampled)
-    assert sampled == list(enumerate_words(2, 25, samples=16))
+    # the guard stands at exactly 10**6 words and trips before any is made
+    assert next(enumerate_words(1000, 2)) == (0, 0)
+    with pytest.raises(SizeGuardError, match=r"\|S\| = 1001, n = 2"):
+        enumerate_words(1001, 2)
+    with pytest.raises(SizeGuardError, match=r"\|S\| = 2, n = 20"):
+        enumerate_words(2, 20)

@@ -144,29 +144,89 @@ def test_avqs_mode(tmp_path):
     assert abs(float(cells[7]) - want) < 1e-9
 
 
+def _matrix_json(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
 def test_avqs_mode_matches_dense_words(tmp_path):
-    # at d = 2 the CSV comes from labels; every word of the dense test agrees
+    # the CSV comes from labels; every word of the dense test agrees, at
+    # d = 2 and at d = 3 (a complex sigma eigenbasis and a rank-1 letter)
     from qsanov.avqs import avqs_test, enumerate_words, word_type_one
     from qsanov.hypotest import type_two
-    from qsanov.quantum import bloch_state
+    from qsanov.quantum import bloch_state, random_state
 
-    alphabet = [bloch_state([0.5, 0.2, 0.1]), bloch_state([-0.1, 0.3, 0.2])]
-    sigma = bloch_state([0.2, -0.3, 0.3])
+    rng = np.random.default_rng(70)
+    qutrits = [random_state(3, rng), random_state(3, rng), random_state(3, rng, rank=1)]
+    configs = [
+        (
+            [bloch_state([0.5, 0.2, 0.1]), bloch_state([-0.1, 0.3, 0.2])],
+            bloch_state([0.2, -0.3, 0.3]),
+            {
+                "sigma": {"bloch": [0.2, -0.3, 0.3]},
+                "null_set": [{"bloch": [0.5, 0.2, 0.1]}, {"bloch": [-0.1, 0.3, 0.2]}],
+                "epsilon": 0.3,
+                "n_range": [3, 5],
+            },
+        ),
+        (
+            qutrits[1:],
+            qutrits[0],
+            {
+                "sigma": _matrix_json(qutrits[0]),
+                "null_set": [_matrix_json(q) for q in qutrits[1:]],
+                "epsilon": 0.6,
+                "n_range": [3, 5],
+            },
+        ),
+    ]
+    for alphabet, sigma, payload in configs:
+        eps = payload["epsilon"]
+        cfg = _write_cfg(tmp_path, "avqs.json", payload)
+        out = tmp_path / "avqs.csv"
+        assert cli.main(["avqs", "--config", cfg, "--out", str(out)]) == 0
+        for line in out.read_text().strip().split("\n")[1:]:
+            cells = line.split(",")
+            n = int(cells[0])
+            p = avqs_test(alphabet, sigma, eps, n)
+            worst = max(word_type_one(p, w, alphabet) for w in enumerate_words(2, n))
+            assert abs(float(cells[4]) - worst) < 1e-11, (sigma.shape, n)
+            assert abs(float(cells[5]) - type_two(p, sigma)) < 1e-11, (sigma.shape, n)
+
+
+def test_avqs_mode_at_d3_n8_passes_the_dense_guard(tmp_path):
+    # 3**8 = 6561 is above the 4096 dense guard; the labels need no d**n operator
+    from qsanov.quantum import random_state
+
+    rng = np.random.default_rng(71)
+    sigma, a, b = (random_state(3, rng) for _ in range(3))
     cfg = _write_cfg(tmp_path, "avqs.json", {
-        "sigma": {"bloch": [0.2, -0.3, 0.3]},
-        "null_set": [{"bloch": [0.5, 0.2, 0.1]}, {"bloch": [-0.1, 0.3, 0.2]}],
-        "epsilon": 0.3,
-        "n_range": [3, 5],
+        "sigma": _matrix_json(sigma),
+        "null_set": [_matrix_json(a), _matrix_json(b)],
+        "epsilon": 0.6,
+        "n": 8,
     })
     out = tmp_path / "avqs.csv"
     assert cli.main(["avqs", "--config", cfg, "--out", str(out)]) == 0
-    for line in out.read_text().strip().split("\n")[1:]:
-        cells = line.split(",")
-        n = int(cells[0])
-        p = avqs_test(alphabet, sigma, 0.3, n)
-        worst = max(word_type_one(p, w, alphabet) for w in enumerate_words(2, n))
-        assert abs(float(cells[4]) - worst) < 1e-11
-        assert abs(float(cells[5]) - type_two(p, sigma)) < 1e-11
+    cells = out.read_text().strip().split("\n")[1].split(",")
+    assert int(cells[0]) == 8
+    assert 0.0 <= float(cells[4]) <= 1.0
+    assert 0.0 < float(cells[5]) < 1.0
+
+
+def test_sanov_mode_when_every_label_is_rejected(tmp_path):
+    # at n = 1 no frequency of diag(0.7, 0.3) is within 0.25: the test is
+    # empty, its type-one error is 1 and the empty test is the NP optimum
+    cfg = _write_cfg(tmp_path, "sanov.json", {
+        "sigma": {"diag": [0.5, 0.5]},
+        "null_set": [{"diag": [0.7, 0.3]}],
+        "epsilon": 0.25,
+        "n": 1,
+    })
+    out = tmp_path / "sanov.csv"
+    assert cli.main(["sanov", "--config", cfg, "--out", str(out)]) == 0
+    row = dict(zip(cli.SANOV_HEADER, out.read_text().strip().split("\n")[1].split(",")))
+    assert float(row["type1_max"]) == 1.0
+    assert float(row["np_beta"]) == 0.0
 
 
 def test_tableaux_flags_match_library(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsanov.avqs import word_type_one
 from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     TestSpec,
@@ -24,6 +25,7 @@ from qsanov.hypotest import (
 )
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import bloch_state, qrel_entropy, random_state
+from qsanov.schur_weyl import block_weight, tensor_power
 from qsanov.tableaux import (
     ALPHA,
     dominance,
@@ -224,6 +226,24 @@ def test_neyman_pearson_edge_cases():
     assert beta_loose <= beta_tight + 1e-12
 
 
+def test_neyman_pearson_at_level_zero_accepts_the_support():
+    # At nu = 0 the test is the identity on supp(rho)^n, so beta is
+    # tr(Pi^n sigma^n): 1 for a nonsingular rho. For a singular rho the
+    # bisection meets that level only within the rounding of rho^n.
+    cases = []
+    for seed, d, rank in ((90, 2, 1), (91, 3, 1), (92, 3, 2), (93, 2, 2)):
+        rng = np.random.default_rng(seed)
+        cases.append((random_state(d, rng, rank=rank), random_state(d, rng), rank))
+    for rho, sigma, rank in cases:
+        vals, vecs = np.linalg.eigh(rho)
+        pi = vecs[:, -rank:] @ vecs[:, -rank:].conj().T
+        for n in range(1, 6):
+            want = float(np.trace(tensor_power(pi, n) @ tensor_power(sigma, n)).real)
+            got = neyman_pearson(rho, sigma, n, 0.0)
+            assert abs(got - want) <= 1e-12 * want, (rank, n, got, want)
+            assert got >= neyman_pearson(rho, sigma, n, 1e-6), (rank, n)
+
+
 def test_neyman_pearson_noncommuting_sane():
     rho = bloch_state([0.5, 0.1, 0.2])
     sigma = bloch_state([0.0, 0.0, 0.5])
@@ -331,10 +351,47 @@ def test_label_type_two_matches_dense_at_d3():
         for n in range(1, 7):
             spec = TestSpec(sigma=sigma, null_set=nulls, epsilon=0.4, n=n, hull=True)
             labels = lambda_set(spec)
-            want = type_two(build_test(spec, labels), sigma)
-            assert abs(label_errors(spec, labels).type_two - want) < 1e-12, (seed, n)
-    with pytest.raises(ValueError):
-        label_errors(spec, labels, nulls)
+            p = build_test(spec, labels)
+            errs = label_errors(spec, labels, nulls)
+            assert abs(errs.type_two - type_two(p, sigma)) < 1e-12, (seed, n)
+            for c, miss in errs.misses.items():
+                word = [s for s, k in enumerate(c) for _ in range(k)]
+                assert abs(miss - word_type_one(p, word, nulls)) < 1e-12, (seed, n, c)
+
+
+def test_label_misses_match_dense_at_d3():
+    # Seeds and sizes fixed in advance: d = 3, complex sigma eigenbases,
+    # |S| = 1 (a rank-1 rho), 2 and 3 (each with a rank-1 letter), every
+    # letter-count type against the sorted word and its reverse.
+    for s_size, seed in ((1, 60), (2, 61), (3, 62)):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(3, rng)
+        alphabet = [random_state(3, rng, rank=1)]
+        alphabet += [random_state(3, rng) for _ in range(s_size - 1)]
+        for n in range(1, 7):
+            spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.5, n=n, hull=True)
+            labels = lambda_set(spec)
+            p = build_test(spec, labels)
+            misses = label_errors(spec, labels, alphabet).misses
+            assert len(misses) == len(enumerate_frequencies(s_size, n))
+            if s_size == 1:
+                assert abs(misses[(n,)] - type_one(p, alphabet[0])) < 1e-12, n
+            for c, miss in misses.items():
+                word = [s for s, k in enumerate(c) for _ in range(k)]
+                for w in (word, word[::-1]):
+                    assert abs(miss - word_type_one(p, w, alphabet)) < 1e-12, (s_size, n, c)
+
+
+def test_run_sanov_at_d3_n8_passes_the_dense_guard():
+    # 3**8 = 6561 is above the 4096 dense guard; the labels need no d**n operator
+    rng = np.random.default_rng(63)
+    sigma, rho = random_state(3, rng), random_state(3, rng)
+    rep, = run_sanov(sigma, [rho], [8], epsilon=0.5, np_baseline=False)
+    spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.5, n=8)
+    accept = sum(block_weight(f, lam, rho, basis=spec.basis) for f, lam in lambda_set(spec))
+    assert 0.0 < rep.type1_max < 1.0
+    assert abs(rep.type1_max - (1.0 - accept)) < 1e-12
+    assert 0.0 < rep.type2 < 1.0
 
 
 def test_label_errors_at_n_128_are_probabilities():

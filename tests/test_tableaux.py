@@ -8,6 +8,7 @@ from qsanov.tableaux import (
     ALPHA,
     Frequency,
     YoungFrame,
+    _kostka_rec,
     dimension_bounds,
     dominance,
     entropy,
@@ -203,6 +204,19 @@ def test_kostka_matches_brute_ssyt():
     # a d=4 spot check with multiplicity above one
     assert kostka((2, 1, 1, 0), (2, 1, 1)) == ssyt_count((2, 1, 1), (2, 1, 1, 0))
     assert kostka((1, 1, 1, 1), (2, 2)) == ssyt_count((2, 2), (1, 1, 1, 1)) == 2
+
+
+def test_kostka_two_letter_rule_matches_strip_recursion():
+    # with at most two letters in use, kostka answers by dominance alone
+    checked = 0
+    for n in range(1, 9):
+        for f in enumerate_frequencies(3, n):
+            if sum(c > 0 for c in f.counts) > 2:
+                continue
+            for fr in enumerate_frames(3, n):
+                assert kostka(f.counts, fr.parts) == _kostka_rec(fr.parts, f.counts)
+                checked += 1
+    assert checked == 699
 
 
 def test_kostka_known_values():
