@@ -44,6 +44,7 @@ from .quantum import (
 from .schur_weyl import (
     DENSE_LIMIT,
     GUARD_LIMIT,
+    GTIrrep,
     PermOperator,
     ProjectorBlock,
     block_projector,
@@ -54,8 +55,10 @@ from .schur_weyl import (
     completeness_check,
     frequency_blocks,
     frequency_projector,
+    gt_irrep,
     invariance_defect,
     isotypical_projector,
+    schur_polynomial,
     spectral_estimate_check,
     tensor_power,
     words_of_type,

@@ -7,18 +7,20 @@ state. The acceptance operator is the sum of the corresponding projector
 blocks, built in the eigenbasis of sigma.
 
 Its errors are sums over the labels (`label_errors`), at every d. The
-type-two error is sum K_{f,lam} d_lam t^f. The type-one error of a state,
-and of every word state of an alphabet, is taken per letter-count type:
-at d = 2 as the mass of the U(2) irreps det^k Sym^(n-2k) on the rejected
-labels, at d >= 3 as one minus the accepted word-block weights
+type-two error is sum K_{f,lam} d_lam t^f. The type-one error of a state
+is the mass of rho^n on the rejected labels, taken on the U(d) irreps: at
+d = 2 on det^k Sym^(n-2k), at d >= 3 on pi_lam in the Gelfand-Tsetlin
+basis (`schur_weyl.gt_irrep`). The miss of every word state of a larger
+alphabet is taken per letter-count type: at d = 2 from forms in the
+letter weights, at d >= 3 as one minus the accepted word-block weights
 (`block_weight`) of the sorted word of that type. No d**n operator is
 formed. The dense functions (`build_test`, `type_one`, `type_two`) remain
 as the oracles of the label path and behind the dense AVQS checks.
 
 The Neyman-Pearson baseline works on the U(d) irrep blocks of rho^n and
-sigma^n (Schur-Weyl duality): for qubits these are det^k Sym^(n-2k), with
-the S_n irrep dimension as multiplicity, so its cost is polynomial in n.
-For d >= 3 it still works on the dense d**n pair.
+sigma^n (Schur-Weyl duality), with the S_n irrep dimension as
+multiplicity: det^k Sym^(n-2k) for qubits, pi_lam in the Gelfand-Tsetlin
+basis for d >= 3. No d**n operator is formed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .schur_weyl import (
     block_projector,
     dense_from_blocks,
     frequency_blocks,
+    gt_irrep,
+    gt_weights,
+    schur_polynomial,
     tensor_power,
     word_block_state,
 )
@@ -193,10 +198,13 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     letter-count type c of the alphabet, with rho' = B^dag rho B (B the
     sigma eigenbasis). At d = 2 it is the mass of X = sum_s y_s rho'_s on
     the rejected labels, read off per monomial y^c and divided by the
-    multinomial C(n; c) (see `_qubit_label_mass`). At d >= 3 it is one
-    minus the accepted `block_weight`s of the sorted word of type c, so
-    only the word blocks of accepted frequencies are built. No d**n
-    operator is formed.
+    multinomial C(n; c) (see `_qubit_label_mass`). At d >= 3 the miss of
+    a one-state alphabet [rho] is the mass of rho'^n on the rejected
+    labels, summed over the U(d) irreps (`_irrep_miss`), with no 1 - sum
+    term; the miss of a larger alphabet is one minus the accepted
+    `block_weight`s of the sorted word of type c, so only the word blocks
+    of accepted frequencies are built (word states are not of the form
+    X^(x n)). No d**n operator is formed.
     """
     if labels is None:
         labels = lambda_set(spec)
@@ -211,6 +219,9 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
         return LabelErrors(type_two=type_two, misses={})
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
+    if spec.d >= 3 and len(states) == 1:
+        miss = _irrep_miss(states[0], labels, spec.d, n)
+        return LabelErrors(type_two=type_two, misses={(n,): min(max(miss, 0.0), 1.0)})
     if spec.d == 2:
         rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
         for f, lam in labels:
@@ -239,6 +250,34 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
             )
         misses[c.counts] = min(max(miss, 0.0), 1.0)
     return LabelErrors(type_two=type_two, misses=misses)
+
+
+def _irrep_miss(rho, labels, d: int, n: int) -> float:
+    """Mass of rho^n on the frames' rejected weights, from U(d) irreps.
+
+    The (f, lam) label carries d_lam tr{Pi_f pi_lam(rho)}, Pi_f the
+    weight-f part of the Gelfand-Tsetlin basis. A frame with no accepted
+    weight adds d_lam s_lam(spec rho), with no eigh; a partly accepted
+    frame adds d_lam times the diagonal of pi_lam(rho) on its rejected
+    weights. Every term is nonnegative.
+    """
+    accepted: dict[tuple[int, ...], set] = {}
+    for f, lam in labels:
+        accepted.setdefault(lam, set()).add(f)
+    r = np.linalg.eigvalsh(rho)
+    miss = 0.0
+    for fr in enumerate_frames(d, n):
+        weights = gt_weights(fr.parts, d)
+        acc = accepted.get(fr.parts, set())
+        rejected = np.array([w not in acc for w in map(tuple, weights.tolist())])
+        if not rejected.any():
+            continue
+        if rejected.all():
+            mass = schur_polynomial(fr.parts, r)
+        else:
+            mass = float(gt_irrep(fr.parts, d).diagonal(rho, rejected).sum())
+        miss += hook_dimension(fr.parts) * mass
+    return miss
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -421,8 +460,8 @@ def run_sanov(
     exponent bound.
 
     Both errors come from the labels (`label_errors`) at every d, so no
-    d**n operator is formed: at d >= 3 the type-one error is bound by the
-    word-block guard of `frequency_blocks`, not by d**n.
+    d**n operator is formed: at d >= 3 the type-one error is taken on the
+    U(d) irreps, each guarded at DENSE_LIMIT, not on word blocks.
     """
     sigma = assert_state(sigma)
     null_states = [assert_state(s) for s in null_set]
@@ -543,9 +582,21 @@ def _qubit_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarra
     ]
 
 
-def _dense_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """The single block (1, rho^n, sigma^n), dense and guarded."""
-    return [(1.0, _hermitian(tensor_power(rho, n)), _hermitian(tensor_power(sigma, n)))]
+def _irrep_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """U(d) irrep blocks (d_lam, pi_lam(rho), pi_lam(sigma)) in the GT basis.
+
+    One block per frame with at most d rows; no d**n matrix is formed.
+    """
+    d = rho.shape[0]
+    blocks = []
+    for fr in enumerate_frames(d, n):
+        irrep = gt_irrep(fr.parts, d)
+        blocks.append((
+            float(hook_dimension(fr.parts)),
+            _hermitian(irrep.matrix(rho)),
+            _hermitian(irrep.matrix(sigma)),
+        ))
+    return blocks
 
 
 def _log_threshold_bracket(rho, sigma, n: int) -> tuple[float, float]:
@@ -622,9 +673,10 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
 
     Both operators commute with S_n, so they split into U(d) irrep blocks
     pi_lam(.) (x) 1_{d_lam} and the optimal test does too. For d = 2 the
-    blocks are det^k Sym^(n-2k) of size n - 2k + 1 (lam = (n - k, k)), so
-    no 2**n matrix is formed and n is bound by no dense guard; for d >= 3
-    the one block is the dense pair (rho^n, sigma^n). The likelihood
+    blocks are det^k Sym^(n-2k) of size n - 2k + 1 (lam = (n - k, k)); for
+    d >= 3 they are pi_lam in the Gelfand-Tsetlin basis, one per frame with
+    at most d rows, guarded at DENSE_LIMIT per irrep. No d**n matrix is
+    formed. The likelihood
     threshold t is bisected in log t to relative width tol, then the mix of
     the tests at the two bracket ends meets the type-one constraint exactly.
 
@@ -643,5 +695,5 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
         support = vecs[:, vals > SIGMA_MIN_EIG]
         return float(_diag_in(support, s_m).sum()) ** n
     bracket = _log_threshold_bracket(rho_m, s_m, n)
-    blocks = (_qubit_blocks if rho_m.shape[0] == 2 else _dense_blocks)(rho_m, s_m, n)
+    blocks = (_qubit_blocks if rho_m.shape[0] == 2 else _irrep_blocks)(rho_m, s_m, n)
     return _np_over_blocks(blocks, bracket, 1.0 - nu, tol)

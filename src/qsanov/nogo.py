@@ -9,7 +9,6 @@ bound with its vacuity threshold.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ from .errors import VerificationError
 from .quantum import bloch_state, random_state
 from .schur_weyl import (
     DENSE_LIMIT,
-    PermOperator,
     guard_dimension,
     invariance_defect,
     isotypical_projector,
@@ -86,17 +84,23 @@ def random_invariant_operator(d: int, n: int, rng=None) -> np.ndarray:
     """Random permutation-invariant operator with spectrum in [0, 1].
 
     A Gaussian Hermitian matrix is averaged over the full symmetric group
-    and affinely rescaled so its eigenvalues fill [0, 1].
+    and affinely rescaled so its eigenvalues fill [0, 1]. The group average
+    of entry (w, w') is the mean of the matrix over the orbit of the word
+    pair under simultaneous permutation, and that orbit is fixed by the
+    counts of the letter pairs (w_i, w'_i).
     """
     dim = guard_dimension(d, n, DENSE_LIMIT)
     rng = np.random.default_rng(0) if rng is None else rng
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
-    acc = np.zeros_like(h)
-    for perm in itertools.permutations(range(n)):
-        pmap = PermOperator(perm, d).index_map()
-        acc += h[np.ix_(pmap, pmap)]
-    acc /= math.factorial(n)
+    words = np.array(np.unravel_index(np.arange(dim), (d,) * n)).T
+    one_hot = np.eye(d * d, dtype=np.uint8)
+    counts = sum(one_hot[d * words[:, None, i] + words[None, :, i]] for i in range(n))
+    _, orbit = np.unique(counts.reshape(dim * dim, d * d), axis=0, return_inverse=True)
+    orbit = orbit.ravel()
+    sizes = np.bincount(orbit)
+    mean = (np.bincount(orbit, h.real.ravel()) + 1j * np.bincount(orbit, h.imag.ravel())) / sizes
+    acc = mean[orbit].reshape(dim, dim)
     vals = np.linalg.eigvalsh(acc)
     lo, hi = float(vals[0]), float(vals[-1])
     if hi - lo < 1e-12:

@@ -20,6 +20,11 @@ classical central idempotents built from the full character sum.
 Matrices handled here are real in the word basis. Dense full-space
 materialization is guarded: index-level work allows d**n up to 60000,
 dense d**n x d**n matrices up to 4096.
+
+The U(d) side of the duality is built in the Gelfand-Tsetlin basis
+(`gt_irrep`): pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's
+dimension, guarded at 4096, and its weight table at 60000 (`gt_weights`,
+`schur_polynomial`).
 """
 
 from __future__ import annotations
@@ -68,8 +73,16 @@ def tensor_power(a, n: int) -> np.ndarray:
 
 
 def words_of_type(f) -> np.ndarray:
-    """All words with letter counts f, lexicographically sorted, shape (m, n)."""
-    counts = list(_freq_counts(f))
+    """All words with letter counts f, lexicographically sorted, shape (m, n).
+
+    The array is cached per f and read-only.
+    """
+    return _words_of_type(_freq_counts(f))
+
+
+@lru_cache(maxsize=256)
+def _words_of_type(counts: tuple[int, ...]) -> np.ndarray:
+    counts = list(counts)
     d = len(counts)
     n = sum(counts)
     rows: list[tuple[int, ...]] = []
@@ -88,7 +101,9 @@ def words_of_type(f) -> np.ndarray:
                 counts[letter] += 1
 
     rec()
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    words = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    words.flags.writeable = False
+    return words
 
 
 def word_codes(words: np.ndarray, d: int) -> np.ndarray:
@@ -567,11 +582,306 @@ def _site_states(states, n: int) -> list[np.ndarray]:
     raise ValueError("states must be one state or a length-n sequence")
 
 
+# ---------------------------------------------------------------------------
+# U(d) irreps in the Gelfand-Tsetlin basis
+#
+# By Schur-Weyl duality X^(x n) acts on the lam component as
+# pi_lam(X) (x) 1_{d_lam}, d_lam = hook_dimension(lam), and the words of
+# letter counts f span the weight-f vectors of pi_lam. The irreps are
+# built in the orthonormal Gelfand-Tsetlin basis (Molev, arXiv:math/0211289),
+# a weight basis adapted to U(1) < U(2) < ... < U(d), so neither the d**n
+# space nor a word block is needed.
+
+
+def _gt_patterns(lam: tuple[int, ...], d: int) -> np.ndarray:
+    """Gelfand-Tsetlin patterns under lam, shape (dim, d (d + 1) / 2).
+
+    Row k (k = 1..d) has k entries, stored from column k (k - 1) / 2 on;
+    row d is lam padded with zeros, and entry i of row k - 1 lies between
+    entries i + 1 and i of row k. The patterns are enumerated row by row
+    from row d - 1 down, so those sharing row d - 1 are contiguous and in
+    the order of the patterns of U(d - 1) under that row.
+    """
+    rows = [lam + (0,) * (d - len(lam))]
+    out: list[tuple[int, ...]] = []
+
+    def rec(above: tuple[int, ...]):
+        if len(above) == 1:
+            out.append(tuple(x for row in reversed(rows) for x in row))
+            return
+        ranges = [range(above[i + 1], above[i] + 1) for i in range(len(above) - 1)]
+        for row in itertools.product(*ranges):
+            rows.append(row)
+            rec(row)
+            rows.pop()
+
+    rec(rows[0])
+    return np.array(out, dtype=np.int64).reshape(len(out), d * (d + 1) // 2)
+
+
+def _gt_row(patterns: np.ndarray, k: int) -> np.ndarray:
+    """Row k (1-based) of every pattern."""
+    return patterns[:, k * (k - 1) // 2 : k * (k + 1) // 2]
+
+
+def _gt_weights(patterns: np.ndarray, d: int) -> np.ndarray:
+    """Weight of each pattern: (sum of row k) - (sum of row k - 1)."""
+    sums = [_gt_row(patterns, k).sum(axis=1) for k in range(d + 1)]
+    return np.stack([sums[k] - sums[k - 1] for k in range(1, d + 1)], axis=1)
+
+
+def weyl_dimension(lam, d: int) -> int:
+    """Dimension of the U(d) irrep of highest weight lam (Weyl's formula)."""
+    parts = _frame_parts(lam)
+    if len(parts) > d:
+        return 0
+    lp = parts + (0,) * (d - len(parts))
+    num = den = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            num *= lp[i] - lp[j] + j - i
+            den *= j - i
+    return num // den
+
+
+def gt_weights(lam, d: int) -> np.ndarray:
+    """Weights (letter counts) of the Gelfand-Tsetlin basis of pi_lam, (dim, d).
+
+    Read-only and cached per (lam, d); SizeGuardError above GUARD_LIMIT
+    patterns.
+    """
+    return _gt_weight_table(_frame_parts(lam), int(d))
+
+
+@lru_cache(maxsize=512)
+def _gt_weight_table(lam: tuple[int, ...], d: int) -> np.ndarray:
+    if len(lam) > d:
+        raise ValueError(f"frame {lam} has more than {d} rows")
+    dim = weyl_dimension(lam, d)
+    if dim > GUARD_LIMIT:
+        raise SizeGuardError(
+            f"U({d}) irrep lam = {lam} has dimension {dim}, above the guard of {GUARD_LIMIT}"
+        )
+    weights = _gt_weights(_gt_patterns(lam, d), d)
+    weights.flags.writeable = False
+    return weights
+
+
+def schur_polynomial(lam, r) -> float:
+    """s_lam(r) = sum over Gelfand-Tsetlin patterns T of r**wt(T), 0**0 = 1.
+
+    Every term is nonnegative for r >= 0, so nothing cancels.
+    """
+    r = np.asarray(r, dtype=float)
+    return float(_weight_powers(gt_weights(lam, r.shape[0]), r).sum())
+
+
+def _weight_powers(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.prod(np.power(np.clip(r, 0.0, None)[None, :], weights), axis=1)
+
+
+def _cosets(v: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """v = K1 R K2 with K1 = diag(k1, e^{i gamma}), K2 = diag(k2, 1) in U(d-1) x U(1).
+
+    R = exp(theta (e_ab - e_ba)), a = d - 2, b = d - 1, rotates the last
+    two letters: R e_b = sin(theta) e_a + cos(theta) e_b. K1 R e_b is the
+    last column of v, and K2 = R^-1 K1^-1 v then fixes e_b. Returns
+    (k1, gamma, theta, k2).
+    """
+    d = v.shape[0]
+    x = v[:, -1]
+    s = float(np.linalg.norm(x[:-1]))
+    theta = math.atan2(s, abs(x[-1]))
+    gamma = float(np.angle(x[-1]))
+    k1 = np.eye(d - 1, dtype=complex)
+    if s > 0:
+        q, r = np.linalg.qr(np.column_stack([x[:-1] / s, k1]))
+        q[:, 0] *= r[0, 0]  # the first column is x[:-1] / s itself
+        k1 = np.roll(q, -1, axis=1)
+    big_k1 = np.zeros((d, d), dtype=complex)
+    big_k1[:-1, :-1] = k1
+    big_k1[-1, -1] = np.exp(1j * gamma)
+    rot = np.eye(d)
+    rot[-2:, -2:] = [[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]]
+    k2 = rot.T @ big_k1.conj().T @ v
+    return k1, gamma, theta, k2[:-1, :-1]
+
+
+@dataclass(frozen=True, eq=False)
+class GTIrrep:
+    """The U(d) irrep pi_lam in the orthonormal Gelfand-Tsetlin basis.
+
+    `weights[T]` is the weight of pattern T, so E_kk acts as
+    diag(weights[:, k]). `raising[k]` holds the nonzero entries
+    (rows, cols, vals) of E_{k,k+1} (0-based), real in this basis;
+    E_{k+1,k} is its transpose and E_ij, j > i + 1, follows from
+    [E_{i,j-1}, E_{j-1,j}].
+
+    pi_lam(V) is taken from V = K1 R K2 (`_cosets`). pi_lam of
+    K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is block diagonal over row
+    d - 1 (`sub_blocks`: the U(d - 1) irrep mu and its slice of patterns),
+    pi_mu(k) e^{i gamma (|lam| - |mu|)}. R = exp(theta (e_ab - e_ba))
+    moves row d - 1 only, so exp(theta G), G = E_ab - E_ba, is block
+    diagonal over rows 1..d - 2 (`rotation_blocks`: the patterns of a
+    block and the eigendecomposition (vecs, omega) of i G on it).
+    """
+
+    lam: tuple[int, ...]
+    weights: np.ndarray
+    raising: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    sub_blocks: tuple[tuple[tuple[int, ...], slice], ...]
+    rotation_blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def d(self) -> int:
+        return self.weights.shape[1]
+
+    @property
+    def dim(self) -> int:
+        return self.weights.shape[0]
+
+    def generator(self, i: int, j: int) -> np.ndarray:
+        """Dense dpi_lam(e_ij) for |i - j| <= 1, letters 0-based."""
+        out = np.zeros((self.dim, self.dim))
+        if i == j:
+            out[np.diag_indices(self.dim)] = self.weights[:, i]
+            return out
+        if abs(i - j) != 1:
+            raise ValueError("only E_kk, E_{k,k+1} and E_{k+1,k} are stored")
+        rows, cols, vals = self.raising[min(i, j)]
+        out[rows, cols] = vals
+        return out if i < j else out.T
+
+    def unitary(self, v) -> np.ndarray:
+        """pi_lam(V) for a d x d unitary V."""
+        v = np.asarray(v, dtype=complex)
+        if self.d == 1:
+            return np.full((1, 1), v[0, 0] ** sum(self.lam))
+        k1, gamma, theta, k2 = _cosets(v)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for idx, vecs, omega in self.rotation_blocks:
+            out[np.ix_(idx, idx)] = (vecs * np.exp(-1j * theta * omega)) @ vecs.conj().T
+        if self.d == 2:
+            # U(1) x U(1) acts by phases
+            left = k1[0, 0] ** self.weights[:, 0] * np.exp(1j * gamma * self.weights[:, 1])
+            return left[:, None] * out * (k2[0, 0] ** self.weights[:, 0])[None, :]
+        n = sum(self.lam)
+        keys = k1.tobytes(), k2.tobytes()
+        for mu, sl in self.sub_blocks:
+            left, right = (_sub_unitary(mu, self.d - 1, key) for key in keys)
+            out[:, sl] = out[:, sl] @ right
+            out[sl, :] = np.exp(1j * gamma * (n - sum(mu))) * (left @ out[sl, :])
+        return out
+
+    def matrix(self, x) -> np.ndarray:
+        """pi_lam(X) = pi_lam(V) diag(r**wt) pi_lam(V)^dag for X = V diag(r) V^dag >= 0."""
+        r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
+        p = self.unitary(v)
+        return (p * _weight_powers(self.weights, r)) @ p.conj().T
+
+    def diagonal(self, x, rows=slice(None)) -> np.ndarray:
+        """pi_lam(X)[T, T] for T in rows, X >= 0.
+
+        Each is sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), a sum of
+        nonnegative terms.
+        """
+        r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
+        p = self.unitary(v)[rows]
+        return (np.abs(p) ** 2) @ _weight_powers(self.weights, r)
+
+
+@lru_cache(maxsize=512)
+def _sub_unitary(mu: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
+    """pi_mu(k) of U(d), k given by its bytes.
+
+    Every frame lam of one state V meets the same k, so each mu is built
+    once per state.
+    """
+    out = _gt_irrep(mu, d).unitary(np.frombuffer(key, dtype=complex).reshape(d, d))
+    out.flags.writeable = False
+    return out
+
+
+def gt_irrep(lam, d: int) -> GTIrrep:
+    """The U(d) irrep of highest weight lam, cached per (lam, d).
+
+    Raises SizeGuardError when its dimension is above DENSE_LIMIT, since
+    pi_lam(V) is dense.
+    """
+    return _gt_irrep(_frame_parts(lam), int(d))
+
+
+@lru_cache(maxsize=256)
+def _gt_irrep(lam: tuple[int, ...], d: int) -> GTIrrep:
+    if len(lam) > d:
+        raise ValueError(f"frame {lam} has more than {d} rows")
+    dim = weyl_dimension(lam, d)
+    if dim > DENSE_LIMIT:
+        raise SizeGuardError(
+            f"U({d}) irrep lam = {lam} has dimension {dim}, above the dense guard of {DENSE_LIMIT}"
+        )
+    pat = _gt_patterns(lam, d)
+    index = {p: t for t, p in enumerate(map(tuple, pat.tolist()))}
+    # E_{k,k+1} (1-based k) raises entry i of row k; with l_kj = m_kj - j,
+    # its coefficient is the square root of
+    # -prod_j (l_ki - l_{k+1,j}) prod_j (l_ki - l_{k-1,j} + 1)
+    #   / prod_{j != i} (l_ki - l_kj) (l_ki - l_kj + 1)
+    raising = []
+    for k in range(1, d):
+        l_rows = {j: _gt_row(pat, j) - np.arange(1, j + 1) for j in (k - 1, k, k + 1)}
+        parts = []
+        for i in range(k):
+            ok = _gt_row(pat, k)[:, i] < _gt_row(pat, k + 1)[:, i]
+            if i:
+                ok &= _gt_row(pat, k)[:, i] < _gt_row(pat, k - 1)[:, i - 1]
+            src = np.nonzero(ok)[0]
+            li = l_rows[k][src, i][:, None].astype(float)
+            num = -np.prod(li - l_rows[k + 1][src], axis=1)
+            num *= np.prod(li - l_rows[k - 1][src] + 1, axis=1)
+            others = np.delete(l_rows[k][src], i, axis=1)
+            den = np.prod((li - others) * (li - others + 1), axis=1)
+            moved = pat[src].copy()
+            moved[:, k * (k - 1) // 2 + i] += 1
+            dst = np.array([index[p] for p in map(tuple, moved.tolist())], dtype=np.int64)
+            parts.append((dst, src, np.sqrt(num / den)))
+        raising.append(tuple(np.concatenate(a) for a in zip(*parts)))
+    sub_blocks, rotation_blocks = [], []
+    if d > 1:
+        starts = np.flatnonzero(np.any(np.diff(_gt_row(pat, d - 1), axis=0) != 0, axis=1)) + 1
+        bounds = [0, *starts.tolist(), dim]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            mu = _frame_parts(tuple(_gt_row(pat, d - 1)[a].tolist()))
+            sub_blocks.append((mu, slice(a, b)))
+        rows, cols, vals = raising[d - 2]
+        gen = np.zeros((dim, dim))
+        gen[rows, cols] = vals
+        gen -= gen.T
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for t, key in enumerate(map(tuple, pat[:, : (d - 2) * (d - 1) // 2].tolist())):
+            groups.setdefault(key, []).append(t)
+        for members in groups.values():
+            idx = np.array(members, dtype=np.int64)
+            omega, vecs = np.linalg.eigh(1j * gen[np.ix_(idx, idx)])
+            rotation_blocks.append((idx, vecs, omega))
+    weights = _gt_weights(pat, d)
+    arrays = [weights, *(a for r in raising for a in r), *(a for b in rotation_blocks for a in b)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return GTIrrep(
+        lam=lam,
+        weights=weights,
+        raising=tuple(raising),
+        sub_blocks=tuple(sub_blocks),
+        rotation_blocks=tuple(rotation_blocks),
+    )
+
+
 def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     """(tr{P_lam rho^n}, (2n)**(d*d) * 2**(-n D(lam_norm || spec rho))).
 
-    The left side is assembled block by block in the computational basis;
-    the right side uses the convention 2**(-inf) = 0.
+    The left side is d_lam s_lam(spec rho) (Keyl-Werner), summed over the
+    Gelfand-Tsetlin weights, so no d**n space is formed; the right side
+    uses the convention 2**(-inf) = 0.
     """
     from .quantum import assert_state, spectrum
 
@@ -580,12 +890,10 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     lam_p = _frame_parts(lam)
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
-    guard_dimension(d, n)
-    lhs = 0.0
-    for f in enumerate_frequencies(d, n):
-        lhs += block_weight(f.counts, lam_p, rho_m)
+    spec = spectrum(rho_m)
+    lhs = hook_dimension(lam_p) * schur_polynomial(lam_p, spec)
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
-    div = relative_entropy(lam_norm, spectrum(rho_m))
+    div = relative_entropy(lam_norm, spec)
     rhs = (2.0 * n) ** (d * d) * 2.0 ** (-n * div)
     return lhs, rhs
 

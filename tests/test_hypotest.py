@@ -7,8 +7,9 @@ import pytest
 from qsanov.avqs import word_type_one
 from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
+    SIGMA_MIN_EIG,
     TestSpec,
-    _dense_blocks,
+    _hermitian,
     _log_threshold_bracket,
     _np_over_blocks,
     build_test,
@@ -25,7 +26,7 @@ from qsanov.hypotest import (
 )
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import bloch_state, qrel_entropy, random_state
-from qsanov.schur_weyl import block_weight, tensor_power
+from qsanov.schur_weyl import block_weight, gt_irrep, tensor_power
 from qsanov.tableaux import (
     ALPHA,
     dominance,
@@ -257,6 +258,11 @@ def test_neyman_pearson_noncommuting_sane():
     assert neyman_pearson(rho, sigma, 4, t1) <= t2 + 1e-9
 
 
+def dense_core_block(rho, sigma, n):
+    """The single block (1, rho^n, sigma^n) of the dense Neyman-Pearson core."""
+    return [(1.0, _hermitian(tensor_power(rho, n)), _hermitian(tensor_power(sigma, n)))]
+
+
 def test_neyman_pearson_qubit_blocks_match_dense_core():
     # The d = 2 irrep-block path against the dense single-block core, on
     # inputs fixed in advance: random complex pairs, a pure rho, rho = sigma.
@@ -270,12 +276,38 @@ def test_neyman_pearson_qubit_blocks_match_dense_core():
     pairs.append((tie, tie))
     for i, (rho, sigma) in enumerate(pairs):
         for n in range(2, 9):
-            dense = _dense_blocks(rho, sigma, n)
+            dense = dense_core_block(rho, sigma, n)
             bracket = _log_threshold_bracket(rho, sigma, n)
             for nu in (0.05, 0.3):
                 want = _np_over_blocks(dense, bracket, 1.0 - nu, 1e-10)
                 got = neyman_pearson(rho, sigma, n, nu)
                 assert abs(got - want) <= 1e-9 * abs(want), (i, n, nu, got, want)
+
+
+def test_neyman_pearson_gt_blocks_match_dense_core_at_d3():
+    # Seeds and sizes fixed in advance: d = 3, a complex pair, a rank-1 rho,
+    # and a real noncommuting pair whose sigma has smallest eigenvalue 1e-3;
+    # the Gelfand-Tsetlin irrep blocks against the dense single-block core.
+    # At n = 6 the dense core diagonalizes 729 x 729 matrices at each
+    # bisection step, so only the real pair runs there.
+    pairs = []
+    for seed, rank in ((100, 3), (101, 1)):
+        rng = np.random.default_rng(seed)
+        pairs.append((random_state(3, rng, rank=rank), random_state(3, rng)))
+    rng = np.random.default_rng(102)
+    o1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    o2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    pairs.append((o1 @ np.diag([0.5, 0.3, 0.2]) @ o1.T, o2 @ np.diag([0.6, 0.399, 0.001]) @ o2.T))
+    for i, (rho, sigma) in enumerate(pairs):
+        for n in range(1, 7):
+            if n == 6 and i != 2:
+                continue
+            dense = dense_core_block(rho, sigma, n)
+            bracket = _log_threshold_bracket(rho, sigma, n)
+            for nu in ((0.3,) if n == 6 else (0.05, 0.3)):
+                want = _np_over_blocks(dense, bracket, 1.0 - nu, 1e-10)
+                got = neyman_pearson(rho, sigma, n, nu)
+                assert abs(got - want) <= 1e-10 * abs(want), (i, n, nu, got, want)
 
 
 def test_neyman_pearson_threshold_bracket_does_not_overflow():
@@ -380,6 +412,57 @@ def test_label_misses_match_dense_at_d3():
                 word = [s for s, k in enumerate(c) for _ in range(k)]
                 for w in (word, word[::-1]):
                     assert abs(miss - word_type_one(p, w, alphabet)) < 1e-12, (s_size, n, c)
+
+
+def _d3_type_one_cases():
+    # complex sigma eigenbases; rank-1, rank-2, commuting (with sigma) and
+    # maximally mixed rho; one sigma with smallest eigenvalue just above
+    # SIGMA_MIN_EIG
+    cases = []
+    for seed, rank in ((110, 1), (111, 2), (112, 3)):
+        rng = np.random.default_rng(seed)
+        cases.append((random_state(3, rng), random_state(3, rng, rank=rank)))
+    rng = np.random.default_rng(113)
+    u = haar_unitary(3, rng)
+    cases.append((u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T,
+                  u @ np.diag([0.7, 0.2, 0.1]) @ u.conj().T))
+    cases.append((random_state(3, rng), np.eye(3) / 3))
+    cases.append((_rotated([0.7, 0.3 - 1e-11, 1e-11], rng), random_state(3, rng)))
+    assert 1e-11 > SIGMA_MIN_EIG
+    return cases
+
+
+def test_label_type_one_at_d3_matches_dense_type_one():
+    # n = 7 (2187 words) only for the first case, to keep the dense oracle short
+    for i, (sigma, rho) in enumerate(_d3_type_one_cases()):
+        for n in range(1, 8 if i == 0 else 7):
+            for eps in (0.3, 0.6):
+                spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=eps, n=n)
+                labels = lambda_set(spec)
+                miss = label_errors(spec, labels, [rho]).misses[(n,)]
+                assert abs(miss - type_one(build_test(spec, labels), rho)) < 1e-12, (i, n, eps)
+
+
+def test_run_sanov_at_d3_n20_takes_type_one_from_irreps():
+    # 3**20 words: the rejected and the accepted mass come from U(3) irreps
+    # (the accepted one as the miss of the complementary label set) and
+    # add up to one.
+    n = 20
+    rng = np.random.default_rng(114)
+    sigma, rho = random_state(3, rng), random_state(3, rng)
+    rep, = run_sanov(sigma, [rho], [n], epsilon=0.5, np_baseline=False)
+    spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.5, n=n)
+    labels = lambda_set(spec)
+    every = frozenset(
+        (f.counts, fr.parts)
+        for f in enumerate_frequencies(3, n)
+        for fr in enumerate_frames(3, n)
+        if dominance(f.counts, fr.parts)
+    )
+    accepted = label_errors(spec, every - labels, [rho]).misses[(n,)]
+    assert 0.0 < rep.type1_max < 1.0
+    assert abs(rep.type1_max + accepted - 1.0) < 1e-12
+    assert 0.0 < rep.type2 < 1.0
 
 
 def test_run_sanov_at_d3_n8_passes_the_dense_guard():

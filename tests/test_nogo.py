@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -95,6 +96,24 @@ def test_random_invariant_operator_contract():
         vals = np.linalg.eigvalsh(a)
         assert vals.min() > -1e-12 and vals.max() < 1 + 1e-12
         assert abs(vals.min()) < 1e-10 and abs(vals.max() - 1) < 1e-10
+
+
+def test_random_invariant_operator_is_the_group_average():
+    # the same Gaussian draws, averaged over all n! permutations by brute force
+    for d, n, seed in ((2, 4, 6), (3, 3, 7), (2, 5, 8)):
+        got = random_invariant_operator(d, n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        dim = d**n
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = (g + g.conj().T) / 2.0
+        acc = np.zeros_like(h)
+        for perm in itertools.permutations(range(n)):
+            pmap = PermOperator(perm, d).index_map()
+            acc += h[np.ix_(pmap, pmap)]
+        acc /= math.factorial(n)
+        vals = np.linalg.eigvalsh(acc)
+        want = (acc - vals[0] * np.eye(dim)) / (vals[-1] - vals[0])
+        assert np.abs(got - want).max() < 1e-12, (d, n)
 
 
 def test_dim_ratio_frozen_and_sweep():

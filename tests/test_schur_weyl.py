@@ -20,20 +20,28 @@ from qsanov.schur_weyl import (
     dense_from_blocks,
     frequency_blocks,
     frequency_projector,
+    gt_irrep,
+    gt_weights,
     guard_dimension,
     invariance_defect,
     isotypical_projector,
     kcycle_class_size,
+    schur_polynomial,
     spectral_estimate_check,
     tensor_power,
+    weyl_dimension,
     word_codes,
     words_of_type,
 )
+from qsanov.hypotest import SIGMA_MIN_EIG, _sym_powers
+from qsanov.nogo import haar_unitary
+from qsanov.quantum import eigenbasis
 from qsanov.tableaux import (
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
     kostka,
+    schur_multiplicity,
 )
 
 # frozen character tables, classes keyed by cycle type
@@ -102,6 +110,8 @@ def test_words_of_type_sorted_and_complete():
         assert np.all(np.diff(codes) > 0)
         for row in words:
             assert tuple(np.bincount(row, minlength=d)) == f
+        assert words is words_of_type(f)
+        assert not words.flags.writeable
 
 
 def test_perm_operator_is_representation():
@@ -317,3 +327,152 @@ def test_block_cache_shares_instances():
     a = frequency_blocks((3, 2))
     b = frequency_blocks((3, 2))
     assert a is b
+
+
+# ---------------------------------------------------------------------------
+# U(d) irreps in the Gelfand-Tsetlin basis
+
+
+def _all_generators(irrep):
+    """Every E_ij: the stored E_kk, E_{k,k+1}, E_{k+1,k}, the rest by commutators."""
+    d = irrep.d
+    e = {}
+    for i in range(d):
+        for j in range(max(0, i - 1), min(d, i + 2)):
+            e[(i, j)] = irrep.generator(i, j)
+    for gap in range(2, d):
+        for i in range(d - gap):
+            j = i + gap
+            a, b = e[(i, j - 1)], e[(j - 1, j)]
+            e[(i, j)] = a @ b - b @ a
+            e[(j, i)] = e[(i, j)].T
+    return e
+
+
+def _exp_i(h):
+    """exp(i h) for a Hermitian h."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def test_gt_irreps_satisfy_the_gl_d_relations():
+    # [E_ij, E_kl] = delta_jk E_il - delta_il E_kj, dim = Kostka sum, and
+    # pi(V) is a unitary homomorphism equal to exp(i dpi(H)) for V = exp(iH)
+    rng = np.random.default_rng(120)
+    for d, top in ((2, 6), (3, 5), (4, 4)):
+        for n in range(1, top + 1):
+            for fr in enumerate_frames(d, n):
+                irrep = gt_irrep(fr.parts, d)
+                assert irrep.dim == schur_multiplicity(fr.parts, d) == weyl_dimension(fr.parts, d)
+                e = _all_generators(irrep)
+                for (i, j), a in e.items():
+                    for (k, l), b in e.items():
+                        want = (j == k) * e[(i, l)] - (i == l) * e[(k, j)]
+                        assert np.abs(a @ b - b @ a - want).max() < 1e-12, (fr.parts, i, j, k, l)
+                u, w = haar_unitary(d, rng), haar_unitary(d, rng)
+                pu, pw = irrep.unitary(u), irrep.unitary(w)
+                assert np.abs(pu @ pu.conj().T - np.eye(irrep.dim)).max() < 1e-12
+                assert np.abs(irrep.unitary(u @ w) - pu @ pw).max() < 1e-12
+                h = _hermitian_log(u)
+                dpi = sum(h[i, j] * e[(i, j)] for i in range(d) for j in range(d))
+                assert np.abs(_exp_i(dpi) - pu).max() < 1e-12, fr.parts
+
+
+def _hermitian_log(u):
+    """Hermitian h with exp(i h) = u, from the eigenvectors of a normal u."""
+    vals, vecs = np.linalg.eig(u)
+    q, _ = np.linalg.qr(vecs)  # distinct eigenvalues: orthonormal up to phases
+    angles = np.angle(np.diagonal(q.conj().T @ u @ q))
+    h = (q * angles) @ q.conj().T
+    assert np.abs(_exp_i(h) - u).max() < 1e-12
+    return h
+
+
+def test_gt_irreps_at_d2_are_det_times_sym_powers():
+    rng = np.random.default_rng(121)
+    for rank in (1, 2):
+        x = random_state(2, rng, rank=rank)
+        for n in range(1, 9):
+            sym = _sym_powers(x, n)
+            det = float(np.linalg.det(x).real)
+            for k in range(n // 2 + 1):
+                lam = (n - k, k) if k else (n,)
+                got = gt_irrep(lam, 2).matrix(x)
+                want = det**k * sym[n - 2 * k]
+                assert np.abs(got - want).max() < 1e-14, (rank, n, k)
+
+
+def _weight_cases(d):
+    # complex sigma eigenbases; rank-1, rank-2, commuting (with sigma) and
+    # maximally mixed rho; a sigma with smallest eigenvalue near SIGMA_MIN_EIG
+    cases = []
+    for seed, rank in ((130, 1), (131, 2), (132, d)):
+        rng = np.random.default_rng([seed, d])
+        cases.append((random_state(d, rng), random_state(d, rng, rank=rank)))
+    rng = np.random.default_rng([133, d])
+    u = haar_unitary(d, rng)
+    spec = np.arange(d, 0, -1) / (d * (d + 1) / 2)
+    cases.append((u @ np.diag(spec) @ u.conj().T, u @ np.diag(spec[::-1]) @ u.conj().T))
+    cases.append((random_state(d, rng), np.eye(d) / d))
+    tiny = np.r_[np.ones(d - 1) / (d - 1) * (1 - 1e-11), 1e-11]
+    u = haar_unitary(d, rng)
+    cases.append((u @ np.diag(tiny) @ u.conj().T, random_state(d, rng)))
+    return cases
+
+
+def test_gt_iid_weights_match_word_block_weights():
+    # d_lam tr{Pi_f pi_lam(rho')} against block_weight on the per-site
+    # states [rho] * n (the word path), rho' = B^dag rho B
+    assert 1e-11 > SIGMA_MIN_EIG
+    for d, top in ((3, 7), (4, 4)):
+        for i, (sigma, rho) in enumerate(_weight_cases(d)):
+            _, basis = eigenbasis(sigma)
+            rho_b = basis.conj().T @ rho @ basis
+            for n in range(1, top + 1):
+                for fr in enumerate_frames(d, n):
+                    irrep = gt_irrep(fr.parts, d)
+                    diag = hook_dimension(fr.parts) * irrep.diagonal(rho_b)
+                    for f in enumerate_frequencies(d, n):
+                        got = diag[np.all(irrep.weights == f.counts, axis=1)].sum()
+                        want = block_weight(f.counts, fr.parts, [rho] * n, basis=basis)
+                        assert abs(got - want) < 1e-12, (d, i, n, fr.parts, f.counts)
+
+
+def test_keyl_werner_marginal_at_n20():
+    # sum_f tr{Pi_f pi_lam(rho)} = s_lam(spec rho), and the frames of n = 20
+    # share the unit mass of rho^n
+    n = 20
+    rng = np.random.default_rng(140)
+    for rho in (random_state(3, rng), random_state(3, rng, rank=2)):
+        r = np.linalg.eigvalsh(rho)
+        total = 0.0
+        for fr in enumerate_frames(3, n):
+            schur = schur_polynomial(fr.parts, r)
+            trace = float(gt_irrep(fr.parts, 3).diagonal(rho).sum())
+            assert abs(trace - schur) <= 1e-12 * schur + 1e-300, fr.parts
+            total += hook_dimension(fr.parts) * schur
+        assert abs(total - 1.0) < 1e-12
+
+
+def test_spectral_estimate_at_d3_n12():
+    # 3**12 is above the index-level guard of the block-by-block left side
+    n = 12
+    rng = np.random.default_rng(141)
+    rho = random_state(3, rng)
+    total = 0.0
+    for fr in enumerate_frames(3, n):
+        lhs, rhs = spectral_estimate_check(fr.parts, rho, n)
+        want = hook_dimension(fr.parts) * float(gt_irrep(fr.parts, 3).diagonal(rho).sum())
+        assert abs(lhs - want) < 1e-12
+        assert lhs <= rhs + 1e-12
+        total += lhs
+    assert abs(total - 1.0) < 1e-12
+
+
+def test_gt_guards_name_the_irrep():
+    # (90,) at d = 3 has C(92, 2) = 4186 patterns, (400,) has 80601
+    with pytest.raises(SizeGuardError, match=r"U\(3\) irrep lam = \(90,\) has dimension 4186"):
+        gt_irrep((90,), 3)
+    with pytest.raises(SizeGuardError, match=r"lam = \(400,\) has dimension 80601"):
+        gt_weights((400,), 3)
+    assert gt_weights((90,), 3).shape == (4186, 3)
