@@ -6,21 +6,21 @@ epsilon (in l1) of the pinched diagonal and the spectrum of some null
 state. The acceptance operator is the sum of the corresponding projector
 blocks, built in the eigenbasis of sigma.
 
-Its errors are sums over the labels (`label_errors`), at every d. The
-type-two error is sum K_{f,lam} d_lam t^f. The type-one error of a state
-is the mass of rho^n on the rejected labels, taken on the U(d) irreps: at
-d = 2 on det^k Sym^(n-2k), at d >= 3 on pi_lam in the Gelfand-Tsetlin
-basis (`schur_weyl.gt_irrep`). The miss of every word state of a larger
-alphabet is taken per letter-count type: at d = 2 from forms in the
-letter weights, at d >= 3 as one minus the accepted word-block weights
-(`block_weight`) of the sorted word of that type. No d**n operator is
-formed. The dense functions (`build_test`, `type_one`, `type_two`) remain
-as the oracles of the label path and behind the dense AVQS checks.
+Its errors are sums over the labels (`label_errors`), taken at every d on
+the U(d) irreps pi_lam in the Gelfand-Tsetlin basis (`schur_weyl.gt_irrep`),
+whose weights are the label frequencies: the type-two error is
+sum d_lam t^(wt T) over the accepted weights T of each frame, and the
+type-one error of a state is the mass of rho^n on the rejected ones. The
+miss of every word state of a larger alphabet is taken per letter-count
+type: at d = 2 from forms in the letter weights, at d >= 3 as one minus
+the accepted word-block weights (`block_weight`) of the sorted word of
+that type. No d**n operator is formed. The dense functions (`build_test`,
+`type_one`, `type_two`) remain as the oracles of the label path and
+behind the dense AVQS checks.
 
-The Neyman-Pearson baseline works on the U(d) irrep blocks of rho^n and
-sigma^n (Schur-Weyl duality), with the S_n irrep dimension as
-multiplicity: det^k Sym^(n-2k) for qubits, pi_lam in the Gelfand-Tsetlin
-basis for d >= 3. No d**n operator is formed.
+The Neyman-Pearson baseline works on the same irreps: the blocks
+pi_lam(rho) and pi_lam(sigma) of rho^n and sigma^n (Schur-Weyl duality),
+with the S_n irrep dimension as multiplicity. No d**n operator is formed.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .tableaux import (
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
-    kostka,
     l1_distance,
 )
 
@@ -193,36 +192,38 @@ class LabelErrors:
 def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     """Type-two error and word-state misses of a label test, at every d.
 
-    The type-two error is sum over the labels of K_{f,lam} d_lam t^f, since
-    sigma^n is diagonal in its own eigenbasis. A miss is taken per
-    letter-count type c of the alphabet, with rho' = B^dag rho B (B the
-    sigma eigenbasis). At d = 2 it is the mass of X = sum_s y_s rho'_s on
-    the rejected labels, read off per monomial y^c and divided by the
-    multinomial C(n; c) (see `_qubit_label_mass`). At d >= 3 the miss of
-    a one-state alphabet [rho] is the mass of rho'^n on the rejected
-    labels, summed over the U(d) irreps (`_irrep_miss`), with no 1 - sum
-    term; the miss of a larger alphabet is one minus the accepted
-    `block_weight`s of the sorted word of type c, so only the word blocks
-    of accepted frequencies are built (word states are not of the form
-    X^(x n)). No d**n operator is formed.
+    Both come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
+    whose weights are the frequencies f of the labels (f, lam). Since
+    sigma^n is diagonal in its own eigenbasis, the type-two error is
+    sum_lam d_lam sum_T t^(wt T) over the accepted weights of each frame.
+    A miss is taken per letter-count type c of the alphabet, with
+    rho' = B^dag rho B (B the sigma eigenbasis). The miss of a one-state
+    alphabet [rho] is the mass of rho'^n on the rejected weights, summed
+    over the irreps (`_irrep_miss`), with no 1 - sum term. For a larger
+    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s on the
+    rejected labels, read off per monomial y^c and divided by the
+    multinomial C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one
+    minus the accepted `block_weight`s of the sorted word of type c, so
+    only the word blocks of accepted frequencies are built (word states
+    are not of the form X^(x n)). No d**n operator is formed.
     """
     if labels is None:
         labels = lambda_set(spec)
-    n, log_t = spec.n, np.log(spec.t)
-    dims = {lam: hook_dimension(lam) for lam in {lam for _, lam in labels}}
+    d, n = spec.d, spec.n
+    accepted = _accepted_weights(labels, d)
+    log_t = np.log(spec.t)
     type_two = 0.0
-    for f, lam in sorted(labels):
-        mult = kostka(f, lam) * dims[lam]
-        if mult:
-            type_two += math.exp(math.log(mult) + float(np.dot(f, log_t)))
+    for lam, acc in sorted(accepted.items()):
+        log_terms = math.log(hook_dimension(lam)) + gt_weights(lam, d)[acc] @ log_t
+        type_two += float(np.exp(log_terms).sum())
     if not len(alphabet):
         return LabelErrors(type_two=type_two, misses={})
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
-    if spec.d >= 3 and len(states) == 1:
-        miss = _irrep_miss(states[0], labels, spec.d, n)
-        return LabelErrors(type_two=type_two, misses={(n,): min(max(miss, 0.0), 1.0)})
-    if spec.d == 2:
+    types = [c.counts for c in enumerate_frequencies(len(states), n)]
+    if len(states) == 1:
+        misses = [_irrep_miss(states[0], accepted, d, n)]
+    elif d == 2:
         rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
         for f, lam in labels:
             k = lam[1] if len(lam) > 1 else 0
@@ -230,52 +231,66 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
                 rejected[k, f[0] - k] = False
         mass = _qubit_label_mass(states, n, rejected)
         log_fact = _log_factorials(n)
+        misses = [
+            float(mass[c[1:]]) * math.exp(-(log_fact[n] - sum(log_fact[x] for x in c)))
+            for c in types
+        ]
     else:
         # the accepted part of each word block, summed over its frames
-        accepted = {}
+        blocks = {}
         for f, lam in sorted(labels):
             block = frequency_blocks(f).get(lam)
             if block is not None:
-                accepted[f] = accepted.get(f, 0.0) + block
-    misses = {}
-    for c in enumerate_frequencies(len(states), n):
-        if spec.d == 2:
-            log_multinomial = log_fact[n] - sum(log_fact[x] for x in c.counts)
-            miss = float(mass[c.counts[1:]]) * math.exp(-log_multinomial)
-        else:
-            sites = [states[s] for s, k in enumerate(c.counts) for _ in range(k)]
-            miss = 1.0 - sum(
+                blocks[f] = blocks.get(f, 0.0) + block
+        misses = []
+        for c in types:
+            sites = [states[s] for s, k in enumerate(c) for _ in range(k)]
+            misses.append(1.0 - sum(
                 float(np.einsum("ab,ba->", block, word_block_state(f, sites)).real)
-                for f, block in accepted.items()
-            )
-        misses[c.counts] = min(max(miss, 0.0), 1.0)
-    return LabelErrors(type_two=type_two, misses=misses)
+                for f, block in blocks.items()
+            ))
+    return LabelErrors(
+        type_two=type_two,
+        misses={c: min(max(miss, 0.0), 1.0) for c, miss in zip(types, misses)},
+    )
 
 
-def _irrep_miss(rho, labels, d: int, n: int) -> float:
+def _accepted_weights(labels, d: int) -> dict[tuple[int, ...], np.ndarray]:
+    """Mask of the accepted rows of `gt_weights(lam, d)`, per frame lam.
+
+    A frame with no accepted weight (or no label) has no entry.
+    """
+    freqs: dict[tuple[int, ...], set] = {}
+    for f, lam in labels:
+        freqs.setdefault(lam, set()).add(f)
+    out = {}
+    for lam, acc in freqs.items():
+        mask = np.array([w in acc for w in map(tuple, gt_weights(lam, d).tolist())])
+        if mask.any():
+            out[lam] = mask
+    return out
+
+
+def _irrep_miss(rho, accepted, d: int, n: int) -> float:
     """Mass of rho^n on the frames' rejected weights, from U(d) irreps.
 
     The (f, lam) label carries d_lam tr{Pi_f pi_lam(rho)}, Pi_f the
-    weight-f part of the Gelfand-Tsetlin basis. A frame with no accepted
-    weight adds d_lam s_lam(spec rho), with no eigh; a partly accepted
-    frame adds d_lam times the diagonal of pi_lam(rho) on its rejected
-    weights. Every term is nonnegative.
+    weight-f part of the Gelfand-Tsetlin basis; `accepted` is as from
+    `_accepted_weights`. A frame with no accepted weight adds
+    d_lam s_lam(spec rho), with no eigh; a partly accepted frame adds
+    d_lam times the diagonal of pi_lam(rho) on its rejected weights.
+    Every term is nonnegative.
     """
-    accepted: dict[tuple[int, ...], set] = {}
-    for f, lam in labels:
-        accepted.setdefault(lam, set()).add(f)
     r = np.linalg.eigvalsh(rho)
     miss = 0.0
     for fr in enumerate_frames(d, n):
-        weights = gt_weights(fr.parts, d)
-        acc = accepted.get(fr.parts, set())
-        rejected = np.array([w not in acc for w in map(tuple, weights.tolist())])
-        if not rejected.any():
-            continue
-        if rejected.all():
+        acc = accepted.get(fr.parts)
+        if acc is None:
             mass = schur_polynomial(fr.parts, r)
+        elif acc.all():
+            continue
         else:
-            mass = float(gt_irrep(fr.parts, d).diagonal(rho, rejected).sum())
+            mass = float(gt_irrep(fr.parts, d).diagonal(rho, ~acc).sum())
         miss += hook_dimension(fr.parts) * mass
     return miss
 
@@ -309,10 +324,9 @@ def _qubit_label_mass(states, n: int, selected: np.ndarray) -> np.ndarray:
     With A = X00, D = X11 and E = X01 X10, the diagonal of Sym^m is
     Sym^m(X)[a, a] = sum_i C(a, i) C(m - a, i) A^(a-i) D^(m-a-i) E^i,
     the coefficient of u^a v^(m-a) in (A u + X10 v)^a (X01 u + D v)^(m-a)
-    (the growth of `_sym_powers`, read on its diagonal). For one state
-    every term is nonnegative, so a small type-one error keeps its
-    relative precision; A, D, E and det X are real forms, the binomials
-    and d_k are combined in logs, and det^k and E^i enter by Horner steps.
+    (Sym^m(X) in the orthonormal symmetric basis, read on its diagonal).
+    A, D, E and det X are real forms, the binomials and d_k are combined
+    in logs, and det^k and E^i enter by Horner steps.
     """
     n_states = len(states)
     nvar = n_states - 1
@@ -459,9 +473,9 @@ def run_sanov(
     state. Raises VerificationError if a type-two error exceeds its
     exponent bound.
 
-    Both errors come from the labels (`label_errors`) at every d, so no
-    d**n operator is formed: at d >= 3 the type-one error is taken on the
-    U(d) irreps, each guarded at DENSE_LIMIT, not on word blocks.
+    Both errors come from the labels (`label_errors`) on the U(d) irreps in
+    the Gelfand-Tsetlin basis, at every d, so no d**n operator is formed;
+    a partly accepted frame is guarded at DENSE_LIMIT.
     """
     sigma = assert_state(sigma)
     null_states = [assert_state(s) for s in null_set]
@@ -532,54 +546,6 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     """(a + a^dag) / 2, returned real when its imaginary part is below 1e-15."""
     a = (a + a.conj().T) / 2.0
     return a.real if np.abs(a.imag).max() < 1e-15 else a
-
-
-def _sym_powers(x: np.ndarray, n: int) -> dict[int, np.ndarray]:
-    """Sym^m(x) of a 2 x 2 matrix for m = n, n - 2, ..., 0.
-
-    Written in the orthonormal symmetric basis, whose vector a is the
-    normalized sum of the words with a zeros. With p = x00 u + x10 v and
-    q = x01 u + x11 v, c[a, b] is the coefficient of u^a v^(m-a) in
-    p^b q^(m-b), grown one factor at a time, and
-    Sym^m(x)[a, b] = c[a, b] sqrt(C(m, b) / C(m, a)).
-    """
-    (x00, x01), (x10, x11) = x
-    c = np.ones((1, 1), dtype=x.dtype)
-    out = {}
-    for m in range(n + 1):
-        if m:
-            grown = np.zeros((m + 1, m + 1), dtype=x.dtype)
-            grown[1:, 1:] += x00 * c
-            grown[:-1, 1:] += x10 * c
-            grown[1:, 0] += x01 * c[:, 0]
-            grown[:-1, 0] += x11 * c[:, 0]
-            c = grown
-        if (n - m) % 2 == 0:
-            log_binom = np.array(
-                [math.lgamma(m + 1) - math.lgamma(a + 1) - math.lgamma(m - a + 1)
-                 for a in range(m + 1)]
-            )
-            out[m] = c * np.exp(0.5 * (log_binom[None, :] - log_binom[:, None]))
-    return out
-
-
-def _qubit_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """U(2) irrep blocks (d_lam, pi_lam(rho), pi_lam(sigma)) of rho^n and sigma^n.
-
-    lam = (n - k, k) acts as det^k Sym^(n-2k), of size n - 2k + 1, and
-    occurs d_lam = C(n, k) - C(n, k - 1) times. No d**n matrix is formed.
-    """
-    sym_r, sym_s = _sym_powers(rho, n), _sym_powers(sigma, n)
-    det = lambda x: max(float((x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]).real), 0.0)
-    det_r, det_s = det(rho), det(sigma)
-    return [
-        (
-            float(hook_dimension((n - k, k))),
-            _hermitian(det_r**k * sym_r[n - 2 * k]),
-            _hermitian(det_s**k * sym_s[n - 2 * k]),
-        )
-        for k in range(n // 2 + 1)
-    ]
 
 
 def _irrep_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -672,13 +638,14 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     """Optimal type-two error at type-one level nu for rho^n against sigma^n.
 
     Both operators commute with S_n, so they split into U(d) irrep blocks
-    pi_lam(.) (x) 1_{d_lam} and the optimal test does too. For d = 2 the
-    blocks are det^k Sym^(n-2k) of size n - 2k + 1 (lam = (n - k, k)); for
-    d >= 3 they are pi_lam in the Gelfand-Tsetlin basis, one per frame with
-    at most d rows, guarded at DENSE_LIMIT per irrep. No d**n matrix is
-    formed. The likelihood
-    threshold t is bisected in log t to relative width tol, then the mix of
-    the tests at the two bracket ends meets the type-one constraint exactly.
+    pi_lam(.) (x) 1_{d_lam} and the optimal test does too. The blocks are
+    pi_lam in the Gelfand-Tsetlin basis, one per frame with at most d rows,
+    guarded at DENSE_LIMIT per irrep. No d**n matrix is formed. The
+    likelihood threshold t is bisected in log t to relative width tol, then
+    the mix of the tests at the two bracket ends meets the type-one
+    constraint exactly. The result is clamped into [0, 1]: the eigh
+    rounding can leave a beta near 0 a few 1e-17 below it, and the nu = 0
+    value of a nonsingular rho a few ulps above 1.
 
     At nu = 0 the test must act as the identity on supp(rho)^n, so the
     optimum is tr(Pi sigma)^n, Pi the projector onto the eigenvectors of
@@ -693,7 +660,8 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     if nu == 0.0:
         vals, vecs = np.linalg.eigh(rho_m)
         support = vecs[:, vals > SIGMA_MIN_EIG]
-        return float(_diag_in(support, s_m).sum()) ** n
-    bracket = _log_threshold_bracket(rho_m, s_m, n)
-    blocks = (_qubit_blocks if rho_m.shape[0] == 2 else _irrep_blocks)(rho_m, s_m, n)
-    return _np_over_blocks(blocks, bracket, 1.0 - nu, tol)
+        beta = float(_diag_in(support, s_m).sum()) ** n
+    else:
+        bracket = _log_threshold_bracket(rho_m, s_m, n)
+        beta = _np_over_blocks(_irrep_blocks(rho_m, s_m, n), bracket, 1.0 - nu, tol)
+    return min(max(beta, 0.0), 1.0)

@@ -332,7 +332,6 @@ def class_sum_on_words(words: np.ndarray, d: int, k: int) -> np.ndarray:
     return z
 
 
-_BLOCK_CACHE: dict[tuple[int, ...], dict[tuple[int, ...], np.ndarray]] = {}
 _CYCLE_WEIGHT = math.pi / 7.0
 
 
@@ -349,14 +348,15 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     of the smallest target gap from its target.
 
     Returns a dict mapping frame parts to the projector matrix in the
-    word basis (real symmetric, size |T_f|). Results are cached per f;
-    the cache is a plain dict and is safe to share across threads only
-    for reading.
+    word basis (real symmetric, size |T_f|, read-only). Results are cached
+    per f in a bounded cache; the dict is shared between callers and must
+    not be modified.
     """
-    counts = _freq_counts(f)
-    cached = _BLOCK_CACHE.get(counts)
-    if cached is not None:
-        return cached
+    return _frequency_blocks(_freq_counts(f))
+
+
+@lru_cache(maxsize=256)
+def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
     d = len(counts)
     n = sum(counts)
     guard_dimension(d, n)
@@ -392,7 +392,7 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     for i, lam in enumerate(candidates):
         sel = vecs[:, owner == i]
         blocks[lam] = sel @ sel.T
-    _BLOCK_CACHE[counts] = blocks
+        blocks[lam].flags.writeable = False
     return blocks
 
 
@@ -650,11 +650,12 @@ def gt_weights(lam, d: int) -> np.ndarray:
     Read-only and cached per (lam, d); SizeGuardError above GUARD_LIMIT
     patterns.
     """
-    return _gt_weight_table(_frame_parts(lam), int(d))
+    return _gt_table(_frame_parts(lam), int(d))[1]
 
 
 @lru_cache(maxsize=512)
-def _gt_weight_table(lam: tuple[int, ...], d: int) -> np.ndarray:
+def _gt_table(lam: tuple[int, ...], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(patterns, weights) of pi_lam, read-only: the one enumeration per (lam, d)."""
     if len(lam) > d:
         raise ValueError(f"frame {lam} has more than {d} rows")
     dim = weyl_dimension(lam, d)
@@ -662,9 +663,10 @@ def _gt_weight_table(lam: tuple[int, ...], d: int) -> np.ndarray:
         raise SizeGuardError(
             f"U({d}) irrep lam = {lam} has dimension {dim}, above the guard of {GUARD_LIMIT}"
         )
-    weights = _gt_weights(_gt_patterns(lam, d), d)
-    weights.flags.writeable = False
-    return weights
+    patterns = _gt_patterns(lam, d)
+    weights = _gt_weights(patterns, d)
+    patterns.flags.writeable = weights.flags.writeable = False
+    return patterns, weights
 
 
 def schur_polynomial(lam, r) -> float:
@@ -813,14 +815,12 @@ def gt_irrep(lam, d: int) -> GTIrrep:
 
 @lru_cache(maxsize=256)
 def _gt_irrep(lam: tuple[int, ...], d: int) -> GTIrrep:
-    if len(lam) > d:
-        raise ValueError(f"frame {lam} has more than {d} rows")
     dim = weyl_dimension(lam, d)
     if dim > DENSE_LIMIT:
         raise SizeGuardError(
             f"U({d}) irrep lam = {lam} has dimension {dim}, above the dense guard of {DENSE_LIMIT}"
         )
-    pat = _gt_patterns(lam, d)
+    pat, weights = _gt_table(lam, d)
     index = {p: t for t, p in enumerate(map(tuple, pat.tolist()))}
     # E_{k,k+1} (1-based k) raises entry i of row k; with l_kj = m_kj - j,
     # its coefficient is the square root of
@@ -863,8 +863,7 @@ def _gt_irrep(lam: tuple[int, ...], d: int) -> GTIrrep:
             idx = np.array(members, dtype=np.int64)
             omega, vecs = np.linalg.eigh(1j * gen[np.ix_(idx, idx)])
             rotation_blocks.append((idx, vecs, omega))
-    weights = _gt_weights(pat, d)
-    arrays = [weights, *(a for r in raising for a in r), *(a for b in rotation_blocks for a in b)]
+    arrays = [*(a for r in raising for a in r), *(a for b in rotation_blocks for a in b)]
     for arr in arrays:
         arr.flags.writeable = False
     return GTIrrep(

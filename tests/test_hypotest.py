@@ -264,8 +264,9 @@ def dense_core_block(rho, sigma, n):
 
 
 def test_neyman_pearson_qubit_blocks_match_dense_core():
-    # The d = 2 irrep-block path against the dense single-block core, on
-    # inputs fixed in advance: random complex pairs, a pure rho, rho = sigma.
+    # The U(2) Gelfand-Tsetlin irrep blocks against the dense single-block
+    # core, on inputs fixed in advance: random complex pairs, a pure rho,
+    # rho = sigma.
     pairs = []
     for seed in range(6):
         rng = np.random.default_rng(seed)
@@ -347,6 +348,20 @@ def test_neyman_pearson_finish_is_second_order_in_the_bracket():
                 assert abs(got - want) <= 1e-9 * want + 1e-17, (seed, n, nu, got, want)
 
 
+def test_neyman_pearson_beta_is_a_probability():
+    # Pure rho at d = 2: betas far below 1e-9 sit at the eigh rounding floor,
+    # which put seed 101, n = 20, nu = 0.05 at -5.1e-19 before the clamp;
+    # the rest of the scan (seeds 100..111) held 12 more negative betas.
+    for seed in range(100, 112):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(2, rng)
+        rho = random_state(2, rng, rank=1)
+        for n in (10, 20, 40):
+            for nu in (0.05, 0.3):
+                beta = neyman_pearson(rho, sigma, n, nu)
+                assert 0.0 <= beta <= 1.0, (seed, n, nu, beta)
+
+
 def _rotated(spectrum, rng):
     u = haar_unitary(len(spectrum), rng)
     return u @ np.diag(spectrum) @ u.conj().T
@@ -389,6 +404,22 @@ def test_label_type_two_matches_dense_at_d3():
             for c, miss in errs.misses.items():
                 word = [s for s, k in enumerate(c) for _ in range(k)]
                 assert abs(miss - word_type_one(p, word, nulls)) < 1e-12, (seed, n, c)
+
+
+def test_label_type_two_is_the_kostka_sum_past_the_dense_guard():
+    # sum K_{f,lam} d_lam t^f over the labels, with K from the strip recursion
+    for d, n, seed in ((2, 64, 32), (3, 12, 33)):
+        rng = np.random.default_rng(seed)
+        sigma, nulls = random_state(d, rng), [random_state(d, rng), random_state(d, rng)]
+        spec = TestSpec(sigma=sigma, null_set=nulls, epsilon=0.4, n=n, hull=True)
+        labels = lambda_set(spec)
+        want = sum(
+            kostka(f, lam) * hook_dimension(lam) * float(np.prod(spec.t ** np.array(f)))
+            for f, lam in labels
+        )
+        got = label_errors(spec, labels).type_two
+        assert 0.0 < want < 1.0
+        assert abs(got - want) < 1e-12 * want, (d, n, got, want)
 
 
 def test_label_misses_match_dense_at_d3():
@@ -504,6 +535,24 @@ def test_label_errors_at_n_128_are_probabilities():
     big = TestSpec(sigma=sigma, null_set=letters, epsilon=0.3, n=200, hull=True)
     with pytest.raises(SizeGuardError, match=r"\|S\| = 3, n = 200"):
         label_errors(big, frozenset(), letters)
+
+
+def test_label_word_forms_match_irreps_on_a_repeated_letter():
+    # Seeds and sizes fixed in advance: at d = 2 every type of the alphabet
+    # [rho, rho] (word forms) has the miss of [rho] (U(2) irreps), past the
+    # sizes of any dense oracle; random complex pairs, one with a rank-1 rho.
+    for seed in (50, 51, 52):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(2, rng)
+        rho = random_state(2, rng, rank=1 if seed == 52 else 2)
+        for n in (16, 64, 128):
+            spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n)
+            labels = lambda_set(spec)
+            one = label_errors(spec, labels, [rho]).misses[(n,)]
+            misses = label_errors(spec, labels, [rho, rho]).misses
+            assert len(misses) == n + 1
+            for c, miss in misses.items():
+                assert abs(miss - one) < 1e-12, (seed, n, c)
 
 
 def test_run_sanov_at_n_128_forms_no_dense_operator():

@@ -33,7 +33,7 @@ from qsanov.schur_weyl import (
     word_codes,
     words_of_type,
 )
-from qsanov.hypotest import SIGMA_MIN_EIG, _sym_powers
+from qsanov.hypotest import SIGMA_MIN_EIG
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import eigenbasis
 from qsanov.tableaux import (
@@ -207,13 +207,16 @@ def test_blocks_match_brute_central_idempotent():
 
 def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
     # Z_2 targets on f = (2, 2) are 6, 2 and 0: a shift of 1 is half the smallest gap
-    monkeypatch.setattr(schur_weyl, "_BLOCK_CACHE", {})
     exact = schur_weyl.class_sum_on_words
     monkeypatch.setattr(
         schur_weyl, "class_sum_on_words", lambda w, d, k: exact(w, d, k) + np.eye(len(w))
     )
-    with pytest.raises(ArithmeticError):
-        frequency_blocks((2, 2))
+    schur_weyl._frequency_blocks.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            frequency_blocks((2, 2))
+    finally:
+        schur_weyl._frequency_blocks.cache_clear()
 
 
 def test_block_algebra():
@@ -386,6 +389,35 @@ def _hermitian_log(u):
     h = (q * angles) @ q.conj().T
     assert np.abs(_exp_i(h) - u).max() < 1e-12
     return h
+
+
+def _sym_powers(x, n):
+    """Sym^m(x) of a 2 x 2 matrix for m = n, n - 2, ..., 0: the closed-form d = 2 oracle.
+
+    Written in the orthonormal symmetric basis, whose vector a is the
+    normalized sum of the words with a zeros. With p = x00 u + x10 v and
+    q = x01 u + x11 v, c[a, b] is the coefficient of u^a v^(m-a) in
+    p^b q^(m-b), grown one factor at a time, and
+    Sym^m(x)[a, b] = c[a, b] sqrt(C(m, b) / C(m, a)).
+    """
+    (x00, x01), (x10, x11) = x
+    c = np.ones((1, 1), dtype=x.dtype)
+    out = {}
+    for m in range(n + 1):
+        if m:
+            grown = np.zeros((m + 1, m + 1), dtype=x.dtype)
+            grown[1:, 1:] += x00 * c
+            grown[:-1, 1:] += x10 * c
+            grown[1:, 0] += x01 * c[:, 0]
+            grown[:-1, 0] += x11 * c[:, 0]
+            c = grown
+        if (n - m) % 2 == 0:
+            log_binom = np.array(
+                [math.lgamma(m + 1) - math.lgamma(a + 1) - math.lgamma(m - a + 1)
+                 for a in range(m + 1)]
+            )
+            out[m] = c * np.exp(0.5 * (log_binom[None, :] - log_binom[:, None]))
+    return out
 
 
 def test_gt_irreps_at_d2_are_det_times_sym_powers():
