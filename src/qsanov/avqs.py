@@ -133,19 +133,17 @@ def _log2_psd(m: np.ndarray, floor: float = 1e-18) -> np.ndarray:
     return (vecs * np.log2(vals)) @ vecs.conj().T
 
 
-def min_relative_entropy_hull(
-    generators, sigma, restarts: int = 20, rng=None, iters: int = 500
-) -> tuple[float, np.ndarray]:
+def min_relative_entropy_hull(generators, sigma) -> tuple[float, np.ndarray]:
     """min over mixtures w of D(sum_i w_i rho_i || sigma), in bits.
 
-    Projected gradient descent on the mixing weights with backtracking and
-    random restarts; for up to three generators a coarse weight grid seeds
-    an extra start. Returns (value, weights).
+    D is jointly convex (Lindblad) and the mixture is linear in w, so the
+    objective is convex on the simplex and any local minimum is global:
+    one projected gradient descent with backtracking from the barycentre
+    finds it. Returns (value, weights).
     """
     gens = [assert_state(g) for g in generators]
     sigma = assert_state(sigma)
     k = len(gens)
-    rng = np.random.default_rng(0) if rng is None else rng
 
     def mix(w):
         return sum(wi * gi for wi, gi in zip(w, gens))
@@ -159,39 +157,24 @@ def min_relative_entropy_hull(
         lg = _log2_psd(mix(w)) - log_sigma
         return np.array([float(np.einsum("ij,ji->", g, lg).real) for g in gens])
 
-    starts = [np.full(k, 1.0 / k)]
-    starts += [np.eye(k)[i] for i in range(k)]
-    for _ in range(max(0, restarts - len(starts))):
-        starts.append(rng.dirichlet(np.ones(k)))
-    if k <= 3:
-        grid = [
-            np.array(w.counts, dtype=float) / 100 for w in enumerate_frequencies(k, 100)
-        ]
-        starts.append(min(grid, key=value))
-
-    best_w = starts[0]
-    best = value(best_w)
-    for w0 in starts:
-        w = np.asarray(w0, dtype=float).copy()
-        fw = value(w)
-        step = 0.5
-        for _ in range(iters):
-            g = grad(w)
-            moved = False
-            for _ in range(40):
-                cand = simplex_project(w - step * g)
-                fc = value(cand)
-                if fc < fw - 1e-15:
-                    w, fw = cand, fc
-                    step *= 1.3
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved or step < 1e-14:
+    w = np.full(k, 1.0 / k)
+    fw = value(w)
+    step = 0.5
+    for _ in range(500):
+        g = grad(w)
+        moved = False
+        for _ in range(40):
+            cand = simplex_project(w - step * g)
+            fc = value(cand)
+            if fc < fw - 1e-15:
+                w, fw = cand, fc
+                step *= 1.3
+                moved = True
                 break
-        if fw < best:
-            best, best_w = fw, w
-    return float(best), best_w
+            step *= 0.5
+        if not moved or step < 1e-14:
+            break
+    return float(fw), w
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +235,7 @@ def _state_pool(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.stack(out)
 
 
-def _in_hull_residual(points: list[np.ndarray], target: np.ndarray, iters=4000) -> float:
+def _in_hull_residual(points: list[np.ndarray], target: np.ndarray) -> float:
     """Distance from target to the convex hull of points (FISTA on weights)."""
     a = np.stack(
         [np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in points]
@@ -262,7 +245,7 @@ def _in_hull_residual(points: list[np.ndarray], target: np.ndarray, iters=4000) 
     lip = np.linalg.norm(a, 2) ** 2
     w = np.full(k, 1.0 / k)
     y, s_prev = w.copy(), 1.0
-    for _ in range(iters):
+    for _ in range(4000):
         g = a.T @ (a @ y - t)
         w_new = simplex_project(y - g / lip)
         s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s_prev**2))

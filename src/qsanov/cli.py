@@ -196,7 +196,7 @@ def _mode_avqs(cfg: dict, seed: int, fmt: str) -> str:
     nu = float(cfg.get("nu", 0.05))
     d = sigma.shape[0]
     s_size = len(alphabet)
-    min_d, _ = min_relative_entropy_hull(alphabet, sigma, rng=np.random.default_rng(seed))
+    min_d, _ = min_relative_entropy_hull(alphabet, sigma)
     rows = []
     for n in _n_values(cfg):
         spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=eps, n=n, hull=True)

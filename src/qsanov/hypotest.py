@@ -470,8 +470,12 @@ def run_sanov(
     set, the type-two error, its empirical exponent, the reference
     min-relative-entropy, the theta slack, and (optionally) the optimal
     beta at the matched type-one level for the divergence-minimizing null
-    state. Raises VerificationError if a type-two error exceeds its
-    exponent bound.
+    state. The reference is the minimum of D(rho || sigma) over the null
+    states, or with `hull=True` over their convex hull
+    (`avqs.min_relative_entropy_hull`), whose minimizing mixture is then
+    the null state of the baseline; the type-one error stays the worst
+    over the listed states. Raises VerificationError if a type-two error
+    exceeds its exponent bound.
 
     Both errors come from the labels (`label_errors`) on the U(d) irreps in
     the Gelfand-Tsetlin basis, at every d, so no d**n operator is formed;
@@ -480,9 +484,15 @@ def run_sanov(
     sigma = assert_state(sigma)
     null_states = [assert_state(s) for s in null_set]
     d = sigma.shape[0]
-    divergences = [qrel_entropy(s, sigma) for s in null_states]
-    ref = min(divergences)
-    rho_star = null_states[int(np.argmin(divergences))]
+    if hull and len(null_states) > 1:
+        from .avqs import min_relative_entropy_hull
+
+        ref, w = min_relative_entropy_hull(null_states, sigma)
+        rho_star = sum(wi * s for wi, s in zip(w, null_states))
+    else:
+        divergences = [qrel_entropy(s, sigma) for s in null_states]
+        ref = min(divergences)
+        rho_star = null_states[int(np.argmin(divergences))]
     reports = []
     for n in n_values:
         eps = epsilon_schedule(n, nu, d) if epsilon is None else epsilon

@@ -72,7 +72,8 @@ def qrel_entropy(rho, sigma) -> float:
 
     Support test: eigenvalues of rho below 1e-9 are treated as zero, sigma
     eigenvalues below 1e-12 as zero; rho mass of more than 1e-9 on the null
-    space of sigma yields +inf.
+    space of sigma yields +inf. Rounding below zero is clamped to 0
+    (Klein's inequality).
     """
     r_m = assert_state(rho)
     s_m = assert_state(sigma)
@@ -92,7 +93,7 @@ def qrel_entropy(rho, sigma) -> float:
     r_pos = np.clip(r_vals, 0.0, None)
     ent = float((r_pos[r_pos > 0] * np.log2(r_pos[r_pos > 0])).sum())
     cross = float(np.einsum("ij,ji->", r_m, log_s).real)
-    return ent - cross
+    return max(ent - cross, 0.0)
 
 
 def entropy_identity_check(rho, sigma) -> float:

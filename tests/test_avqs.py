@@ -166,18 +166,24 @@ def test_min_relative_entropy_single_generator():
 
 
 def test_min_relative_entropy_three_generators_vs_grid():
-    gens = [np.diag([0.9, 0.1]), bloch_state([0.0, 0.4, 0.0]), np.eye(2) / 2]
-    val, _ = min_relative_entropy_hull(gens, SIGMA)
-    best = math.inf
-    steps = 50
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            w = np.array([i, j, steps - i - j], dtype=float) / steps
-            mix = sum(wi * g for wi, g in zip(w, gens))
-            best = min(best, qrel_entropy(mix, SIGMA))
-    assert val <= best + 1e-12
-    assert best - val < 1e-4
-    # the maximally mixed generator already achieves divergence D(I/2 || sigma)
+    qubits = [np.diag([0.9, 0.1]), bloch_state([0.0, 0.4, 0.0]), np.eye(2) / 2]
+    # a qutrit alphabet with a rank-1 letter and an interior minimizer
+    rng = np.random.default_rng(62)
+    qutrit_sigma = random_state(3, rng)
+    qutrits = [random_state(3, rng), random_state(3, rng, rank=1), random_state(3, rng)]
+    for gens, sigma, steps, gap in ((qubits, SIGMA, 50, 1e-4), (qutrits, qutrit_sigma, 120, 1e-3)):
+        val, w = min_relative_entropy_hull(gens, sigma)
+        assert abs(qrel_entropy(sum(wi * g for wi, g in zip(w, gens)), sigma) - val) < 1e-12
+        best = math.inf
+        for i in range(steps + 1):
+            for j in range(steps + 1 - i):
+                v = np.array([i, j, steps - i - j], dtype=float) / steps
+                best = min(best, qrel_entropy(sum(vi * g for vi, g in zip(v, gens)), sigma))
+        assert val <= best + 1e-12
+        assert best - val < gap
+    assert w.min() > 0.01
+    # the maximally mixed qubit generator already achieves D(I/2 || sigma)
+    val, _ = min_relative_entropy_hull(qubits, SIGMA)
     assert val <= qrel_entropy(np.eye(2) / 2, SIGMA) + 1e-12
 
 

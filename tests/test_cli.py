@@ -139,9 +139,28 @@ def test_avqs_mode(tmp_path):
     want, _ = min_relative_entropy_hull(
         [np.diag([0.8, 0.2]).astype(complex), bloch_state([0.3, 0.0, 0.0])],
         np.diag([0.75, 0.25]),
-        rng=np.random.default_rng(0),
     )
     assert abs(float(cells[7]) - want) < 1e-9
+
+
+def test_avqs_mode_does_not_depend_on_the_seed(tmp_path):
+    cfg = _write_cfg(
+        tmp_path,
+        "avqs3.json",
+        {
+            "sigma": {"bloch": [0.1, 0.1, 0.1]},
+            "null_set": [{"bloch": [0.0, 0.0, 0.8]}, {"bloch": [0.8, 0.0, 0.0]}, {"bloch": [0.0, 0.8, 0.0]}],
+            "epsilon": 0.3,
+            "n_range": [4, 6],
+        },
+    )
+    # the JSON carries every digit of min_D_conv, the CSV twelve
+    for fmt in ("csv", "json"):
+        outs = [tmp_path / f"seed{seed}.{fmt}" for seed in (0, 7)]
+        for seed, out in zip((0, 7), outs):
+            args = ["avqs", "--config", cfg, "--seed", str(seed), "--format", fmt]
+            assert cli.main(args + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _matrix_json(m):

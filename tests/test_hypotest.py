@@ -187,6 +187,20 @@ def test_run_sanov_schedule_mode():
     assert math.isnan(reports[0].np_beta)
 
 
+def test_run_sanov_hull_reference_is_the_hull_minimum():
+    # sigma = I/2 lies in the hull, so the reference divergence is 0, not
+    # the 0.919 of the nearest generator that the type-two bound used to read
+    nulls = [np.diag([0.99, 0.01]), np.diag([0.01, 0.99])]
+    reports = run_sanov(
+        np.eye(2) / 2, nulls, [64], epsilon=0.05, hull=True, np_baseline=False
+    )
+    assert reports[0].reference_d == 0.0
+    assert 0 < reports[0].type2 <= 1
+    # with the baseline on, the minimizing mixture I/2 is the null state
+    r = run_sanov(np.eye(2) / 2, nulls, [8], epsilon=0.05, hull=True)[0]
+    assert abs(r.np_beta - neyman_pearson(np.eye(2) / 2, np.eye(2) / 2, 8, r.type1_max)) < 1e-15
+
+
 def test_neyman_pearson_commuting_matches_classical():
     p_vec = np.array([0.7, 0.3])
     q_vec = np.array([0.5, 0.5])

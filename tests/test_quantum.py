@@ -100,6 +100,14 @@ def test_qrel_entropy_support_rules():
     assert qrel_entropy(np.diag([0.5, 0.5]), np.diag([0.5, 0.5])) < 1e-12
 
 
+def test_qrel_entropy_is_never_negative():
+    # Klein's inequality: D(r || r) = 0 must not round below zero
+    rng = np.random.default_rng(0)
+    for i in range(200):
+        r = random_state(2 + i % 2, rng, rank=1 if i % 4 == 0 else None)
+        assert 0.0 <= qrel_entropy(r, r) < 1e-12
+
+
 def test_entropy_identity():
     # D(rho||sigma) = -H(spec rho) - sum_i pinched_i log2 t_i, sigma nonsingular
     rng = np.random.default_rng(7)
