@@ -235,8 +235,11 @@ def _state_pool(d: int, rng: np.random.Generator) -> np.ndarray:
     return np.stack(out)
 
 
+HULL_TOL = 1e-4  # the residual at which `delta_net` counts a target as in the hull
+
+
 def _in_hull_residual(points: list[np.ndarray], target: np.ndarray) -> float:
-    """Distance from target to the convex hull of points (FISTA on weights)."""
+    """Distance from target to the convex hull of points (FISTA on weights, to HULL_TOL)."""
     a = np.stack(
         [np.concatenate([p.real.ravel(), p.imag.ravel()]) for p in points]
     ).T
@@ -251,6 +254,8 @@ def _in_hull_residual(points: list[np.ndarray], target: np.ndarray) -> float:
         s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s_prev**2))
         y = w_new + ((s_prev - 1.0) / s_new) * (w_new - w)
         w, s_prev = w_new, s_new
+        if np.linalg.norm(a @ w - t) <= HULL_TOL:
+            break
     return float(np.linalg.norm(a @ w - t))
 
 
@@ -278,7 +283,7 @@ def delta_net(generators, delta: float, rng=None) -> Net:
             radius=delta,
             cover_radius=max(trace_distance(s, centre) for s in smoothed),
             hull_contains_smoothed=all(
-                _in_hull_residual([centre], s) <= 1e-4 for s in smoothed
+                _in_hull_residual([centre], s) <= HULL_TOL for s in smoothed
             ),
         )
     pool = np.concatenate([_state_pool(d, rng), np.stack(smoothed)])
@@ -289,7 +294,7 @@ def delta_net(generators, delta: float, rng=None) -> Net:
         chosen.append(nxt)
         mindist = np.minimum(mindist, _trace_dists(pool, pool[nxt]))
     points = [pool[i] for i in chosen]
-    contains = all(_in_hull_residual(points, s) <= 1e-4 for s in smoothed)
+    contains = all(_in_hull_residual(points, s) <= HULL_TOL for s in smoothed)
     return Net(
         points=points,
         radius=delta,

@@ -278,7 +278,7 @@ def example_bloch(n: int = 6, eps: float = 0.25, grid: int = 24, seed: int = 0) 
     labels = sorted(lambda_set(spec))
 
     def outcome_probs(xi: np.ndarray) -> np.ndarray:
-        return np.array([max(0.0, block_weight(f, lam, xi)) for f, lam in labels])
+        return np.array([block_weight(f, lam, xi) for f, lam in labels])
 
     pool = states + [sigma]
     probs = np.stack([outcome_probs(xi) for xi in pool])

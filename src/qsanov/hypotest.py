@@ -499,8 +499,9 @@ def run_sanov(
         eps = min(eps, 2.0)
         spec = TestSpec(sigma=sigma, null_set=null_states, epsilon=eps, n=n, hull=hull)
         labels = lambda_set(spec)
-        t2 = label_errors(spec, labels).type_two
-        t1 = max(label_errors(spec, labels, [s]).misses[(n,)] for s in null_states)
+        errors = [label_errors(spec, labels, [s]) for s in null_states]
+        t2 = errors[0].type_two
+        t1 = max(e.misses[(n,)] for e in errors)
         th = theta(n, eps, d, sigma)
         bound = 2.0 ** (-n * (ref - th))
         if t2 > bound * (1.0 + 1e-9) + 1e-300:

@@ -17,14 +17,15 @@ all of its projectors, and each eigenvalue is checked against the exact
 target sum_k (pi/7)**(k-2) chi_k(lam). The projectors agree with the
 classical central idempotents built from the full character sum.
 
-Matrices handled here are real in the word basis. Dense full-space
-materialization is guarded: index-level work allows d**n up to 60000,
-dense d**n x d**n matrices up to 4096.
+Word blocks serve word states and the dense operators; their matrices are
+real in the word basis. Dense full-space materialization is guarded:
+index-level work allows d**n up to 60000, dense d**n x d**n matrices up
+to 4096.
 
 The U(d) side of the duality is built in the Gelfand-Tsetlin basis
 (`gt_irrep`): pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's
 dimension, guarded at 4096, and its weight table at 60000 (`gt_weights`,
-`schur_polynomial`).
+`schur_polynomial`). Single-state block weights come from it alone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .quantum import assert_basis
 from .tableaux import (
     _frame_parts,
     _freq_counts,
+    _interlacing_rows,
     dominance,
     enumerate_frames,
     enumerate_frequencies,
@@ -540,27 +542,39 @@ def completeness_check(d: int, n: int) -> float:
 def block_weight(f, lam, states, basis=None) -> float:
     """tr of the (f, lam) projector against a product of single-site states.
 
-    `states` is a single state (used on every site) or a length-n sequence.
-    The product operator is never materialized on the full space: it is
-    restricted to the word block directly (`word_block_state`).
+    `states` is one state rho, used on every site, or a length-n sequence,
+    taken in `basis` when one is given. One state gives the nonnegative sum
+    d_lam sum_{wt T = f} pi_lam(rho)[T, T] on the Gelfand-Tsetlin irrep, with
+    no word block or d**n guard; a sequence is restricted to the word block
+    of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
     """
     counts = _freq_counts(f)
-    block = frequency_blocks(counts).get(_frame_parts(lam))
-    if block is None:
+    lam_p = _frame_parts(lam)
+    if sum(counts) != sum(lam_p) or not dominance(counts, lam_p):
         return 0.0
+    rho = np.asarray(states, dtype=complex)
+    if rho.ndim == 2:
+        irrep = gt_irrep(lam_p, len(counts))
+        if basis is not None:
+            b = assert_basis(basis)
+            rho = b.conj().T @ rho @ b
+        rows = (irrep.weights == counts).all(axis=1)
+        return hook_dimension(lam_p) * float(irrep.diagonal(rho, rows).sum())
     prod = word_block_state(counts, states, basis)
-    return float(np.einsum("ab,ba->", block, prod).real)
+    return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
 
 
 def word_block_state(f, states, basis=None) -> np.ndarray:
-    """A product of single-site states restricted to the word block of f.
+    """A product of site states restricted to the word block of f.
 
     Entry [a, b] is prod_i states[i][w_a[i], w_b[i]] over the sorted words
     w of letter counts f, with the states taken in `basis` when one is
-    given. `states` is as in `block_weight`.
+    given. `states` is a length-n sequence of d x d states.
     """
     counts = _freq_counts(f)
-    sts = _site_states(states, sum(counts))
+    sts = np.asarray(states, dtype=complex)
+    if sts.ndim != 3 or sts.shape[0] != sum(counts):
+        raise ValueError("states must be a length-n sequence")
     if basis is not None:
         b = assert_basis(basis)
         sts = [b.conj().T @ s @ b for s in sts]
@@ -571,15 +585,6 @@ def word_block_state(f, states, basis=None) -> np.ndarray:
         col = words[:, i]
         prod *= s[col[:, None], col[None, :]]
     return prod
-
-
-def _site_states(states, n: int) -> list[np.ndarray]:
-    arr = np.asarray(states, dtype=complex)
-    if arr.ndim == 2:
-        return [arr] * n
-    if arr.ndim == 3 and arr.shape[0] == n:
-        return [arr[i] for i in range(n)]
-    raise ValueError("states must be one state or a length-n sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -609,8 +614,7 @@ def _gt_patterns(lam: tuple[int, ...], d: int) -> np.ndarray:
         if len(above) == 1:
             out.append(tuple(x for row in reversed(rows) for x in row))
             return
-        ranges = [range(above[i + 1], above[i] + 1) for i in range(len(above) - 1)]
-        for row in itertools.product(*ranges):
+        for row in _interlacing_rows(above):
             rows.append(row)
             rec(row)
             rows.pop()

@@ -14,6 +14,7 @@ exact integer arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -322,42 +323,25 @@ def dominance(f, lam) -> bool:
     return True
 
 
-def _horizontal_strip_predecessors(parts: tuple[int, ...], k: int):
-    """Shapes mu <= parts with parts/mu a horizontal strip of size k."""
-    rows = len(parts)
-    out: list[tuple[int, ...]] = []
+def _interlacing_rows(above: tuple[int, ...]):
+    """Rows mu, one entry shorter than above, with above[i + 1] <= mu[i] <= above[i].
 
-    def rec(i: int, remaining: int, prefix: list[int]):
-        if i == rows:
-            if remaining == 0:
-                mu = tuple(prefix)
-                while mu and mu[-1] == 0:
-                    mu = mu[:-1]
-                out.append(mu)
-            return
-        lo = parts[i + 1] if i + 1 < rows else 0
-        hi = parts[i]
-        # strip condition: mu_i in [lam_{i+1}, lam_i]
-        for m in range(hi, lo - 1, -1):
-            removed = hi - m
-            if removed > remaining:
-                continue
-            prefix.append(m)
-            rec(i + 1, remaining - removed, prefix)
-            prefix.pop()
-
-    rec(0, k, [])
-    return out
+    This is one Gelfand-Tsetlin step; rows come in itertools.product order.
+    """
+    return itertools.product(
+        *(range(above[i + 1], above[i] + 1) for i in range(len(above) - 1))
+    )
 
 
 @lru_cache(maxsize=None)
 def _kostka_rec(parts: tuple[int, ...], counts: tuple[int, ...]) -> int:
     if not counts:
         return 1 if not parts else 0
-    k = counts[-1]
+    size = sum(parts) - counts[-1]
     total = 0
-    for mu in _horizontal_strip_predecessors(parts, k):
-        total += _kostka_rec(mu, counts[:-1])
+    for mu in _interlacing_rows(parts + (0,)):
+        if sum(mu) == size:
+            total += _kostka_rec(tuple(m for m in mu if m), counts[:-1])
     return total
 
 
@@ -365,10 +349,10 @@ def kostka(f, lam) -> int:
     """Number of semistandard fillings of shape lam with content f (exact).
 
     With at most two letters in use the filling is forced, so the number
-    is 1 when lam dominates f and 0 otherwise. Else fillings are
-    enumerated letter by letter: the cells holding each successive letter
-    must form a horizontal strip (weakly increasing rows, strictly
-    increasing columns).
+    is 1 when lam dominates f and 0 otherwise. Else the Gelfand-Tsetlin
+    patterns of shape lam and weight f are counted by walking down the
+    interlacing rows: removing the cells of the last letter leaves a row
+    that interlaces the one above it and is f[-1] smaller.
     """
     counts = _freq_counts(f)
     parts = _frame_parts(lam)

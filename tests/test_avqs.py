@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qsanov.avqs import (
+    HULL_TOL,
+    _in_hull_residual,
     avqs_test,
     delta_net,
     delta_schedule,
@@ -226,6 +228,17 @@ def test_delta_net_small_delta_covers_smoothed_hull():
             smoothed = depolarize(hull_point, delta)
             dist = min(trace_distance(smoothed, p) for p in net.points)
             assert dist <= delta, dist
+
+
+def test_in_hull_residual_stops_inside_and_measures_outside():
+    # a pure qubit against the lone point I/2 runs every step and returns
+    # |diag(1/2, -1/2)| = 1/sqrt(2) in the stacked real/imaginary coordinates
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    centre = np.eye(2, dtype=complex) / 2
+    assert abs(_in_hull_residual([centre], pure) - 1 / math.sqrt(2)) < 1e-9
+    # a target inside the hull comes back at or below the tolerance
+    inside = 0.3 * ALPHABET[0] + 0.7 * ALPHABET[1]
+    assert _in_hull_residual(ALPHABET + [centre], inside) <= HULL_TOL
 
 
 def test_smoothed_test_duality():

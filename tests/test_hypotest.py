@@ -301,10 +301,10 @@ def test_neyman_pearson_qubit_blocks_match_dense_core():
 
 def test_neyman_pearson_gt_blocks_match_dense_core_at_d3():
     # Seeds and sizes fixed in advance: d = 3, a complex pair, a rank-1 rho,
-    # and a real noncommuting pair whose sigma has smallest eigenvalue 1e-3;
-    # the Gelfand-Tsetlin irrep blocks against the dense single-block core.
-    # At n = 6 the dense core diagonalizes 729 x 729 matrices at each
-    # bisection step, so only the real pair runs there.
+    # a real noncommuting pair whose sigma has smallest eigenvalue 1e-3, and
+    # a rank-2 rho; the Gelfand-Tsetlin irrep blocks against the dense
+    # single-block core. At n = 6 the dense core diagonalizes 729 x 729
+    # matrices at each bisection step, so only the real pair runs there.
     pairs = []
     for seed, rank in ((100, 3), (101, 1)):
         rng = np.random.default_rng(seed)
@@ -313,6 +313,8 @@ def test_neyman_pearson_gt_blocks_match_dense_core_at_d3():
     o1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     o2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     pairs.append((o1 @ np.diag([0.5, 0.3, 0.2]) @ o1.T, o2 @ np.diag([0.6, 0.399, 0.001]) @ o2.T))
+    rng = np.random.default_rng(103)
+    pairs.append((random_state(3, rng, rank=2), random_state(3, rng)))
     for i, (rho, sigma) in enumerate(pairs):
         for n in range(1, 7):
             if n == 6 and i != 2:
@@ -516,7 +518,9 @@ def test_run_sanov_at_d3_n8_passes_the_dense_guard():
     sigma, rho = random_state(3, rng), random_state(3, rng)
     rep, = run_sanov(sigma, [rho], [8], epsilon=0.5, np_baseline=False)
     spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.5, n=8)
-    accept = sum(block_weight(f, lam, rho, basis=spec.basis) for f, lam in lambda_set(spec))
+    # a length-8 sequence keeps the oracle on word blocks, off the irreps
+    sites = [rho] * 8
+    accept = sum(block_weight(f, lam, sites, basis=spec.basis) for f, lam in lambda_set(spec))
     assert 0.0 < rep.type1_max < 1.0
     assert abs(rep.type1_max - (1.0 - accept)) < 1e-12
     assert 0.0 < rep.type2 < 1.0

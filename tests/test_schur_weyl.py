@@ -285,6 +285,60 @@ def test_block_weight_against_dense_trace():
                 big = np.kron(big, sites[k])
             dense = np.einsum("ij,ji->", p, big).real
             assert abs(block_weight(f.counts, fr.parts, sites) - dense) < 1e-10
+    # one state at d = 3 in a complex basis, on the Gelfand-Tsetlin irreps
+    rng = np.random.default_rng(24)
+    rho, basis = random_state(3, rng), haar_unitary(3, rng)
+    d, n = 3, 4
+    big = tensor_power(rho, n)
+    for f in enumerate_frequencies(d, n):
+        for fr in enumerate_frames(d, n):
+            p = block_projector(f.counts, fr.parts, basis=basis).matrix()
+            dense = np.einsum("ij,ji->", p, big).real
+            assert abs(block_weight(f.counts, fr.parts, rho, basis=basis) - dense) < 1e-10
+    # more rows than letters, |f| != |lam|, and no weight equal to f
+    assert block_weight((2, 2), (2, 1, 1), np.eye(2) / 2) == 0.0
+    assert block_weight((2, 1, 1), (2, 2, 1), rho) == 0.0
+    assert block_weight((4, 0, 0), (2, 2), rho) == 0.0
+
+
+def test_block_weight_past_the_word_block_guard():
+    # d = 2, n = 64: the word blocks (up to C(64, 32) words) are never built
+    n = 64
+    rng = np.random.default_rng(25)
+    basis = haar_unitary(2, rng)
+    frames = enumerate_frames(2, n)
+    freqs = enumerate_frequencies(2, n)
+    schur_weyl._frequency_blocks.cache_clear()
+    # rho diagonal in the basis: d_lam K_{f,lam} p^f0 q^f1. The irrep
+    # diagonal is accurate to about eps**2 times the frame's largest weight
+    # (3.9e-7 relative on the smallest, f = (0, 64), lam = (64,)), so the
+    # bound is relative to the frame's mass d_lam s_lam(p, q); the Kostka
+    # number is still recovered exactly on every pair.
+    p, q = 0.7, 0.3
+    rho = basis @ np.diag([p, q]) @ basis.conj().T
+    for fr in frames:
+        d_lam = hook_dimension(fr.parts)
+        lam = fr.padded(2)
+        mass = d_lam * sum(p**k * q ** (n - k) for k in range(lam[1], lam[0] + 1))
+        for f in freqs:
+            unit = d_lam * p ** f[0] * q ** f[1]
+            want = kostka(f.counts, fr.parts) * unit
+            got = block_weight(f.counts, fr.parts, rho, basis=basis)
+            assert abs(got - want) <= 1e-12 * mass, (f, fr, got, want)
+            assert round(got / unit) == kostka(f.counts, fr.parts), (f, fr, got, want)
+    # generic rho: the weights of a frame sum to d_lam s_lam(x, y), with
+    # s_lam(x, y) = (xy)^lam_2 sum_{k <= m} x^k y^(m - k), m = lam_1 - lam_2
+    rho = random_state(2, rng)
+    x, y = np.linalg.eigvalsh(rho)
+    for fr in frames:
+        lam = fr.padded(2)
+        m = lam[0] - lam[1]
+        want = hook_dimension(fr.parts) * (x * y) ** lam[1] * sum(
+            x**k * y ** (m - k) for k in range(m + 1)
+        )
+        got = sum(block_weight(f.counts, fr.parts, rho, basis=basis) for f in freqs)
+        assert abs(got - want) <= 1e-12 * want, (fr, got, want)
+    assert schur_weyl._frequency_blocks.cache_info().currsize == 0
 
 
 def test_block_weight_with_rotated_basis():

@@ -201,6 +201,10 @@ def test_kostka_matches_brute_ssyt():
             for f in enumerate_frequencies(d, n):
                 for fr in enumerate_frames(d, n):
                     assert kostka(f.counts, fr.parts) == ssyt_count(fr.parts, f.counts)
+                # frames with more rows than letters have no filling
+                for fr in enumerate_frames(n, n):
+                    if len(fr.parts) > d:
+                        assert kostka(f.counts, fr.parts) == ssyt_count(fr.parts, f.counts) == 0
     # a d=4 spot check with multiplicity above one
     assert kostka((2, 1, 1, 0), (2, 1, 1)) == ssyt_count((2, 1, 1), (2, 1, 1, 0))
     assert kostka((1, 1, 1, 1), (2, 2)) == ssyt_count((2, 2), (1, 1, 1, 1)) == 2
