@@ -1,6 +1,6 @@
 """Permutation-invariant hypothesis tests on tensor powers at desk scale.
 
-Frequency and frame labels decompose (C^d)^n into joint projector blocks;
+Frequency and frame labels split (C^d)^n into joint projector blocks;
 tests assembled from them achieve the optimal discrimination exponent
 against a fixed alternative, for single null states, convex hulls, and
 word-indexed product sources. Companion modules bound what such invariant
@@ -24,7 +24,6 @@ from .tableaux import (
     majorizes,
     pinsker_bound,
     relative_entropy,
-    schur_multiplicity,
     type_class_bounds,
     type_class_size,
 )
@@ -45,16 +44,12 @@ from .schur_weyl import (
     DENSE_LIMIT,
     GUARD_LIMIT,
     GTIrrep,
-    PermOperator,
-    ProjectorBlock,
     block_projector,
     block_weight,
     central_character,
     character,
-    character_table,
     completeness_check,
     frequency_blocks,
-    frequency_projector,
     gt_irrep,
     invariance_defect,
     isotypical_projector,

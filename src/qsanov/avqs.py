@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import SizeGuardError
 from .hypotest import TestSpec, build_test, theta
-from .quantum import assert_state, depolarize, qrel_entropy, spectrum, trace_distance
+from .quantum import (
+    assert_state,
+    bloch_spiral,
+    bloch_state,
+    depolarize,
+    qrel_entropy,
+    spectrum,
+    trace_distance,
+)
 from .schur_weyl import (
     DENSE_LIMIT,
     block_weight,
@@ -213,17 +221,8 @@ def _trace_dists(stack: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 def _state_pool(d: int, rng: np.random.Generator) -> np.ndarray:
     if d == 2:
-        from .quantum import bloch_state
-
-        pts = [np.zeros(3)]
-        n_dir, golden = 400, math.pi * (3.0 - math.sqrt(5.0))
-        for shell in (0.25, 0.5, 0.75, 0.9, 1.0):
-            for i in range(n_dir):
-                z = 1.0 - 2.0 * (i + 0.5) / n_dir
-                r = math.sqrt(max(0.0, 1.0 - z * z))
-                phi = golden * i
-                pts.append(shell * np.array([r * math.cos(phi), r * math.sin(phi), z]))
-        return np.stack([bloch_state(x) for x in pts])
+        shells = (0.25, 0.5, 0.75, 0.9, 1.0)
+        return np.stack([bloch_state(np.zeros(3)), *bloch_spiral(shells, 400)])
     # Cholesky-angle sample: lower-triangular factors with seeded entries
     out = [np.eye(d, dtype=complex) / d]
     for _ in range(6000):

@@ -44,6 +44,7 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
+    YoungFrame,
     dimension_bounds,
     dominance,
     enumerate_frames,
@@ -243,11 +244,19 @@ def _mode_project(cfg: dict, seed: int, fmt: str) -> str:
         from .quantum import eigenbasis
 
         _, basis = eigenbasis(_parse_state(cfg["sigma"]))
-    block = block_projector(f, lam, basis=basis)
-    payload = block.to_json_dict()
-    payload["kostka"] = kostka(f, lam)
-    payload["dim_frame"] = hook_dimension(lam)
-    return _json_text(payload)
+    mat = block_projector(f, lam, basis=basis)
+    parts = YoungFrame(lam).parts
+    block = frequency_blocks(f).get(parts)
+    return _json_text({
+        "d": len(f),
+        "n": sum(f),
+        "f": list(f),
+        "lambda": list(parts),
+        "trace": 0.0 if block is None else float(np.trace(block)),
+        "matrix": [[float(x.real), float(x.imag)] for x in mat.ravel()],
+        "kostka": kostka(f, lam),
+        "dim_frame": hook_dimension(lam),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +385,9 @@ def _mode_example(cfg: dict, seed: int, fmt: str) -> str:
 # verify battery
 
 
-def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
-    """Cross-checks across the library; raises VerificationError on failure."""
-    lines = [f"verify d={d} n_max={n_max} seed={seed}"]
+def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
+    """Cross-checks at d = 2 and d = 3; raises VerificationError on failure."""
+    lines = [f"verify n_max={n_max} seed={seed}"]
 
     for dd in (2, 3):
         for n in range(1, min(n_max, 6) + 1):
@@ -498,11 +507,7 @@ def verify_suite(d: int = 2, n_max: int = 5, seed: int = 0) -> list[str]:
 
 
 def _mode_verify(cfg: dict, seed: int, fmt: str) -> str:
-    lines = verify_suite(
-        d=int(cfg.get("d", 2)),
-        n_max=int(cfg.get("n_max", 5)),
-        seed=seed,
-    )
+    lines = verify_suite(n_max=int(cfg.get("n_max", 5)), seed=seed)
     return "\n".join(lines) + "\n"
 
 

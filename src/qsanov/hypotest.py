@@ -33,7 +33,6 @@ import numpy as np
 from .errors import SizeGuardError, VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
 from .schur_weyl import (
-    block_projector,
     dense_from_blocks,
     frequency_blocks,
     gt_irrep,
@@ -142,7 +141,11 @@ def build_test(spec: TestSpec, labels=None) -> np.ndarray:
     """
     if labels is None:
         labels = lambda_set(spec)
-    pieces = ((f, block_projector(f, lam).block) for f, lam in sorted(labels))
+    pieces = (
+        (f, block)
+        for f, lam in sorted(labels)
+        if (block := frequency_blocks(f).get(lam)) is not None
+    )
     return dense_from_blocks(pieces, spec.d, spec.n, spec.basis)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VerificationError
-from .quantum import bloch_state, random_state
+from .quantum import bloch_spiral, random_state
 from .schur_weyl import (
     DENSE_LIMIT,
     guard_dimension,
@@ -156,14 +156,7 @@ def _probe_states(d: int, sample_states: int, rng: np.random.Generator):
         yield e
     yield np.eye(d, dtype=complex) / d
     if d == 2:
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        for shell in (0.5, 1.0):
-            for i in range(25):
-                z = 1.0 - 2.0 * (i + 0.5) / 25
-                r = math.sqrt(max(0.0, 1.0 - z * z))
-                yield bloch_state(
-                    shell * np.array([r * math.cos(golden * i), r * math.sin(golden * i), z])
-                )
+        yield from bloch_spiral((0.5, 1.0), 25)
     for _ in range(sample_states):
         yield random_state(d, rng)
     for _ in range(sample_states // 2):

@@ -169,6 +169,23 @@ def bloch_state(x) -> np.ndarray:
     )
 
 
+def bloch_spiral(shells, n_dir: int) -> list[np.ndarray]:
+    """Qubit states on a golden-angle (Fibonacci) spiral of n_dir Bloch directions.
+
+    Direction i has z = 1 - (2 i + 1) / n_dir and azimuth i pi (3 - sqrt 5);
+    the spiral is repeated at each Bloch length in `shells`, in order.
+    """
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    out = []
+    for shell in shells:
+        for i in range(n_dir):
+            z = 1.0 - 2.0 * (i + 0.5) / n_dir
+            r = math.sqrt(max(0.0, 1.0 - z * z))
+            phi = golden * i
+            out.append(bloch_state(shell * np.array([r * math.cos(phi), r * math.sin(phi), z])))
+    return out
+
+
 def random_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random density matrix from a complex Ginibre factor of given rank."""
     rank = d if rank is None else rank

@@ -1,4 +1,4 @@
-"""Symmetric-group machinery on n-fold tensor powers of C^d.
+"""Schur-Weyl duality on n-fold tensor powers of C^d.
 
 For a fixed orthonormal basis of C^d, the tensor power splits into word
 blocks V_f spanned by the product basis vectors whose letter counts equal
@@ -6,33 +6,34 @@ the frequency f. Each block carries a permutation action of S_n and splits
 further into frame components V_{f,lam}, one per partition lam dominating
 the sorted frequency; the component multiplicities are Kostka numbers.
 
-Projectors onto the components are computed inside each word block. Every
-central element of the group algebra acts on a frame component as an exact
-integer scalar (its central character). The k-cycle class sums Z_k commute,
-so for the fewest cycle lengths 2..K whose central characters tell the
-candidate frames of a block apart, the real combination
-sum_k (pi/7)**(k-2) Z_k is one symmetric matrix whose eigenspaces are the
-frame components. A single eigendecomposition per block therefore yields
-all of its projectors, and each eigenvalue is checked against the exact
-target sum_k (pi/7)**(k-2) chi_k(lam). The projectors agree with the
-classical central idempotents built from the full character sum.
+The S_n side is what word states and dense operators need. Projectors onto
+the components are computed inside each word block (`frequency_blocks`).
+Every central element of the group algebra acts on a frame component as an
+exact integer scalar (its central character, from the Murnaghan-Nakayama
+rule). The k-cycle class sums Z_k commute, so for the fewest cycle lengths
+2..K whose central characters tell the candidate frames of a block apart,
+the real combination sum_k (pi/7)**(k-2) Z_k is one symmetric matrix whose
+eigenspaces are the frame components. A single eigendecomposition per block
+therefore yields all of its projectors, and each eigenvalue is checked
+against the exact target sum_k (pi/7)**(k-2) chi_k(lam). The blocks are
+real in the word basis. `dense_from_blocks` is the one path from blocks to
+d**n operators (`block_projector`, `isotypical_projector`), and
+`word_block_state` restricts a product of site states to a block.
+Full-space work is guarded: index-level work (`perm_index_map`) allows
+d**n up to 60000, dense d**n x d**n matrices up to 4096.
 
-Word blocks serve word states and the dense operators; their matrices are
-real in the word basis. Dense full-space materialization is guarded:
-index-level work allows d**n up to 60000, dense d**n x d**n matrices up
-to 4096.
-
-The U(d) side of the duality is built in the Gelfand-Tsetlin basis
-(`gt_irrep`): pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's
-dimension, guarded at 4096, and its weight table at 60000 (`gt_weights`,
-`schur_polynomial`). Single-state block weights come from it alone.
+The U(d) side is built in the Gelfand-Tsetlin basis (`gt_irrep`):
+pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's dimension,
+guarded at 4096, and its weight table at 60000 (`gt_weights`,
+`schur_polynomial`, `weyl_dimension`). Single-state block weights come from
+it alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -49,7 +50,6 @@ from .tableaux import (
     enumerate_frequencies,
     hook_dimension,
     relative_entropy,
-    type_class_size,
 )
 
 GUARD_LIMIT = 60000
@@ -126,90 +126,20 @@ def _validate_perm(perm) -> tuple[int, ...]:
     return p
 
 
-def compose(p, q) -> tuple[int, ...]:
-    """(p o q)(x) = p(q(x))."""
-    p = _validate_perm(p)
-    q = _validate_perm(q)
-    return tuple(p[q[x]] for x in range(len(p)))
+def perm_index_map(perm, d: int) -> np.ndarray:
+    """Array M with M[code(w)] = code(pi . w), for all d**n words (guarded).
 
-
-class PermOperator:
-    """Action of a permutation on the n-fold tensor power of C^d.
-
-    The operator sends the product basis word w to the word w' with
-    w'[pi(i)] = w[i]: letter i moves to slot pi(i).
+    pi . w is the word w' with w'[pi(i)] = w[i]: letter i moves to slot
+    pi(i).
     """
-
-    __slots__ = ("perm", "d", "n")
-
-    def __init__(self, perm, d: int):
-        self.perm = _validate_perm(perm)
-        self.d = int(d)
-        self.n = len(self.perm)
-
-    def inverse_slots(self) -> np.ndarray:
-        inv = np.empty(self.n, dtype=np.int64)
-        for i, p in enumerate(self.perm):
-            inv[p] = i
-        return inv
-
-    def apply_to_words(self, words: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(words[:, self.inverse_slots()])
-
-    def index_map(self) -> np.ndarray:
-        """Array M with M[code(w)] = code(pi . w), for all d**n words."""
-        dim = guard_dimension(self.d, self.n)
-        codes = np.arange(dim, dtype=np.int64)
-        digits = np.empty((dim, self.n), dtype=np.int64)
-        rem = codes
-        for j in range(self.n - 1, -1, -1):
-            digits[:, j] = rem % self.d
-            rem = rem // self.d
-        return word_codes(self.apply_to_words(digits), self.d)
-
-    def matrix(self) -> np.ndarray:
-        dim = guard_dimension(self.d, self.n, DENSE_LIMIT)
-        out = np.zeros((dim, dim))
-        out[self.index_map(), np.arange(dim)] = 1.0
-        return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * self.n
-        lengths = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            length = 0
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = self.perm[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
+    p = _validate_perm(perm)
+    shape = (int(d),) * len(p)
+    digits = np.unravel_index(np.arange(guard_dimension(int(d), len(p))), shape)
+    return np.ravel_multi_index([digits[i] for i in np.argsort(p)], shape)
 
 
 # ---------------------------------------------------------------------------
 # characters
-
-
-def conjugacy_classes(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All cycle types of S_n with their class sizes (exact)."""
-    out = []
-    for mu in enumerate_frames(n, n):
-        parts = mu.parts
-        z = 1
-        for length, reps in _multiplicities(parts).items():
-            z *= length**reps * math.factorial(reps)
-        out.append((parts, math.factorial(n) // z))
-    return out
-
-
-def _multiplicities(parts) -> dict[int, int]:
-    m: dict[int, int] = {}
-    for p in parts:
-        m[p] = m.get(p, 0) + 1
-    return m
 
 
 @lru_cache(maxsize=None)
@@ -245,42 +175,6 @@ def character(lam, mu) -> int:
     if sum(lam_p) != sum(mu_p):
         raise ValueError("frame and cycle type must partition the same n")
     return _mn_character(lam_p, tuple(sorted(mu_p, reverse=True)))
-
-
-@dataclass
-class CharacterTable:
-    """Characters of the frames with at most d rows, over all cycle types."""
-
-    n: int
-    frames: list[tuple[int, ...]]
-    classes: list[tuple[tuple[int, ...], int]]
-    values: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = field(repr=False)
-
-    def chi(self, lam, mu) -> int:
-        return self.values[(_frame_parts(lam), _frame_parts(mu))]
-
-    def orthogonality_defect(self) -> int:
-        """Max |sum_mu |class| chi chi' - n! [lam = lam']| over frame pairs."""
-        fact = math.factorial(self.n)
-        worst = 0
-        for a in self.frames:
-            for b in self.frames:
-                s = sum(
-                    size * self.values[(a, mu)] * self.values[(b, mu)]
-                    for mu, size in self.classes
-                )
-                expect = fact if a == b else 0
-                worst = max(worst, abs(s - expect))
-        return worst
-
-
-def character_table(d: int, n: int) -> CharacterTable:
-    frames = [fr.parts for fr in enumerate_frames(d, n)]
-    classes = conjugacy_classes(n)
-    values = {
-        (lam, mu): _mn_character(lam, mu) for lam in frames for mu, _ in classes
-    }
-    return CharacterTable(n=n, frames=frames, classes=classes, values=values)
 
 
 def kcycle_class_size(n: int, k: int) -> int:
@@ -426,52 +320,11 @@ def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
     return out
 
 
-@dataclass
-class ProjectorBlock:
-    """Joint frequency/frame projector, stored on its word block.
+def block_projector(f, lam, basis=None) -> np.ndarray:
+    """Dense projector onto the lam component of the frequency-f word block.
 
-    `block` is the real symmetric projector restricted to the words of
-    frequency f (the basis in which the tensor factors are pinched);
-    `matrix()` embeds it into the full d**n space, rotating out of the
-    pinching basis when one is attached.
-    """
-
-    f: tuple[int, ...]
-    lam: tuple[int, ...]
-    block: np.ndarray
-    basis: np.ndarray | None = None
-
-    @property
-    def d(self) -> int:
-        return len(self.f)
-
-    @property
-    def n(self) -> int:
-        return sum(self.f)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.block))
-
-    def matrix(self) -> np.ndarray:
-        return dense_from_blocks([(self.f, self.block)], self.d, self.n, self.basis)
-
-    def to_json_dict(self) -> dict:
-        mat = self.matrix()
-        return {
-            "d": self.d,
-            "n": self.n,
-            "f": list(self.f),
-            "lambda": list(self.lam),
-            "trace": self.trace,
-            "matrix": [[float(x.real), float(x.imag)] for x in mat.ravel()],
-        }
-
-
-def block_projector(f, lam, basis=None) -> ProjectorBlock:
-    """Projector onto the lam component of the frequency-f word block.
-
-    Vanishing Kostka number gives the zero block.
+    With a basis, the word block is rotated out of it (`dense_from_blocks`).
+    Vanishing Kostka number gives the zero matrix.
     """
     counts = _freq_counts(f)
     lam_p = _frame_parts(lam)
@@ -480,21 +333,8 @@ def block_projector(f, lam, basis=None) -> ProjectorBlock:
     if len(lam_p) > len(counts):
         raise ValueError("frame has more rows than the alphabet has letters")
     block = frequency_blocks(counts).get(lam_p)
-    if block is None:
-        m = type_class_size(counts)
-        block = np.zeros((m, m))
-    if basis is not None:
-        basis = assert_basis(basis)
-    return ProjectorBlock(f=counts, lam=lam_p, block=block, basis=basis)
-
-
-def frequency_projector(f, basis=None) -> np.ndarray:
-    """Projector onto the span of the basis words with letter counts f."""
-    counts = _freq_counts(f)
-    d = len(counts)
-    n = sum(counts)
-    guard_dimension(d, n, DENSE_LIMIT)  # before the identity block is allocated
-    return dense_from_blocks([(counts, np.eye(type_class_size(counts)))], d, n, basis)
+    pieces = [] if block is None else [(counts, block)]
+    return dense_from_blocks(pieces, len(counts), sum(counts), basis)
 
 
 def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
@@ -547,6 +387,10 @@ def block_weight(f, lam, states, basis=None) -> float:
     d_lam sum_{wt T = f} pi_lam(rho)[T, T] on the Gelfand-Tsetlin irrep, with
     no word block or d**n guard; a sequence is restricted to the word block
     of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
+
+    The irrep diagonal is taken once per (lam, rho') and shared by every f
+    of the frame. Like `GTIrrep.diagonal`, a tiny weight is accurate only
+    to about eps**2 times the frame's largest weight, in absolute terms.
     """
     counts = _freq_counts(f)
     lam_p = _frame_parts(lam)
@@ -554,12 +398,13 @@ def block_weight(f, lam, states, basis=None) -> float:
         return 0.0
     rho = np.asarray(states, dtype=complex)
     if rho.ndim == 2:
-        irrep = gt_irrep(lam_p, len(counts))
+        d = len(counts)
         if basis is not None:
             b = assert_basis(basis)
             rho = b.conj().T @ rho @ b
-        rows = (irrep.weights == counts).all(axis=1)
-        return hook_dimension(lam_p) * float(irrep.diagonal(rho, rows).sum())
+        diag = _gt_diagonal(lam_p, d, np.ascontiguousarray(rho).tobytes())
+        rows = (gt_weights(lam_p, d) == counts).all(axis=1)
+        return hook_dimension(lam_p) * float(diag[rows].sum())
     prod = word_block_state(counts, states, basis)
     return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
 
@@ -789,7 +634,10 @@ class GTIrrep:
         """pi_lam(X)[T, T] for T in rows, X >= 0.
 
         Each is sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), a sum of
-        nonnegative terms.
+        nonnegative terms. The entries of pi_lam(V) carry about eps of
+        absolute noise, so a tiny value is accurate only to about eps**2
+        times the largest weight r**wt, in absolute terms, not relative
+        to itself.
         """
         r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
         p = self.unitary(v)[rows]
@@ -804,6 +652,14 @@ def _sub_unitary(mu: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
     once per state.
     """
     out = _gt_irrep(mu, d).unitary(np.frombuffer(key, dtype=complex).reshape(d, d))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=512)
+def _gt_diagonal(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
+    """pi_lam(x)[T, T] over all patterns T, x given by its bytes (read-only)."""
+    out = _gt_irrep(lam, d).diagonal(np.frombuffer(key, dtype=complex).reshape(d, d))
     out.flags.writeable = False
     return out
 
@@ -912,7 +768,7 @@ def invariance_defect(a, d: int, n: int, rng=None, samples: int = 8) -> float:
     perms = [tuple(rng.permutation(n)) for _ in range(samples)]
     perms.append(tuple(range(1, n)) + (0,))  # cyclic shift
     for perm in perms:
-        pmap = PermOperator(perm, d).index_map()
+        pmap = perm_index_map(perm, d)
         conj = mat[np.ix_(pmap, pmap)]
         worst = max(worst, float(np.abs(conj - mat).max()))
     return worst

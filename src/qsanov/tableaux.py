@@ -363,15 +363,6 @@ def kostka(f, lam) -> int:
     return _kostka_rec(parts, counts)
 
 
-def schur_multiplicity(lam, d: int) -> int:
-    """Multiplicity sum over all d-letter contents: sum_f kostka(f, lam)."""
-    parts = _frame_parts(lam)
-    if len(parts) > d:
-        return 0
-    n = sum(parts)
-    return sum(kostka(f, parts) for f in enumerate_frequencies(d, n))
-
-
 def majorizes(a, b, tol: float = 1e-12) -> bool:
     """True when the decreasing rearrangement of a majorizes that of b."""
     va = np.sort(np.asarray(a, dtype=float))[::-1]

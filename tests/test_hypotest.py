@@ -9,6 +9,7 @@ from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
+    _fractional_np,
     _hermitian,
     _log_threshold_bracket,
     _np_over_blocks,
@@ -241,6 +242,27 @@ def test_neyman_pearson_edge_cases():
     assert beta_loose <= beta_tight + 1e-12
 
 
+def test_neyman_pearson_with_likelihood_ratio_ties_across_frames():
+    # rho = diag(0.6, 0.4) against sigma = diag(0.4, 0.6): every label with
+    # the same f has the ratio (3/2)**(f0 - f1), whatever its frame, so the
+    # optimum is the classical one over types, weighted by C(n, k)
+    p_vec, q_vec = np.array([0.6, 0.4]), np.array([0.4, 0.6])
+    for n in range(2, 9):
+        k = np.arange(n + 1)
+        binom = np.array([math.comb(n, j) for j in k], dtype=float)
+        p = binom * p_vec[0] ** (n - k) * p_vec[1] ** k
+        q = binom * q_vec[0] ** (n - k) * q_vec[1] ** k
+        for nu in (0.05, 0.3, 0.5):
+            beta = neyman_pearson(np.diag(p_vec), np.diag(q_vec), n, nu)
+            want = _fractional_np(p, q, 1.0 - nu)
+            assert abs(beta - want) <= 1e-12 * want, (n, nu, beta, want)
+    # rho = sigma: every eigenvalue of rho^n - t sigma^n ties at t = 1
+    for n in (2, 5, 8):
+        for nu in (0.05, 0.3, 0.5):
+            beta = neyman_pearson(np.eye(2) / 2, np.eye(2) / 2, n, nu)
+            assert abs(beta - (1.0 - nu)) <= 1e-15, (n, nu, beta)
+
+
 def test_neyman_pearson_at_level_zero_accepts_the_support():
     # At nu = 0 the test is the identity on supp(rho)^n, so beta is
     # tr(Pi^n sigma^n): 1 for a nonsingular rho. For a singular rho the
@@ -405,6 +427,26 @@ def test_label_errors_match_dense_type_one_and_type_two():
             for rho in nulls:
                 miss = label_errors(spec, labels, [rho]).misses[(n,)]
                 assert abs(miss - type_one(p, rho)) < 1e-12, (i, n)
+
+
+def test_label_errors_with_sigma_near_the_eigenvalue_floor():
+    # sigma = U diag(1 - t, t) U^dag a few decades above SIGMA_MIN_EIG, U a
+    # complex QR draw: the labels still match the dense projector
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    rho = random_state(2, rng)
+    for t in (2e-12, 1e-11, 1e-9):
+        sigma = u @ np.diag([1.0 - t, t]) @ u.conj().T
+        for n in (4, 6):
+            spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n)
+            labels = lambda_set(spec)
+            p = build_test(spec, labels)
+            errs = label_errors(spec, labels, [rho])
+            assert abs(errs.type_two - type_two(p, sigma)) <= 1e-12, (t, n)
+            assert abs(errs.misses[(n,)] - type_one(p, rho)) <= 1e-12, (t, n)
+    sigma = u @ np.diag([1.0 - 1e-13, 1e-13]) @ u.conj().T
+    with pytest.raises(ValueError):
+        TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=4)
 
 
 def test_label_type_two_matches_dense_at_d3():
