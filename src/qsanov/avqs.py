@@ -309,7 +309,7 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
     result of testing with it equals testing the original operator on
     sitewise-depolarized states.
     """
-    p = np.asarray(p_n, dtype=complex)
+    p = np.asarray(p_n)
     dim = guard_dimension(d, n, DENSE_LIMIT)
     if p.shape != (dim, dim):
         raise ValueError(f"operator shape {p.shape} does not match d**n = {dim}")
@@ -317,16 +317,12 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
         raise ValueError(f"delta={delta} outside [0, 1]")
     work = p.reshape((d,) * (2 * n))
     for site in range(n):
-        row_ax = site
-        col_ax = n + site
-        partial = np.trace(work, axis1=row_ax, axis2=col_ax)
-        eye = np.eye(d)
-        expanded = np.tensordot(partial, eye, axes=0)
-        # move the two fresh axes back to the site's slots
-        expanded = np.moveaxis(expanded, (2 * n - 2, 2 * n - 1), (row_ax, col_ax))
-        work = (1.0 - delta) * work + (delta / d) * expanded
+        slots = (site, n + site)
+        eye = np.expand_dims(np.eye(d), tuple(a for a in range(2 * n) if a not in slots))
+        partial = np.expand_dims(np.trace(work, axis1=site, axis2=n + site), slots)
+        work = (1.0 - delta) * work + (delta / d) * (partial * eye)
     out = work.reshape(dim, dim)
-    if np.abs(out.imag).max() < 1e-15:
+    if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
         return out.real
     return out
 

@@ -19,6 +19,7 @@ from .errors import SizeGuardError, VerificationError
 from .hypotest import (
     TestSpec,
     _fractional_np,
+    _label_band,
     build_test,
     label_errors,
     lambda_set,
@@ -34,8 +35,9 @@ from .nogo import (
     random_invariant_operator,
     unitary_twirl_invariant,
 )
-from .quantum import bloch_state, qrel_entropy, random_state, spectrum
+from .quantum import bloch_state, qrel_entropy, random_state
 from .schur_weyl import (
+    _gt_diagonal,
     block_projector,
     block_weight,
     completeness_check,
@@ -51,7 +53,6 @@ from .tableaux import (
     enumerate_frequencies,
     hook_dimension,
     kostka,
-    l1_distance,
     type_class_bounds,
     type_class_size,
 )
@@ -304,18 +305,11 @@ def example_bloch(n: int = 6, eps: float = 0.25, grid: int = 24, seed: int = 0) 
     total_e = float(p_e.sum())
     posterior_sigma = float(p_e[-1] / total_e) if total_e > 0 else None
 
-    fbars = [np.asarray(f, dtype=float) / n for f, _ in labels]
-    lbars = [np.asarray(lam + (0,) * (2 - len(lam)), dtype=float) / n for _, lam in labels]
-    # letter order of f matches the descending sigma eigenbasis, here e0, e1
-    pinches = [np.diag(xi).real.copy() for xi in pool]
-    spectra = [spectrum(xi) for xi in pool]
-    in_band = np.zeros_like(probs, dtype=bool)
-    for j in range(len(labels)):
-        for i in range(len(pool)):
-            in_band[i, j] = (
-                l1_distance(fbars[j], pinches[i]) <= eps
-                and l1_distance(lbars[j], spectra[i]) <= eps
-            )
+    freqs, frames, freq_ok, frame_ok = _label_band(pool, spec.basis, eps, 2, n)
+    in_band = (
+        freq_ok[:, [freqs.index(f) for f, _ in labels]]
+        & frame_ok[:, [frames.index(lam) for _, lam in labels]]
+    )
     label_mass = probs.sum(axis=0)
     localized = []
     for j in range(len(labels)):
@@ -327,7 +321,7 @@ def example_bloch(n: int = 6, eps: float = 0.25, grid: int = 24, seed: int = 0) 
     pair_b = bloch_state([-0.4, 0.0, 0.2])
     qa, qb = outcome_probs(pair_a), outcome_probs(pair_b)
     gap = max(
-        float(np.abs(qa - qb).max()),
+        float(np.abs(qa - qb).max(initial=0.0)),
         abs(float(qa.sum() - qb.sum())),
     )
     excluded = bloch_state([0.0, 0.0, 0.75])
@@ -493,6 +487,8 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
     lines.append("ok twirl")
 
     def _fingerprint() -> str:
+        # recompute: block_weight caches the irrep diagonal per state
+        _gt_diagonal.cache_clear()
         r = np.random.default_rng(seed)
         xs = [random_state(2, r) for _ in range(3)]
         vals = [block_weight((2, 2), (3, 1), x) for x in xs]

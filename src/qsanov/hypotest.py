@@ -33,6 +33,7 @@ import numpy as np
 from .errors import SizeGuardError, VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
 from .schur_weyl import (
+    GUARD_LIMIT,
     dense_from_blocks,
     frequency_blocks,
     gt_irrep,
@@ -46,7 +47,6 @@ from .tableaux import (
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
-    l1_distance,
 )
 
 SIGMA_MIN_EIG = 1e-12
@@ -58,7 +58,7 @@ class TestSpec:
 
     `null_set` lists the null-hypothesis states; with `hull=True` the null
     is their convex hull, probed on a mixing-weight grid of pitch about
-    epsilon/4.
+    epsilon/4 (SizeGuardError above GUARD_LIMIT grid points).
     """
 
     sigma: np.ndarray
@@ -93,11 +93,39 @@ def _null_candidates(spec: TestSpec) -> list[np.ndarray]:
     if not spec.hull or len(spec.null_set) == 1:
         return list(spec.null_set)
     steps = max(1, math.ceil(1.0 / max(spec.epsilon / 4.0, 1e-3)))
+    size = len(spec.null_set)
+    count = math.comb(steps + size - 1, size - 1)
+    if count > GUARD_LIMIT:
+        raise SizeGuardError(
+            f"|S| = {size}: a hull grid of {count} mixtures exceeds the guard of {GUARD_LIMIT}"
+        )
     out = []
-    for grid_point in enumerate_frequencies(len(spec.null_set), steps):
+    for grid_point in enumerate_frequencies(size, steps):
         weights = np.array(grid_point.counts, dtype=float) / steps
         out.append(sum(w * s for w, s in zip(weights, spec.null_set)))
     return out
+
+
+def _label_band(states, basis, epsilon: float, d: int, n: int):
+    """The epsilon-band of the label criterion: (freqs, frames, freq_ok, frame_ok).
+
+    freqs and frames are the frequency counts and frame parts of n letters
+    in d. freq_ok[i, q] says that pinch(states[i], basis) lies within
+    epsilon (l1) of freqs[q]/n, frame_ok[i, j] that spectrum(states[i])
+    lies within epsilon of frames[j]/n, padded to d parts.
+    """
+    freqs = [f.counts for f in enumerate_frequencies(d, n)]
+    frames = enumerate_frames(d, n)
+
+    def within(points, centres):
+        return np.stack([np.abs(points - c).sum(axis=1) <= epsilon for c in centres], axis=1)
+
+    freq_ok = within(np.array([pinch(s, basis) for s in states]), np.array(freqs, float) / n)
+    frame_ok = within(
+        np.array([spectrum(s) for s in states]),
+        np.array([fr.padded(d) for fr in frames], dtype=float) / n,
+    )
+    return freqs, [fr.parts for fr in frames], freq_ok, frame_ok
 
 
 def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -105,31 +133,14 @@ def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ..
 
     A pair is kept when a single candidate null state has its pinched
     diagonal within epsilon of f/n and its spectrum within epsilon of the
-    normalized frame, both in l1.
+    normalized frame, both in l1 (`_label_band`). Pairs with K_{f,lam} = 0
+    are kept too; their blocks are empty.
     """
-    d, n = spec.d, spec.n
-    cands = _null_candidates(spec)
-    pinches = [pinch(s, spec.basis) for s in cands]
-    spectra = [spectrum(s) for s in cands]
-    frames = enumerate_frames(d, n)
-    frame_ok: dict[tuple[int, ...], np.ndarray] = {}
-    for fr in frames:
-        lam_norm = np.asarray(fr.padded(d), dtype=float) / n
-        frame_ok[fr.parts] = np.array(
-            [l1_distance(lam_norm, r) <= spec.epsilon for r in spectra]
-        )
-    pairs = []
-    for f in enumerate_frequencies(d, n):
-        f_norm = np.asarray(f.counts, dtype=float) / n
-        freq_ok = np.array(
-            [l1_distance(f_norm, rt) <= spec.epsilon for rt in pinches]
-        )
-        if not freq_ok.any():
-            continue
-        for fr in frames:
-            if np.any(freq_ok & frame_ok[fr.parts]):
-                pairs.append((f.counts, fr.parts))
-    return frozenset(pairs)
+    freqs, frames, freq_ok, frame_ok = _label_band(
+        _null_candidates(spec), spec.basis, spec.epsilon, spec.d, spec.n
+    )
+    hits = np.nonzero(freq_ok.T @ frame_ok)
+    return frozenset((freqs[q], frames[j]) for q, j in zip(*hits))
 
 
 def build_test(spec: TestSpec, labels=None) -> np.ndarray:
@@ -196,15 +207,16 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     """Type-two error and word-state misses of a label test, at every d.
 
     Both come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
-    whose weights are the frequencies f of the labels (f, lam). Since
-    sigma^n is diagonal in its own eigenbasis, the type-two error is
-    sum_lam d_lam sum_T t^(wt T) over the accepted weights of each frame.
-    A miss is taken per letter-count type c of the alphabet, with
-    rho' = B^dag rho B (B the sigma eigenbasis). The miss of a one-state
-    alphabet [rho] is the mass of rho'^n on the rejected weights, summed
-    over the irreps (`_irrep_miss`), with no 1 - sum term. For a larger
-    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s on the
-    rejected labels, read off per monomial y^c and divided by the
+    whose weights are the frequencies f of the labels (f, lam); the labels
+    are decoded once into per-frame masks of accepted weights
+    (`_accepted_weights`). Since sigma^n is diagonal in its own eigenbasis,
+    the type-two error is sum_lam d_lam sum_T t^(wt T) over the accepted
+    weights of each frame. A miss is taken per letter-count type c of the
+    alphabet, with rho' = B^dag rho B (B the sigma eigenbasis). The miss of
+    a one-state alphabet [rho] is the mass of rho'^n on the rejected
+    weights, summed over the irreps (`_irrep_miss`), with no 1 - sum term.
+    For a larger alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s
+    on the rejected weights, read off per monomial y^c and divided by the
     multinomial C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one
     minus the accepted `block_weight`s of the sorted word of type c, so
     only the word blocks of accepted frequencies are built (word states
@@ -227,11 +239,11 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     if len(states) == 1:
         misses = [_irrep_miss(states[0], accepted, d, n)]
     elif d == 2:
+        # GT row r of lam = (n - k, k) has weight (k + r, n - k - r)
         rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
-        for f, lam in labels:
+        for lam, acc in accepted.items():
             k = lam[1] if len(lam) > 1 else 0
-            if k <= f[0] <= n - k:
-                rejected[k, f[0] - k] = False
+            rejected[k, : n - 2 * k + 1] = ~acc
         mass = _qubit_label_mass(states, n, rejected)
         log_fact = _log_factorials(n)
         misses = [

@@ -359,8 +359,7 @@ def completeness_check(d: int, n: int) -> float:
 
     Works block by block: distinct frequencies occupy disjoint word
     coordinates, so the deviation is block diagonal and its spectral norm
-    is the max over blocks. Blocks above 2000 words fall back to the
-    Frobenius norm, an upper bound on the spectral norm.
+    is the max over blocks.
     """
     guard_dimension(d, n)
     worst = 0.0
@@ -370,12 +369,7 @@ def completeness_check(d: int, n: int) -> float:
         total = np.zeros((m, m))
         for block in blocks.values():
             total += block
-        dev = total - np.eye(m)
-        if m <= 2000:
-            norm = float(np.abs(np.linalg.eigvalsh(dev)).max())
-        else:
-            norm = float(np.linalg.norm(dev))
-        worst = max(worst, norm)
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(total - np.eye(m))).max()))
     return worst
 
 

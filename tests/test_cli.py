@@ -1,3 +1,4 @@
+import itertools
 import json
 import shutil
 import subprocess
@@ -5,11 +6,13 @@ import subprocess
 import numpy as np
 import pytest
 
-from qsanov import cli
+from qsanov import cli, hypotest, schur_weyl
 from qsanov.avqs import min_relative_entropy_hull
 from qsanov.errors import VerificationError
-from qsanov.hypotest import neyman_pearson, run_sanov
-from qsanov.tableaux import hook_dimension, kostka
+from qsanov.hypotest import TestSpec, lambda_set, neyman_pearson, run_sanov
+from qsanov.quantum import pinch, spectrum
+from qsanov.schur_weyl import block_weight
+from qsanov.tableaux import hook_dimension, kostka, l1_distance
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -34,6 +37,20 @@ def test_verify_exit_zero_and_deterministic(tmp_path):
     text = out1.read_text()
     assert "all checks passed" in text
     assert text.count("ok ") == 8
+
+
+def test_verify_catches_a_nondeterministic_irrep_diagonal(monkeypatch, capsys):
+    # a stand-in beneath the block_weight cache that drifts by 1e-15 per
+    # call: the label checks (1e-12) still pass, the fingerprint must not
+    real = schur_weyl.GTIrrep.diagonal
+    calls = itertools.count(1)
+
+    def drifting(self, x, rows=slice(None)):
+        return real(self, x, rows) * (1.0 + 1e-15 * next(calls))
+
+    monkeypatch.setattr(schur_weyl.GTIrrep, "diagonal", drifting)
+    assert cli.main(["verify", "--n-max", "3"]) == 1
+    assert "determinism" in capsys.readouterr().err
 
 
 def test_parse_errors_exit_two(tmp_path):
@@ -232,6 +249,19 @@ def test_avqs_mode_at_d3_n8_passes_the_dense_guard(tmp_path):
     assert 0.0 < float(cells[5]) < 1.0
 
 
+def test_sanov_hull_grid_above_the_guard_exits_three(tmp_path, capsys):
+    # |S| = 4 at epsilon = 0.01 probes C(403, 3) = 10,827,401 mixtures
+    cfg = _write_cfg(tmp_path, "hull.json", {
+        "sigma": {"diag": [0.5, 0.5]},
+        "null_set": [{"bloch": v} for v in ([0.3, 0, 0], [0, 0.3, 0], [0, 0, 0.3], [-0.3, 0, 0])],
+        "epsilon": 0.01,
+        "n": 4,
+        "hull": True,
+    })
+    assert cli.main(["sanov", "--config", cfg]) == 3
+    assert "10827401 mixtures" in capsys.readouterr().err
+
+
 def test_sanov_mode_when_every_label_is_rejected(tmp_path):
     # at n = 1 no frequency of diag(0.7, 0.3) is within 0.25: the test is
     # empty, its type-one error is 1 and the empty test is the NP optimum
@@ -296,6 +326,50 @@ def test_example_bloch_report(tmp_path):
         assert 0.0 <= report["localization_min"] <= 1.0 + 1e-9
     assert cli.main(["example-bloch", "--n", "4", "--seed", "1", "--out", str(out2)]) == 0
     assert json.loads(out2.read_text())["seed"] == 1
+
+
+def test_example_bloch_with_no_labels(tmp_path):
+    # at epsilon = 0.05 no label is accepted at n = 2 or 3: no outcome and
+    # gap 0; at epsilon = 0.1 each keeps one label
+    for n, eps in ((2, "0.05"), (3, "0.05"), (2, "0.1"), (3, "0.1")):
+        out = tmp_path / f"e{n}_{eps}.json"
+        assert cli.main(["example-bloch", "--n", str(n), "--eps", eps, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        if eps == "0.05":
+            assert report["label_count"] == 0 and report["localization_min"] is None
+            assert report["indistinguishable_gap"] == 0.0
+
+
+def test_example_bloch_localization_matches_a_brute_force_band(monkeypatch):
+    # the band of every (state, label) pair by l1_distance, on the pool
+    # that example_bloch hands to _label_band
+    pools = []
+
+    def spy(states, basis, epsilon, d, n):
+        pools.append(list(states))
+        return hypotest._label_band(states, basis, epsilon, d, n)
+
+    monkeypatch.setattr(cli, "_label_band", spy)
+    for n, eps in ((4, 0.25), (6, 0.25), (7, 0.4), (8, 0.1)):
+        report = cli.example_bloch(n=n, eps=eps)
+        pool = pools.pop()
+        spec = TestSpec(sigma=pool[-1], null_set=pool[:-1], epsilon=eps, n=n)
+        labels = sorted(lambda_set(spec))
+        probs = np.array([[block_weight(f, lam, xi) for f, lam in labels] for xi in pool])
+        mass = probs.sum(axis=0)
+        localized = []
+        for j, (f, lam) in enumerate(labels):
+            f_bar = np.asarray(f, dtype=float) / n
+            lam_bar = np.asarray(lam + (0,) * (2 - len(lam)), dtype=float) / n
+            band = [
+                l1_distance(f_bar, pinch(xi, spec.basis)) <= eps
+                and l1_distance(lam_bar, spectrum(xi)) <= eps
+                for xi in pool
+            ]
+            if mass[j] > 1e-9:
+                localized.append(float(probs[band, j].sum() / mass[j]))
+        assert localized, (n, eps)
+        assert report["localization_min"] == min(localized), (n, eps)
 
 
 def test_console_script_smoke():

@@ -13,6 +13,7 @@ from qsanov.hypotest import (
     _hermitian,
     _log_threshold_bracket,
     _np_over_blocks,
+    _null_candidates,
     build_test,
     epsilon_schedule,
     feasibility_bound,
@@ -26,7 +27,7 @@ from qsanov.hypotest import (
     type_two,
 )
 from qsanov.nogo import haar_unitary
-from qsanov.quantum import bloch_state, qrel_entropy, random_state
+from qsanov.quantum import bloch_state, pinch, qrel_entropy, random_state, spectrum
 from qsanov.schur_weyl import block_weight, gt_irrep, tensor_power
 from qsanov.tableaux import (
     ALPHA,
@@ -35,6 +36,7 @@ from qsanov.tableaux import (
     enumerate_frequencies,
     hook_dimension,
     kostka,
+    l1_distance,
 )
 
 from test_tableaux import ssyt_count, syt_count
@@ -97,6 +99,47 @@ def test_lambda_set_matches_classical_enumeration():
             got = lambda_set(spec)
             want = frozenset(classical_label_set([0.7, 0.3], n, eps))
             assert got == want, (n, eps)
+
+
+def lambda_set_loop(spec):
+    """lambda_set as a double loop over frequencies, frames and candidates."""
+    d, n = spec.d, spec.n
+    cands = _null_candidates(spec)
+    pinches = [pinch(s, spec.basis) for s in cands]
+    spectra = [spectrum(s) for s in cands]
+    pairs = set()
+    for f in enumerate_frequencies(d, n):
+        f_norm = np.asarray(f.counts, dtype=float) / n
+        freq_ok = [l1_distance(f_norm, p) <= spec.epsilon for p in pinches]
+        for fr in enumerate_frames(d, n):
+            lam_norm = np.asarray(fr.padded(d), dtype=float) / n
+            if any(
+                ok and l1_distance(lam_norm, r) <= spec.epsilon
+                for ok, r in zip(freq_ok, spectra)
+            ):
+                pairs.add((f.counts, fr.parts))
+    return frozenset(pairs)
+
+
+def test_lambda_set_matches_the_double_loop():
+    # Seeds and sizes fixed in advance: random complex sigma bases at d = 2
+    # and 3 with |S| = 1..3, the hull on and off; then diagonal nulls a/n at
+    # epsilon = k/n, where l1 distances tie with the radius.
+    rng = np.random.default_rng(71)
+    for i in range(48):
+        d = 2 + i % 2
+        sigma = random_state(d, rng)
+        nulls = [random_state(d, rng) for _ in range(1 + i % 3)]
+        n = int(rng.integers(1, 10 if d == 2 else 6))
+        eps = float(rng.choice([0.1, 0.25, 0.5, 1.0]))
+        spec = TestSpec(sigma=sigma, null_set=nulls, epsilon=eps, n=n, hull=bool(i // 2 % 2))
+        assert lambda_set(spec) == lambda_set_loop(spec), i
+    for n in (4, 6, 9):
+        for a in range(n + 1):
+            for k in (1, 2, 3):
+                rho = np.diag([a / n, 1 - a / n])
+                spec = TestSpec(sigma=np.diag([0.6, 0.4]), null_set=[rho], epsilon=k / n, n=n)
+                assert lambda_set(spec) == lambda_set_loop(spec), (n, a, k)
 
 
 def test_build_test_is_projector():
