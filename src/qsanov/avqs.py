@@ -214,8 +214,19 @@ class Net:
 
 
 def _trace_dists(stack: np.ndarray, point: np.ndarray) -> np.ndarray:
-    diff = stack - point[None, :, :]
-    vals = np.linalg.eigvalsh(diff)
+    """Trace distance from each state of `stack` to `point`.
+
+    A Hermitian 2 x 2 difference has eigenvalues m +- r, with m the mean of
+    its diagonal and r = hypot(half the diagonal gap, |off-diagonal|), so
+    half its trace norm is max(|m|, r); the lower triangle is read, as
+    `eigvalsh` reads it. Larger d takes the eigenvalues.
+    """
+    if stack.shape[-1] == 2:
+        a = stack[:, 0, 0].real - point[0, 0].real
+        b = stack[:, 1, 1].real - point[1, 1].real
+        r = np.hypot(0.5 * (a - b), np.abs(stack[:, 1, 0] - point[1, 0]))
+        return np.maximum(np.abs(0.5 * (a + b)), r)
+    vals = np.linalg.eigvalsh(stack - point[None, :, :])
     return 0.5 * np.abs(vals).sum(axis=1)
 
 
@@ -268,6 +279,13 @@ def delta_net(generators, delta: float, rng=None) -> Net:
     generators appended, runs until the pool is covered within delta/2.
     Containment of the smoothed generators in the hull of the net is
     checked numerically.
+
+    Distances come from `_trace_dists`: the closed form max(|m|, r) of a
+    Hermitian 2 x 2 difference at d = 2, eigenvalues above. Many pool states
+    are equally far from a chosen point (a whole shell from I/2), so the
+    farthest point is picked among exact ties by which distance rounds
+    highest (the first index when the floats are equal). The net's points
+    therefore depend on last-bit rounding; its cover radius does not.
     """
     gens = [assert_state(g) for g in generators]
     d = gens[0].shape[0]
@@ -315,12 +333,14 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
         raise ValueError(f"operator shape {p.shape} does not match d**n = {dim}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0, 1]")
-    work = p.reshape((d,) * (2 * n))
+    work = np.array(p, dtype=np.result_type(p, 1.0)).reshape((d,) * (2 * n))
     for site in range(n):
-        slots = (site, n + site)
-        eye = np.expand_dims(np.eye(d), tuple(a for a in range(2 * n) if a not in slots))
-        partial = np.expand_dims(np.trace(work, axis1=site, axis2=n + site), slots)
-        work = (1.0 - delta) * work + (delta / d) * (partial * eye)
+        partial = (delta / d) * np.trace(work, axis1=site, axis2=n + site)
+        work *= 1.0 - delta
+        at = [slice(None)] * (2 * n)
+        for i in range(d):
+            at[site] = at[n + site] = i
+            work[tuple(at)] += partial
     out = work.reshape(dim, dim)
     if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
         return out.real

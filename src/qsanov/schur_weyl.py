@@ -19,8 +19,8 @@ against the exact target sum_k (pi/7)**(k-2) chi_k(lam). The blocks are
 real in the word basis. `dense_from_blocks` is the one path from blocks to
 d**n operators (`block_projector`, `isotypical_projector`), and
 `word_block_state` restricts a product of site states to a block.
-Full-space work is guarded: index-level work (`perm_index_map`) allows
-d**n up to 60000, dense d**n x d**n matrices up to 4096.
+Full-space work is guarded: index-level work allows d**n up to 60000,
+dense d**n x d**n matrices up to 4096.
 
 The U(d) side is built in the Gelfand-Tsetlin basis (`gt_irrep`):
 pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's dimension,
@@ -124,18 +124,6 @@ def _validate_perm(perm) -> tuple[int, ...]:
     if sorted(p) != list(range(len(p))):
         raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
     return p
-
-
-def perm_index_map(perm, d: int) -> np.ndarray:
-    """Array M with M[code(w)] = code(pi . w), for all d**n words (guarded).
-
-    pi . w is the word w' with w'[pi(i)] = w[i]: letter i moves to slot
-    pi(i).
-    """
-    p = _validate_perm(perm)
-    shape = (int(d),) * len(p)
-    digits = np.unravel_index(np.arange(guard_dimension(int(d), len(p))), shape)
-    return np.ravel_multi_index([digits[i] for i in np.argsort(p)], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -758,11 +746,13 @@ def invariance_defect(a, d: int, n: int, rng=None, samples: int = 8) -> float:
     if mat.shape != (dim, dim):
         raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
     rng = np.random.default_rng(0) if rng is None else rng
+    work = mat.reshape((d,) * (2 * n))
     worst = 0.0
     perms = [tuple(rng.permutation(n)) for _ in range(samples)]
     perms.append(tuple(range(1, n)) + (0,))  # cyclic shift
     for perm in perms:
-        pmap = perm_index_map(perm, d)
-        conj = mat[np.ix_(pmap, pmap)]
-        worst = max(worst, float(np.abs(conj - mat).max()))
+        # axis i of the conjugate is axis pi(i) of A, on rows and on columns
+        p = _validate_perm(perm)
+        conj = work.transpose(list(p) + [n + i for i in p])
+        worst = max(worst, float(np.abs(conj - work).max()))
     return worst

@@ -7,6 +7,8 @@ import pytest
 from qsanov.avqs import (
     HULL_TOL,
     _in_hull_residual,
+    _state_pool,
+    _trace_dists,
     avqs_test,
     delta_net,
     delta_schedule,
@@ -230,6 +232,59 @@ def test_delta_net_small_delta_covers_smoothed_hull():
             assert dist <= delta, dist
 
 
+def eigvalsh_trace_dists(stack, point):
+    return 0.5 * np.abs(np.linalg.eigvalsh(stack - point)).sum(axis=-1)
+
+
+def test_trace_dists_closed_form_matches_eigvalsh():
+    rng = np.random.default_rng(23)
+    zero = np.zeros((2, 2), dtype=complex)
+    # random Hermitian differences: complex off-diagonal, nonzero trace
+    diag = rng.uniform(-1, 1, (500, 2))
+    off = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
+    herm = np.zeros((500, 2, 2), dtype=complex)
+    herm[:, 0, 0], herm[:, 1, 1] = diag[:, 0], diag[:, 1]
+    herm[:, 1, 0], herm[:, 0, 1] = off, off.conj()
+    # rank-deficient: c v v^dag for a unit complex v, and the zero difference
+    v = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rank1 = rng.uniform(-1, 1, 50)[:, None, None] * np.einsum("ki,kj->kij", v, v.conj())
+    for stack in (herm, rank1, zero[None]):
+        got = _trace_dists(stack, zero)
+        assert np.abs(got - eigvalsh_trace_dists(stack, zero)).max() <= 1e-15
+    assert _trace_dists(zero[None], zero)[0] == 0.0
+    # the qubit pool against several of its own points
+    pool = _state_pool(2, np.random.default_rng(0))
+    for i in (0, 1, 777, 1600, 2000):
+        got = _trace_dists(pool, pool[i])
+        assert np.abs(got - eigvalsh_trace_dists(pool, pool[i])).max() <= 1e-15, i
+        assert got[i] == 0.0
+
+
+def test_delta_net_properties_on_random_qubit_alphabets():
+    # the greedy argmax meets exact ties on the pool, so nets are checked by
+    # their properties against independent eigvalsh distances, not point for point
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        gens = [random_state(2, rng, rank=1), random_state(2, rng)]
+        for delta in (0.2, 0.5):
+            net = delta_net(gens, delta)
+            pts = np.stack(net.points)
+            pool = np.concatenate(
+                [_state_pool(2, rng), np.stack([depolarize(g, delta) for g in gens])]
+            )
+            # a traceless qubit difference has Frobenius norm sqrt(2) times its
+            # trace distance: pick each pool state's nearest net point by Frobenius,
+            # then bound the cover radius by the eigvalsh distance to it
+            frob = np.linalg.norm(pool[:, None] - pts[None], axis=(2, 3))
+            dists = eigvalsh_trace_dists(pool, pts[frob.argmin(axis=1)])
+            assert dists.max() <= delta / 2 + 1e-12, (seed, delta)
+            assert net.cover_radius <= delta / 2 + 1e-12
+            assert net.hull_contains_smoothed, (seed, delta)
+            assert net.cardinality <= net_cardinality_bound(delta, 2)
+            assert np.array_equal(np.stack(delta_net(gens, delta).points), pts)
+
+
 def test_in_hull_residual_stops_inside_and_measures_outside():
     # a pure qubit against the lone point I/2 runs every step and returns
     # |diag(1/2, -1/2)| = 1/sqrt(2) in the stacked real/imaginary coordinates
@@ -256,6 +311,37 @@ def test_smoothed_test_duality():
     # smoothing keeps hermiticity and permutation invariance
     assert np.abs(q - np.asarray(q).conj().T).max() < 1e-12
     assert invariance_defect(q, d, n, rng=rng) < 1e-10
+
+
+def smoothed_test_broadcast(p, delta, d, n):
+    """Sitewise smoothing as a full-size eye broadcast per site."""
+    work = np.asarray(p).reshape((d,) * (2 * n))
+    for site in range(n):
+        slots = (site, n + site)
+        eye = np.expand_dims(np.eye(d), tuple(a for a in range(2 * n) if a not in slots))
+        partial = np.expand_dims(np.trace(work, axis1=site, axis2=n + site), slots)
+        work = (1.0 - delta) * work + (delta / d) * (partial * eye)
+    out = work.reshape(d**n, d**n)
+    if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
+        return out.real
+    return out
+
+
+def test_smoothed_test_in_place_matches_the_broadcast():
+    rng = np.random.default_rng(41)
+    for d, n in ((2, 4), (3, 3)):
+        dim = d**n
+        real = avqs_test([random_state(d, rng), random_state(d, rng)], np.eye(d) / d, 0.4, n)
+        cplx = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        assert not np.iscomplexobj(real)
+        for p in (real, cplx):
+            kept = p.copy()
+            for delta in (0.0, 0.3, 1.0):
+                got = smoothed_test(p, delta, d, n)
+                assert np.array_equal(p, kept)
+                want = smoothed_test_broadcast(p, delta, d, n)
+                assert got.dtype == want.dtype == p.dtype, (d, delta)
+                assert np.array_equal(got, want), (d, delta)  # -0.0 == 0.0
 
 
 def test_smoothed_test_endpoints_and_errors():

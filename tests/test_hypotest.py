@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsanov.avqs import word_type_one
-from qsanov.errors import SizeGuardError, VerificationError
+from qsanov.errors import SizeGuardError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
@@ -27,8 +27,8 @@ from qsanov.hypotest import (
     type_two,
 )
 from qsanov.nogo import haar_unitary
-from qsanov.quantum import bloch_state, pinch, qrel_entropy, random_state, spectrum
-from qsanov.schur_weyl import block_weight, gt_irrep, tensor_power
+from qsanov.quantum import bloch_state, pinch, random_state, spectrum
+from qsanov.schur_weyl import block_weight, tensor_power
 from qsanov.tableaux import (
     ALPHA,
     dominance,

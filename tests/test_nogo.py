@@ -15,14 +15,10 @@ from qsanov.nogo import (
     vacuity_threshold,
     verify_nogo_instance,
 )
-from qsanov.schur_weyl import (
-    invariance_defect,
-    isotypical_projector,
-    perm_index_map,
-    tensor_power,
-)
+from qsanov.schur_weyl import invariance_defect, isotypical_projector, tensor_power
 from qsanov.tableaux import enumerate_frames, hook_dimension, type_class_size
 
+from test_schur_weyl import perm_index_map
 from test_tableaux import multiset_perm_count, syt_count
 
 

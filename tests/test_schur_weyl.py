@@ -21,7 +21,6 @@ from qsanov.schur_weyl import (
     invariance_defect,
     isotypical_projector,
     kcycle_class_size,
-    perm_index_map,
     schur_polynomial,
     spectral_estimate_check,
     tensor_power,
@@ -69,6 +68,20 @@ def cycle_type_of(perm):
             length += 1
         lens.append(length)
     return tuple(sorted(lens, reverse=True))
+
+
+def perm_index_map(perm, d):
+    """Array M with M[code(w)] = code(pi . w) over all d**n words.
+
+    pi . w is the word w' with w'[pi(i)] = w[i]: letter i moves to slot
+    pi(i).
+    """
+    p = tuple(int(x) for x in perm)
+    if sorted(p) != list(range(len(p))):
+        raise ValueError(f"not a permutation: {p!r}")
+    shape = (d,) * len(p)
+    digits = np.unravel_index(np.arange(d ** len(p)), shape)
+    return np.ravel_multi_index([digits[i] for i in np.argsort(p)], shape)
 
 
 def brute_central_idempotent(f, lam):
@@ -229,6 +242,32 @@ def test_block_projector_full_matrix():
     # vanished Kostka number: zero block
     z = block_projector((3, 1), (2, 2))
     assert np.abs(z).max() == 0.0
+
+
+def test_invariance_defect_on_non_invariant_operators():
+    # the same sampled perms, conjugated by explicit permutation matrices
+    for d, n, seed in ((2, 4, 31), (3, 3, 32), (2, 5, 33)):
+        dim = d**n
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rng = np.random.default_rng(seed + 100)
+        perms = [tuple(rng.permutation(n)) for _ in range(8)]
+        perms.append(tuple(range(1, n)) + (0,))
+        want, via_map = 0.0, 0.0
+        for perm in perms:
+            u = np.zeros((dim, dim))
+            for word in itertools.product(range(d), repeat=n):
+                moved = [0] * n
+                for i, letter in enumerate(word):
+                    moved[perm[i]] = letter
+                u[np.ravel_multi_index(moved, (d,) * n), np.ravel_multi_index(word, (d,) * n)] = 1
+            want = max(want, float(np.abs(u @ a @ u.T - a).max()))
+            m = perm_index_map(perm, d)
+            via_map = max(via_map, float(np.abs(a[np.ix_(m, m)] - a).max()))
+        got = invariance_defect(a, d, n, rng=np.random.default_rng(seed + 100))
+        assert abs(got - want) <= 1e-15, (d, n)
+        assert got == via_map, (d, n)  # bit for bit the index-map conjugation
+        assert got > 0.5
 
 
 def test_frequency_and_isotypical_partitions():
