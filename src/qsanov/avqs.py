@@ -283,9 +283,9 @@ def delta_net(generators, delta: float, rng=None) -> Net:
     Distances come from `_trace_dists`: the closed form max(|m|, r) of a
     Hermitian 2 x 2 difference at d = 2, eigenvalues above. Many pool states
     are equally far from a chosen point (a whole shell from I/2), so the
-    farthest point is picked among exact ties by which distance rounds
-    highest (the first index when the floats are equal). The net's points
-    therefore depend on last-bit rounding; its cover radius does not.
+    farthest point is the lowest index within 1e-12 of the largest
+    distance: the net's points do not depend on how the distances round in
+    the last bits.
     """
     gens = [assert_state(g) for g in generators]
     d = gens[0].shape[0]
@@ -307,7 +307,7 @@ def delta_net(generators, delta: float, rng=None) -> Net:
     mindist = _trace_dists(pool, pool[0])
     chosen = [0]
     while mindist.max() > delta / 2.0 and len(chosen) < pool.shape[0]:
-        nxt = int(np.argmax(mindist))
+        nxt = int(np.flatnonzero(mindist >= mindist.max() - 1e-12)[0])
         chosen.append(nxt)
         mindist = np.minimum(mindist, _trace_dists(pool, pool[nxt]))
     points = [pool[i] for i in chosen]

@@ -5,6 +5,8 @@ blocks V_f spanned by the product basis vectors whose letter counts equal
 the frequency f. Each block carries a permutation action of S_n and splits
 further into frame components V_{f,lam}, one per partition lam dominating
 the sorted frequency; the component multiplicities are Kostka numbers.
+Relabelling letters commutes with S_n, so only non-increasing f are built;
+any other f reads the same blocks on relabelled words (`words_of_type`).
 
 The S_n side is what word states and dense operators need. Projectors onto
 the components are computed inside each word block (`frequency_blocks`).
@@ -50,6 +52,7 @@ from .tableaux import (
     enumerate_frequencies,
     hook_dimension,
     relative_entropy,
+    type_class_size,
 )
 
 GUARD_LIMIT = 60000
@@ -75,15 +78,22 @@ def tensor_power(a, n: int) -> np.ndarray:
 
 
 def words_of_type(f) -> np.ndarray:
-    """All words with letter counts f, lexicographically sorted, shape (m, n).
+    """All words with letter counts f, shape (m, n), cached per f and read-only.
 
-    The array is cached per f and read-only.
+    Lexicographically sorted for non-increasing f; any other f relabels the
+    words of its sorted counts row for row, sharing their blocks.
     """
     return _words_of_type(_freq_counts(f))
 
 
 @lru_cache(maxsize=256)
 def _words_of_type(counts: tuple[int, ...]) -> np.ndarray:
+    # slot j of the sorted counts is letter order[j]; ties keep letter order
+    order = sorted(range(len(counts)), key=lambda a: -counts[a])
+    if order != sorted(order):
+        words = np.array(order)[_words_of_type(tuple(counts[a] for a in order))]
+        words.flags.writeable = False
+        return words
     counts = list(counts)
     d = len(counts)
     n = sum(counts)
@@ -199,7 +209,7 @@ def _k_cycles(n: int, k: int):
 
 
 def class_sum_on_words(words: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Matrix of the k-cycle class sum restricted to the given word block."""
+    """The k-cycle class sum on a block of sorted, distinct words (non-increasing f)."""
     m, n = words.shape
     codes = word_codes(words, d)
     if np.any(np.diff(codes) <= 0):
@@ -232,9 +242,10 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     of the smallest target gap from its target.
 
     Returns a dict mapping frame parts to the projector matrix in the
-    word basis (real symmetric, size |T_f|, read-only). Results are cached
-    per f in a bounded cache; the dict is shared between callers and must
-    not be modified.
+    word basis of `words_of_type(f)` (real symmetric, size |T_f|,
+    read-only). Only non-increasing f are built; any reordering returns the
+    same dict. Results are cached per f in a bounded cache; the dict is
+    shared between callers and must not be modified.
     """
     return _frequency_blocks(_freq_counts(f))
 
@@ -244,12 +255,14 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
     d = len(counts)
     n = sum(counts)
     guard_dimension(d, n)
-    words = words_of_type(counts)
-    m = words.shape[0]
+    m = type_class_size(counts)
     if m > DENSE_LIMIT:
         raise SizeGuardError(
             f"word block of f = {counts} has {m} words, above the dense guard of {DENSE_LIMIT}"
         )
+    if (canon := tuple(sorted(counts, reverse=True))) != counts:
+        return _frequency_blocks(canon)
+    words = words_of_type(counts)
     candidates = [
         fr.parts for fr in enumerate_frames(d, n) if dominance(counts, fr.parts)
     ]
@@ -394,8 +407,8 @@ def block_weight(f, lam, states, basis=None) -> float:
 def word_block_state(f, states, basis=None) -> np.ndarray:
     """A product of site states restricted to the word block of f.
 
-    Entry [a, b] is prod_i states[i][w_a[i], w_b[i]] over the sorted words
-    w of letter counts f, with the states taken in `basis` when one is
+    Entry [a, b] is prod_i states[i][w_a[i], w_b[i]] over the words
+    w = words_of_type(f), with the states taken in `basis` when one is
     given. `states` is a length-n sequence of d x d states.
     """
     counts = _freq_counts(f)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsanov import avqs
 from qsanov.avqs import (
     HULL_TOL,
     _in_hull_residual,
@@ -261,9 +262,11 @@ def test_trace_dists_closed_form_matches_eigvalsh():
         assert got[i] == 0.0
 
 
-def test_delta_net_properties_on_random_qubit_alphabets():
-    # the greedy argmax meets exact ties on the pool, so nets are checked by
-    # their properties against independent eigvalsh distances, not point for point
+def test_delta_net_properties_on_random_qubit_alphabets(monkeypatch):
+    # nets are checked by their properties against independent eigvalsh
+    # distances, then point for point against nets greedily built on them:
+    # the pool has exact distance ties (a whole shell from I/2), and the
+    # lowest index among them wins however the last bits round
     for seed in range(10):
         rng = np.random.default_rng(seed)
         gens = [random_state(2, rng, rank=1), random_state(2, rng)]
@@ -283,6 +286,9 @@ def test_delta_net_properties_on_random_qubit_alphabets():
             assert net.hull_contains_smoothed, (seed, delta)
             assert net.cardinality <= net_cardinality_bound(delta, 2)
             assert np.array_equal(np.stack(delta_net(gens, delta).points), pts)
+            with monkeypatch.context() as m:
+                m.setattr(avqs, "_trace_dists", eigvalsh_trace_dists)
+                assert np.array_equal(np.stack(delta_net(gens, delta).points), pts), (seed, delta)
 
 
 def test_in_hull_residual_stops_inside_and_measures_outside():

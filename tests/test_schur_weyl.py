@@ -28,7 +28,7 @@ from qsanov.schur_weyl import (
     word_codes,
     words_of_type,
 )
-from qsanov.hypotest import SIGMA_MIN_EIG
+from qsanov.hypotest import SIGMA_MIN_EIG, TestSpec, build_test
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import eigenbasis
 from qsanov.tableaux import (
@@ -115,7 +115,12 @@ def test_words_of_type_sorted_and_complete():
         n = sum(f)
         assert words.shape == (math.factorial(n) // math.prod(map(math.factorial, f)), n)
         codes = word_codes(words, d)
-        assert np.all(np.diff(codes) > 0)
+        if list(f) == sorted(f, reverse=True):
+            assert np.all(np.diff(codes) > 0)
+        else:
+            # letter 1 (count 2) takes slot 0 of the sorted counts (2, 1, 1)
+            assert np.array_equal(words, np.array([1, 0, 2])[words_of_type((2, 1, 1))])
+        assert len(np.unique(codes)) == len(codes)
         for row in words:
             assert tuple(np.bincount(row, minlength=d)) == f
         assert words is words_of_type(f)
@@ -200,6 +205,91 @@ def test_blocks_match_brute_central_idempotent():
         for lam, block in frequency_blocks(f).items():
             brute = brute_central_idempotent(f, lam)
             assert np.abs(block - brute).max() < 1e-10, (f, lam)
+
+
+def direct_blocks(counts):
+    """Frame projectors from the class sums on the lexicographic words of f.
+
+    The oracle for every ordering of f: no relabelling, the same targets
+    sum_k (pi/7)**(k-2) chi_k(lam) as `frequency_blocks`. Returns the words
+    and the blocks in their row order.
+    """
+    d, n = len(counts), sum(counts)
+    words = np.array(
+        [w for w in itertools.product(range(d), repeat=n)
+         if tuple(np.bincount(w, minlength=d)) == counts]
+    )
+    cands = [fr.parts for fr in enumerate_frames(d, n) if kostka(counts, fr.parts)]
+    ks = []  # the fewest cycle lengths 2..K that tell the frames apart
+    while len({tuple(central_character(lam, n, k) for k in ks) for lam in cands}) < len(cands):
+        ks.append(len(ks) + 2)
+    weights = (math.pi / 7.0) ** np.arange(len(ks))
+    targets = [sum(w * central_character(lam, n, k) for w, k in zip(weights, ks)) for lam in cands]
+    mixed = sum(
+        (w * schur_weyl.class_sum_on_words(words, d, k) for w, k in zip(weights, ks)),
+        np.zeros((len(words), len(words))),
+    )
+    vals, vecs = np.linalg.eigh(mixed)
+    owner = np.abs(vals[:, None] - np.array(targets)[None, :]).argmin(axis=1)
+    blocks = {}
+    for i, lam in enumerate(cands):
+        sel = vecs[:, owner == i]
+        blocks[lam] = sel @ sel.T
+    return words, blocks
+
+
+def test_relabelled_blocks_match_direct_class_sums():
+    cases = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 7)]
+    cases += [(4, n) for n in range(1, 6)]
+    for d, n in cases:
+        for f in enumerate_frequencies(d, n):
+            words, want = direct_blocks(f.counts)
+            # row i of a block is word words_of_type(f)[i]
+            idx = np.searchsorted(word_codes(words, d), word_codes(words_of_type(f), d))
+            assert np.array_equal(words[idx], words_of_type(f))
+            got = frequency_blocks(f)
+            assert sorted(got) == sorted(want), f.counts
+            for lam, block in got.items():
+                assert np.abs(block - want[lam][np.ix_(idx, idx)]).max() <= 1e-12, (f, lam)
+
+
+def test_build_test_in_complex_basis_matches_direct_blocks():
+    d, n = 3, 5
+    rng = np.random.default_rng(31)
+    u = haar_unitary(d, rng)
+    spec = TestSpec(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T, [np.eye(d) / d], 0.3, n)
+    assert np.abs(spec.basis.imag).max() > 0.1
+    labels = {
+        (f.counts, fr.parts)
+        for f in enumerate_frequencies(d, n)
+        for fr in enumerate_frames(d, n)
+        if kostka(f.counts, fr.parts) and rng.uniform() < 0.5
+    }
+    assert any(list(f) != sorted(f, reverse=True) for f, _ in labels)
+    # the oracle placed on its own word codes, then rotated by basis^(x n)
+    out = np.zeros((d**n, d**n))
+    for f, lam in labels:
+        words, blocks = direct_blocks(f)
+        codes = word_codes(words, d)
+        out[np.ix_(codes, codes)] += blocks[lam]
+    t = tensor_power(spec.basis, n)
+    assert np.abs(build_test(spec, labels) - t @ out @ t.conj().T).max() <= 1e-12
+
+
+def test_sweep_builds_sorted_frequencies_only(monkeypatch):
+    # d = 3, n = 8: 45 frequencies, 10 of them non-increasing
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    schur_weyl._frequency_blocks.cache_clear()
+    try:
+        freqs = [f.counts for f in enumerate_frequencies(3, 8)]
+        blocks = {f: frequency_blocks(f) for f in freqs}
+        assert len(freqs) == 45 and len(calls) == 10
+        for f in freqs:
+            assert blocks[f] is blocks[tuple(sorted(f, reverse=True))]
+    finally:
+        schur_weyl._frequency_blocks.cache_clear()
 
 
 def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
@@ -395,6 +485,8 @@ def test_size_guards():
 def test_size_guard_messages_name_what_tripped():
     with pytest.raises(SizeGuardError, match=r"f = \(8, 7\) has 6435 words"):
         frequency_blocks((8, 7))
+    with pytest.raises(SizeGuardError, match=r"f = \(7, 8\) has 6435 words"):
+        frequency_blocks((7, 8))
     with pytest.raises(SizeGuardError, match="d = 2, n = 13"):
         tensor_power(np.eye(2), 13)
     with pytest.raises(SizeGuardError, match="d = 3, n = 8"):
@@ -405,6 +497,7 @@ def test_block_cache_shares_instances():
     a = frequency_blocks((3, 2))
     b = frequency_blocks((3, 2))
     assert a is b
+    assert frequency_blocks((2, 3)) is frequency_blocks((3, 2))
 
 
 # ---------------------------------------------------------------------------
