@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import SizeGuardError
-from .hypotest import TestSpec, build_test, theta
+from .hypotest import TestSpec, build_test, theta, type_one
 from .quantum import (
     assert_state,
     bloch_spiral,
@@ -30,9 +30,9 @@ from .quantum import (
 from .schur_weyl import (
     DENSE_LIMIT,
     block_weight,
+    dense_operator,
     guard_dimension,
-    invariance_defect,
-    tensor_power,
+    require_invariant,
 )
 from .tableaux import ALPHA, _frame_parts, enumerate_frequencies, relative_entropy
 
@@ -47,11 +47,7 @@ def product_state(word, alphabet) -> np.ndarray:
 
 def empirical_mixture(word, alphabet) -> np.ndarray:
     """Average alphabet state weighted by the letter counts of `word`."""
-    n = len(word)
-    out = np.zeros_like(np.asarray(alphabet[0], dtype=complex))
-    for s in word:
-        out += np.asarray(alphabet[s], dtype=complex)
-    return out / n
+    return sum(np.asarray(alphabet[s], dtype=complex) for s in word) / len(word)
 
 
 def avqs_test(alphabet, sigma, epsilon: float, n: int) -> np.ndarray:
@@ -81,19 +77,15 @@ def robustification_check(p_n, word, alphabet, rng=None) -> tuple[float, float]:
     """Word-state miss probability against its mixture-power reduction.
 
     Returns (tr{(1-P) rho_word}, (2n)**|S| tr{(1-P) mix^n}) where mix is the
-    empirical mixture of the word. The projector must be permutation
-    invariant; that is asserted by random conjugation first.
+    empirical mixture of the word. P must commute with S_n; that is
+    certified exactly on the group's two generators (`require_invariant`),
+    and ValueError is raised otherwise. `rng` is unused; it is accepted for
+    callers that still pass one.
     """
-    p = np.asarray(p_n)
-    d = np.asarray(alphabet[0]).shape[0]
     n = len(word)
-    if invariance_defect(p, d, n, rng=rng) > 1e-8:
-        raise ValueError("projector is not permutation invariant")
+    p = require_invariant(p_n, np.asarray(alphabet[0]).shape[0], n)
     lhs = word_type_one(p, word, alphabet)
-    mix = empirical_mixture(word, alphabet)
-    big = tensor_power(mix, n)
-    miss = float(1.0 - np.einsum("ij,ji->", p, big).real)
-    rhs = (2.0 * n) ** len(alphabet) * miss
+    rhs = (2.0 * n) ** len(alphabet) * type_one(p, empirical_mixture(word, alphabet))
     return lhs, rhs
 
 
@@ -190,7 +182,11 @@ def min_relative_entropy_hull(generators, sigma) -> tuple[float, np.ndarray]:
 
 
 def delta_schedule(n: int, d: int) -> float:
-    """Smoothing rate 12 n**(-1/(4 d*d))."""
+    """Smoothing rate 12 n**(-1/(4 d*d)).
+
+    Above 1 for every n < 12**(4 d*d) (about 1.8e17 at d = 2), so no valid
+    `smoothed_test` delta at any reachable n.
+    """
     return 12.0 * n ** (-1.0 / (4.0 * d * d))
 
 
@@ -327,10 +323,7 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
     result of testing with it equals testing the original operator on
     sitewise-depolarized states.
     """
-    p = np.asarray(p_n)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    if p.shape != (dim, dim):
-        raise ValueError(f"operator shape {p.shape} does not match d**n = {dim}")
+    p = dense_operator(p_n, d, n)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0, 1]")
     work = np.array(p, dtype=np.result_type(p, 1.0)).reshape((d,) * (2 * n))
@@ -341,7 +334,7 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
         for i in range(d):
             at[site] = at[n + site] = i
             work[tuple(at)] += partial
-    out = work.reshape(dim, dim)
+    out = work.reshape(p.shape)
     if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
         return out.real
     return out

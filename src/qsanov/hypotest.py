@@ -34,6 +34,7 @@ from .errors import SizeGuardError, VerificationError
 from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
 from .schur_weyl import (
     GUARD_LIMIT,
+    _gt_diagonal,
     dense_from_blocks,
     frequency_blocks,
     gt_irrep,
@@ -293,10 +294,12 @@ def _irrep_miss(rho, accepted, d: int, n: int) -> float:
     weight-f part of the Gelfand-Tsetlin basis; `accepted` is as from
     `_accepted_weights`. A frame with no accepted weight adds
     d_lam s_lam(spec rho), with no eigh; a partly accepted frame adds
-    d_lam times the diagonal of pi_lam(rho) on its rejected weights.
-    Every term is nonnegative.
+    d_lam times the diagonal of pi_lam(rho) on its rejected weights, from
+    the cache that single-state `block_weight` reads too. Every term is
+    nonnegative.
     """
     r = np.linalg.eigvalsh(rho)
+    key = np.ascontiguousarray(rho, dtype=complex).tobytes()
     miss = 0.0
     for fr in enumerate_frames(d, n):
         acc = accepted.get(fr.parts)
@@ -305,7 +308,7 @@ def _irrep_miss(rho, accepted, d: int, n: int) -> float:
         elif acc.all():
             continue
         else:
-            mass = float(gt_irrep(fr.parts, d).diagonal(rho, ~acc).sum())
+            mass = float(_gt_diagonal(fr.parts, d, key)[~acc].sum())
         miss += hook_dimension(fr.parts) * mass
     return miss
 

@@ -10,7 +10,7 @@ bound with its vacuity threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,14 +18,13 @@ from .errors import VerificationError
 from .quantum import bloch_spiral, random_state
 from .schur_weyl import (
     DENSE_LIMIT,
+    dense_operator,
     guard_dimension,
-    invariance_defect,
     isotypical_projector,
+    require_invariant,
     tensor_power,
 )
 from .tableaux import _frame_parts, enumerate_frames, hook_dimension, type_class_size
-
-INVARIANCE_TOL = 1e-8
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,13 +42,8 @@ def unitary_twirl_invariant(a, d: int, n: int) -> np.ndarray:
     projectors, with each coefficient fixed by trace preservation:
     sum over lam of (tr{A P_lam}/tr{P_lam}) P_lam.
     """
-    mat = np.asarray(a, dtype=complex)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
-    if invariance_defect(mat, d, n) > INVARIANCE_TOL:
-        raise ValueError("operator is not permutation invariant")
-    out = np.zeros((dim, dim), dtype=complex)
+    mat = require_invariant(np.asarray(a, dtype=complex), d, n)
+    out = np.zeros(mat.shape, dtype=complex)
     for lam in enumerate_frames(d, n):
         p_lam = isotypical_projector(lam.parts, d, n)
         weight = np.einsum("ij,ji->", mat, p_lam).real
@@ -63,12 +57,9 @@ def unitary_twirl_invariant(a, d: int, n: int) -> np.ndarray:
 
 def haar_twirl_mc(a, d: int, n: int, samples: int = 200, rng=None) -> tuple[np.ndarray, float]:
     """Monte-Carlo Haar twirl: (sample mean, Frobenius norm of entrywise SE)."""
-    mat = np.asarray(a, dtype=complex)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
+    mat = dense_operator(np.asarray(a, dtype=complex), d, n)
     rng = np.random.default_rng(0) if rng is None else rng
-    draws = np.empty((samples, dim, dim), dtype=complex)
+    draws = np.empty((samples, *mat.shape), dtype=complex)
     for k in range(samples):
         u = tensor_power(haar_unitary(d, rng), n)
         draws[k] = u @ mat @ u.conj().T
@@ -141,12 +132,7 @@ class NogoReport:
     vacuous: bool
 
     def to_dict(self) -> dict:
-        return {
-            "eps_hat": self.eps_hat,
-            "min_eig": self.min_eig,
-            "bound": self.bound,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self)
 
 
 def _probe_states(d: int, sample_states: int, rng: np.random.Generator):
@@ -170,12 +156,7 @@ def verify_nogo_instance(a, d: int, n: int, sample_states: int = 64, rng=None) -
     hence optimistic, stand-in for the worst case). When the implied
     bound is non-vacuous, min-eig(A) must reach it.
     """
-    mat = np.asarray(a, dtype=complex)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
-    if invariance_defect(mat, d, n) > INVARIANCE_TOL:
-        raise ValueError("operator is not permutation invariant")
+    mat = require_invariant(np.asarray(a, dtype=complex), d, n)
     rng = np.random.default_rng(0) if rng is None else rng
     worst = 1.0
     for rho in _probe_states(d, sample_states, rng):

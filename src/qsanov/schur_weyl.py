@@ -22,7 +22,8 @@ real in the word basis. `dense_from_blocks` is the one path from blocks to
 d**n operators (`block_projector`, `isotypical_projector`), and
 `word_block_state` restricts a product of site states to a block.
 Full-space work is guarded: index-level work allows d**n up to 60000,
-dense d**n x d**n matrices up to 4096.
+dense d**n x d**n matrices up to 4096 (`dense_operator`), whose S_n
+invariance is certified on the two generators of S_n (`invariance_defect`).
 
 The U(d) side is built in the Gelfand-Tsetlin basis (`gt_irrep`):
 pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's dimension,
@@ -57,6 +58,7 @@ from .tableaux import (
 
 GUARD_LIMIT = 60000
 DENSE_LIMIT = 4096
+INVARIANCE_TOL = 1e-8  # the largest `invariance_defect` read as S_n-invariant
 
 
 def guard_dimension(d: int, n: int, limit: int = GUARD_LIMIT) -> int:
@@ -64,6 +66,15 @@ def guard_dimension(d: int, n: int, limit: int = GUARD_LIMIT) -> int:
     if dim > limit:
         raise SizeGuardError(f"d = {d}, n = {n}: d**n = {dim} exceeds the guard of {limit}")
     return dim
+
+
+def dense_operator(a, d: int, n: int) -> np.ndarray:
+    """`a` as an array, checked to be a d**n x d**n operator within DENSE_LIMIT."""
+    mat = np.asarray(a)
+    dim = guard_dimension(d, n, DENSE_LIMIT)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
+    return mat
 
 
 def tensor_power(a, n: int) -> np.ndarray:
@@ -123,17 +134,6 @@ def word_codes(words: np.ndarray, d: int) -> np.ndarray:
     n = words.shape[1]
     powers = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return words @ powers
-
-
-# ---------------------------------------------------------------------------
-# permutation operators
-
-
-def _validate_perm(perm) -> tuple[int, ...]:
-    p = tuple(int(x) for x in perm)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p!r}")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +625,8 @@ class GTIrrep:
         p = self.unitary(v)
         return (p * _weight_powers(self.weights, r)) @ p.conj().T
 
-    def diagonal(self, x, rows=slice(None)) -> np.ndarray:
-        """pi_lam(X)[T, T] for T in rows, X >= 0.
+    def diagonal(self, x) -> np.ndarray:
+        """pi_lam(X)[T, T] over all patterns T, X >= 0.
 
         Each is sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), a sum of
         nonnegative terms. The entries of pi_lam(V) carry about eps of
@@ -635,8 +635,7 @@ class GTIrrep:
         to itself.
         """
         r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
-        p = self.unitary(v)[rows]
-        return (np.abs(p) ** 2) @ _weight_powers(self.weights, r)
+        return (np.abs(self.unitary(v)) ** 2) @ _weight_powers(self.weights, r)
 
 
 @lru_cache(maxsize=512)
@@ -752,20 +751,28 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def invariance_defect(a, d: int, n: int, rng=None, samples: int = 8) -> float:
-    """Max entry deviation of U_pi A U_pi^dag from A over sampled pi."""
-    mat = np.asarray(a)
-    dim = guard_dimension(d, n, DENSE_LIMIT)
-    if mat.shape != (dim, dim):
-        raise ValueError(f"operator shape {mat.shape} does not match d**n = {dim}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    work = mat.reshape((d,) * (2 * n))
+def invariance_defect(a, d: int, n: int) -> float:
+    """Largest entry of U_pi A U_pi^dag - A over the generators of S_n.
+
+    S_n is generated by (0 1) and (0 1 ... n-1), so the defect is zero
+    exactly when A commutes with every site permutation. Conjugation only
+    moves entries, so a defect delta bounds the defect under any pi by
+    l(pi) delta, l(pi) its word length in the two generators. Each
+    conjugation is an axis transpose; n = 2 has one generator, n = 1 none.
+    """
+    work = dense_operator(a, d, n).reshape((d,) * (2 * n))
+    gens = {(1, 0, *range(2, n)), (*range(1, n), 0)} if n > 1 else set()
     worst = 0.0
-    perms = [tuple(rng.permutation(n)) for _ in range(samples)]
-    perms.append(tuple(range(1, n)) + (0,))  # cyclic shift
-    for perm in perms:
-        # axis i of the conjugate is axis pi(i) of A, on rows and on columns
-        p = _validate_perm(perm)
-        conj = work.transpose(list(p) + [n + i for i in p])
+    for p in gens:
+        # axis i of the conjugate is axis p[i] of A, on rows and on columns
+        conj = work.transpose(p + tuple(n + i for i in p))
         worst = max(worst, float(np.abs(conj - work).max()))
     return worst
+
+
+def require_invariant(a, d: int, n: int) -> np.ndarray:
+    """`a` as a checked d**n x d**n operator; ValueError unless it commutes with S_n."""
+    mat = dense_operator(a, d, n)
+    if invariance_defect(mat, d, n) > INVARIANCE_TOL:
+        raise ValueError("operator is not permutation invariant")
+    return mat

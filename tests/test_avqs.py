@@ -316,7 +316,7 @@ def test_smoothed_test_duality():
         assert abs(lhs - rhs) < 1e-10
     # smoothing keeps hermiticity and permutation invariance
     assert np.abs(q - np.asarray(q).conj().T).max() < 1e-12
-    assert invariance_defect(q, d, n, rng=rng) < 1e-10
+    assert invariance_defect(q, d, n) < 1e-10
 
 
 def smoothed_test_broadcast(p, delta, d, n):

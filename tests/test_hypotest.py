@@ -9,8 +9,10 @@ from qsanov.errors import SizeGuardError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
+    _accepted_weights,
     _fractional_np,
     _hermitian,
+    _irrep_miss,
     _log_threshold_bracket,
     _np_over_blocks,
     _null_candidates,
@@ -691,3 +693,24 @@ def test_hull_grid_enlarges_label_set():
     mid = frozenset({((4, 2), (4, 2))})
     assert mid <= l_hull
     assert not mid <= l_sep
+
+
+def test_irrep_miss_and_accepted_block_weights_sum_to_one():
+    # the miss and the accepted single-state block weights read one cached
+    # GT diagonal, so together they are the whole of tr{rho^n} = 1
+    rng = np.random.default_rng(61)
+    for d, ns in ((2, range(1, 9)), (3, range(1, 9))):
+        for n in ns:
+            rho = random_state(d, rng)
+            assert np.abs(rho.imag).max() > 1e-3
+            pairs = [
+                (f.counts, lam.parts)
+                for f in enumerate_frequencies(d, n)
+                for lam in enumerate_frames(d, n)
+                if dominance(f.counts, lam.parts)
+            ]
+            for _ in range(3):
+                labels = [pair for pair in pairs if rng.random() < 0.5]
+                miss = _irrep_miss(rho, _accepted_weights(labels, d), d, n)
+                kept = sum(block_weight(f, lam, rho) for f, lam in labels)
+                assert abs(miss + kept - 1.0) <= 1e-14, (d, n, miss + kept - 1.0)

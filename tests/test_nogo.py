@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qsanov.avqs import robustification_check
 from qsanov.nogo import (
     NogoReport,
     dim_ratio_bound,
@@ -15,6 +16,7 @@ from qsanov.nogo import (
     vacuity_threshold,
     verify_nogo_instance,
 )
+from qsanov.quantum import random_state
 from qsanov.schur_weyl import invariance_defect, isotypical_projector, tensor_power
 from qsanov.tableaux import enumerate_frames, hook_dimension, type_class_size
 
@@ -88,7 +90,7 @@ def test_random_invariant_operator_contract():
     rng = np.random.default_rng(5)
     for d, n in ((2, 3), (2, 5), (3, 3)):
         a = random_invariant_operator(d, n, rng)
-        assert invariance_defect(a, d, n, rng=rng) < 1e-10
+        assert invariance_defect(a, d, n) < 1e-10
         vals = np.linalg.eigvalsh(a)
         assert vals.min() > -1e-12 and vals.max() < 1 + 1e-12
         assert abs(vals.min()) < 1e-10 and abs(vals.max() - 1) < 1e-10
@@ -180,3 +182,40 @@ def test_verify_nogo_rejects_noninvariant():
     bad[1, 1] = 1.0
     with pytest.raises(ValueError):
         verify_nogo_instance(bad, 2, 3)
+
+
+def _site_average(b, d, n, perms):
+    """Mean of U_pi B U_pi^dag over the given site permutations pi."""
+    work = b.reshape((d,) * (2 * n))
+    total = sum(work.transpose(list(p) + [n + i for i in p]) for p in perms)
+    return total.reshape(d**n, d**n) / len(perms)
+
+
+def test_even_permutation_average_is_rejected():
+    # averaging over A_3 alone leaves an operator that every even pi fixes;
+    # a check on sampled perms could miss the odd ones (seed 22 did), the
+    # two generators cannot
+    even = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    for d in (2, 3):
+        dim = d**3
+        m = np.random.default_rng(7).standard_normal((dim, dim))
+        b = m + m.T
+        a = _site_average(b, d, 3, even)
+        alphabet = [random_state(d, np.random.default_rng(40 + k)) for k in range(2)]
+        for _ in range(3):
+            assert invariance_defect(a, d, 3) > 0.5
+        with pytest.raises(ValueError):
+            robustification_check(a, (0, 1, 0), alphabet, rng=np.random.default_rng(22))
+        with pytest.raises(ValueError):
+            unitary_twirl_invariant(a, d, 3)
+        with pytest.raises(ValueError):
+            verify_nogo_instance(a, d, 3)
+        full = _site_average(b, d, 3, list(itertools.permutations(range(3))))
+        assert invariance_defect(full, d, 3) < 1e-12
+        for n in (1, 2):
+            m = np.random.default_rng(8).standard_normal((d**n, d**n))
+            raw = m + m.T
+            full = _site_average(raw, d, n, list(itertools.permutations(range(n))))
+            assert invariance_defect(full, d, n) < 1e-12
+            # one site has no permutation to break; two sites have the one swap
+            assert (invariance_defect(raw, d, n) == 0.0) == (n == 1)
