@@ -32,13 +32,18 @@ from .schur_weyl import (
     block_weight,
     dense_operator,
     guard_dimension,
+    product_trace,
     require_invariant,
 )
 from .tableaux import ALPHA, _frame_parts, enumerate_frequencies, relative_entropy
 
 
 def product_state(word, alphabet) -> np.ndarray:
-    """Dense product state of the letters of `word` (guarded)."""
+    """Dense product state of the letters of `word` (guarded).
+
+    The checks here never form it; traces against it go through
+    `schur_weyl.product_trace`.
+    """
     states = [assert_state(alphabet[s]) for s in word]
     d = states[0].shape[0]
     guard_dimension(d, len(word), DENSE_LIMIT)
@@ -57,10 +62,13 @@ def avqs_test(alphabet, sigma, epsilon: float, n: int) -> np.ndarray:
 
 
 def word_type_one(p_n, word, alphabet) -> float:
-    """1 - tr{P rho_word}."""
-    p = np.asarray(p_n)
-    big = product_state(word, alphabet)
-    return float(1.0 - np.einsum("ij,ji->", p, big).real)
+    """1 - tr{P rho_word}, contracted one site at a time (guarded).
+
+    Each distinct letter is validated once; rho_word is not formed.
+    """
+    letters = {s: assert_state(alphabet[s]) for s in dict.fromkeys(word)}
+    sites = np.stack([letters[s] for s in word])
+    return float(1.0 - product_trace(p_n, sites).real)
 
 
 def worst_word_bound(n: int, eps: float, d: int, s_size: int) -> float:
@@ -77,7 +85,8 @@ def robustification_check(p_n, word, alphabet, rng=None) -> tuple[float, float]:
     """Word-state miss probability against its mixture-power reduction.
 
     Returns (tr{(1-P) rho_word}, (2n)**|S| tr{(1-P) mix^n}) where mix is the
-    empirical mixture of the word. P must commute with S_n; that is
+    empirical mixture of the word; both traces are contracted one site at a
+    time (`word_type_one`, `type_one`). P must commute with S_n; that is
     certified exactly on the group's two generators (`require_invariant`),
     and ValueError is raised otherwise. `rng` is unused; it is accepted for
     callers that still pass one.

@@ -16,7 +16,9 @@ type: at d = 2 from forms in the letter weights, at d >= 3 as one minus
 the accepted word-block weights (`block_weight`) of the sorted word of
 that type. No d**n operator is formed. The dense functions (`build_test`,
 `type_one`, `type_two`) remain as the oracles of the label path and
-behind the dense AVQS checks.
+behind the dense AVQS checks; the latter two contract P against the
+state one site at a time (`schur_weyl.product_trace`), so rho^n is never
+formed.
 
 The Neyman-Pearson baseline works on the same irreps: the blocks
 pi_lam(rho) and pi_lam(sigma) of rho^n and sigma^n (Schur-Weyl duality),
@@ -39,8 +41,8 @@ from .schur_weyl import (
     frequency_blocks,
     gt_irrep,
     gt_weights,
+    product_trace,
     schur_polynomial,
-    tensor_power,
     word_block_state,
 )
 from .tableaux import (
@@ -168,22 +170,28 @@ def _infer_sites(op_dim: int, d: int) -> int:
     return n
 
 
-def type_one(p_n, rho) -> float:
-    """1 - tr{P rho^n}; P and rho in the same (computational) coordinates."""
+def _power_trace(p_n, state) -> float:
+    """tr{P state^n}, contracted site by site (`product_trace`)."""
     p = np.asarray(p_n)
-    rho_m = assert_state(rho)
-    n = _infer_sites(p.shape[0], rho_m.shape[0])
-    big = tensor_power(rho_m, n)
-    return float(1.0 - np.einsum("ij,ji->", p, big).real)
+    s_m = assert_state(state)
+    n = _infer_sites(p.shape[0], s_m.shape[0])
+    return float(product_trace(p, np.broadcast_to(s_m, (n, *s_m.shape))).real)
+
+
+def type_one(p_n, rho) -> float:
+    """1 - tr{P rho^n}; P and rho in the same (computational) coordinates.
+
+    rho^n is not formed: the trace is contracted one site at a time.
+    """
+    return 1.0 - _power_trace(p_n, rho)
 
 
 def type_two(p_n, sigma) -> float:
-    """tr{P sigma^n}; P and sigma in the same (computational) coordinates."""
-    p = np.asarray(p_n)
-    s_m = assert_state(sigma)
-    n = _infer_sites(p.shape[0], s_m.shape[0])
-    big = tensor_power(s_m, n)
-    return float(np.einsum("ij,ji->", p, big).real)
+    """tr{P sigma^n}; P and sigma in the same (computational) coordinates.
+
+    sigma^n is not formed: the trace is contracted one site at a time.
+    """
+    return _power_trace(p_n, sigma)
 
 
 WORD_POLY_LIMIT = 1 << 22
@@ -221,7 +229,9 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     multinomial C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one
     minus the accepted `block_weight`s of the sorted word of type c, so
     only the word blocks of accepted frequencies are built (word states
-    are not of the form X^(x n)). No d**n operator is formed.
+    are not of the form X^(x n)). No d**n operator is formed. Raises
+    VerificationError when the type-two error or a miss is not finite,
+    which the [0, 1] clamp on the misses would otherwise pass through.
     """
     if labels is None:
         labels = lambda_set(spec)
@@ -232,6 +242,8 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     for lam, acc in sorted(accepted.items()):
         log_terms = math.log(hook_dimension(lam)) + gt_weights(lam, d)[acc] @ log_t
         type_two += float(np.exp(log_terms).sum())
+    if not math.isfinite(type_two):
+        raise VerificationError(f"type-two error {type_two} is not finite at n={n}")
     if not len(alphabet):
         return LabelErrors(type_two=type_two, misses={})
     b = spec.basis
@@ -265,6 +277,11 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
                 float(np.einsum("ab,ba->", block, word_block_state(f, sites)).real)
                 for f, block in blocks.items()
             ))
+    bad = [c for c, miss in zip(types, misses) if not math.isfinite(miss)]
+    if bad:
+        raise VerificationError(
+            f"{len(bad)} of {len(types)} word-type misses are not finite at n={n}, first c={bad[0]}"
+        )
     return LabelErrors(
         type_two=type_two,
         misses={c: min(max(miss, 0.0), 1.0) for c, miss in zip(types, misses)},
@@ -521,10 +538,11 @@ def run_sanov(
         t2 = errors[0].type_two
         t1 = max(e.misses[(n,)] for e in errors)
         th = theta(n, eps, d, sigma)
-        bound = 2.0 ** (-n * (ref - th))
-        if t2 > bound * (1.0 + 1e-9) + 1e-300:
+        # in log2, since 2**(-n(D - theta)) overflows once n(theta - D) > 1024
+        log2_bound = -n * (ref - th)
+        if t2 > 1e-300 and math.log2(t2) > log2_bound + math.log2(1.0 + 1e-9):
             raise VerificationError(
-                f"type-two {t2} above 2**(-n(D - theta)) = {bound} at n={n}"
+                f"type-two {t2} above 2**(-n(D - theta)) = 2**{log2_bound} at n={n}"
             )
         exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         beta = (

@@ -24,6 +24,9 @@ d**n operators (`block_projector`, `isotypical_projector`), and
 Full-space work is guarded: index-level work allows d**n up to 60000,
 dense d**n x d**n matrices up to 4096 (`dense_operator`), whose S_n
 invariance is certified on the two generators of S_n (`invariance_defect`).
+A dense operator's trace against product states is contracted one site at
+a time (`product_trace`); `tensor_power` forms a d**n product only where
+the dense product is itself the output.
 
 The U(d) side is built in the Gelfand-Tsetlin basis (`gt_irrep`):
 pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's dimension,
@@ -58,7 +61,7 @@ from .tableaux import (
 
 GUARD_LIMIT = 60000
 DENSE_LIMIT = 4096
-INVARIANCE_TOL = 1e-8  # the largest `invariance_defect` read as S_n-invariant
+INVARIANCE_TOL = 1e-8  # the largest `invariance_defect` per unit max|A| read as S_n-invariant
 
 
 def guard_dimension(d: int, n: int, limit: int = GUARD_LIMIT) -> int:
@@ -82,6 +85,39 @@ def tensor_power(a, n: int) -> np.ndarray:
     m = np.asarray(a)
     guard_dimension(m.shape[0], n, DENSE_LIMIT)
     return reduce(np.kron, [m] * n) if n > 1 else m.copy()
+
+
+def product_trace(a, states) -> np.ndarray:
+    """tr{A states[..., 0] x ... x states[..., n-1]} for states of shape (..., n, d, d).
+
+    The sites are contracted one at a time, so no d**n product is formed:
+    site 0 is one GEMM against A with its site-0 row and column indices
+    brought together, and each later site is a batched contraction of the
+    intermediate, d**2 times smaller than the one before. The batch runs in
+    chunks of d**2 products, so no intermediate is larger than A. The
+    result has the batch shape and the common dtype of A and the states.
+    """
+    st = np.asarray(states)
+    if st.ndim < 3 or st.shape[-1] != st.shape[-2]:
+        raise ValueError(f"states must have shape (..., n, d, d), got {st.shape}")
+    *batch, n, d, _ = st.shape
+    mat = dense_operator(a, d, n)
+    half = mat.shape[0] // d
+    sq = d * d
+    # site 0's (row, column) pair first; vecs[b, k] = states[b, k].T flattened
+    t = mat.reshape(d, half, d, half).transpose(0, 2, 1, 3).reshape(sq, -1)
+    vecs = st.swapaxes(-1, -2).reshape(-1, n, sq)
+    out = np.empty(len(vecs), dtype=np.result_type(t, vecs))
+    for s in range(0, len(vecs), sq):
+        chunk = vecs[s : s + sq]
+        c = len(chunk)
+        m = chunk[:, 0] @ t
+        for k in range(1, n):
+            rest = half // d**k
+            m = m.reshape(c, d, rest, d, rest).transpose(0, 1, 3, 2, 4).reshape(c, sq, -1)
+            m = (chunk[:, k, None, :] @ m)[:, 0]
+        out[s : s + c] = m[:, 0]
+    return out.reshape(batch)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +807,13 @@ def invariance_defect(a, d: int, n: int) -> float:
 
 
 def require_invariant(a, d: int, n: int) -> np.ndarray:
-    """`a` as a checked d**n x d**n operator; ValueError unless it commutes with S_n."""
+    """`a` as a checked d**n x d**n operator; ValueError unless it commutes with S_n.
+
+    The defect is read against INVARIANCE_TOL * min(1, max|A|), so a small
+    operator is held to its own scale and no bound is looser than 1e-8.
+    """
     mat = dense_operator(a, d, n)
-    if invariance_defect(mat, d, n) > INVARIANCE_TOL:
+    scale = min(1.0, float(np.abs(mat).max(initial=0.0)))
+    if invariance_defect(mat, d, n) > INVARIANCE_TOL * scale:
         raise ValueError("operator is not permutation invariant")
     return mat

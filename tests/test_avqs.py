@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qsanov import avqs
+from qsanov import avqs, hypotest, nogo, schur_weyl
 from qsanov.avqs import (
     HULL_TOL,
     _in_hull_residual,
@@ -64,6 +64,61 @@ def test_word_type_one_definition():
         big = product_state(word, ALPHABET)
         want = 1.0 - np.trace(p @ big).real
         assert abs(word_type_one(p, word, ALPHABET) - want) < 1e-12
+
+
+def test_word_traces_match_dense_products_on_complex_letters():
+    # site-wise contraction against tr{P rho_word} of the Kronecker product,
+    # for non-commuting complex letters at d = 2 and 3, and on one site
+    for d, n, seed in ((2, 1, 70), (2, 5, 71), (3, 1, 72), (3, 4, 73)):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(d, rng)
+        letters = [random_state(d, rng), random_state(d, rng, rank=1)]
+        assert np.abs(letters[0] @ letters[1] - letters[1] @ letters[0]).max() > 1e-3
+        p = avqs_test(letters, sigma, 0.3, n)
+        for word in enumerate_words(2, n):
+            want = 1.0 - np.einsum("ij,ji->", p, product_state(word, letters)).real
+            assert abs(word_type_one(p, word, letters) - want) <= 1e-12 * max(want, 1e-3)
+            mix = empirical_mixture(word, letters)
+            rhs = (2.0 * n) ** 2 * (1.0 - np.einsum("ij,ji->", p, tensor_power(mix, n)).real)
+            lhs, got = robustification_check(p, word, letters)
+            assert abs(lhs - want) <= 1e-12 * max(want, 1e-3), (d, n, word)
+            assert abs(got - rhs) <= 1e-12 * max(rhs, 1e-3), (d, n, word)
+
+
+def test_word_and_product_traces_form_no_dense_product(monkeypatch):
+    # with the two Kronecker paths disabled, every trace against a product
+    # state still returns: none of them forms a d**n product
+    rng = np.random.default_rng(74)
+    sigma = random_state(3, rng)
+    letters = [random_state(3, rng), random_state(3, rng)]
+    p = avqs_test(letters, sigma, 0.3, 3)
+    a = nogo.random_invariant_operator(2, 5, rng)
+    want = (
+        hypotest.type_one(p, letters[0]),
+        hypotest.type_two(p, sigma),
+        word_type_one(p, (0, 1, 1), letters),
+        robustification_check(p, (1, 0, 1), letters),
+        nogo.verify_nogo_instance(a, 2, 5, rng=np.random.default_rng(1)),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense d**n product was formed")
+
+    # every module-level binding of the two names, wherever it was imported
+    for module in (schur_weyl, hypotest, nogo, avqs):
+        for name in ("tensor_power", "product_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = (
+        hypotest.type_one(p, letters[0]),
+        hypotest.type_two(p, sigma),
+        word_type_one(p, (0, 1, 1), letters),
+        robustification_check(p, (1, 0, 1), letters),
+        nogo.verify_nogo_instance(a, 2, 5, rng=np.random.default_rng(1)),
+    )
+    assert got == want
+    with pytest.raises(AssertionError, match="dense"):
+        schur_weyl.tensor_power(sigma, 3)
 
 
 def test_label_word_misses_match_block_weights():

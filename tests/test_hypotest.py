@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qsanov.avqs import word_type_one
-from qsanov.errors import SizeGuardError
+from qsanov import hypotest
+from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
@@ -29,7 +30,7 @@ from qsanov.hypotest import (
     type_two,
 )
 from qsanov.nogo import haar_unitary
-from qsanov.quantum import bloch_state, pinch, random_state, spectrum
+from qsanov.quantum import bloch_state, pinch, qrel_entropy, random_state, spectrum
 from qsanov.schur_weyl import block_weight, tensor_power
 from qsanov.tableaux import (
     ALPHA,
@@ -231,6 +232,73 @@ def test_run_sanov_schedule_mode():
     reports = run_sanov(np.eye(2) / 2, [rho], [6], nu=0.1, np_baseline=False)
     assert reports[0].eps == min(2.0, epsilon_schedule(6, 0.1, 2))
     assert math.isnan(reports[0].np_beta)
+
+
+def test_run_sanov_type_two_bound_is_compared_in_log2(monkeypatch):
+    # with the schedule, n (theta - D) passes 1024 at n = 512 and
+    # 2**(-n (D - theta)) overflows a float; the log2 comparison does not
+    sigma = np.diag([0.95, 0.05])
+    rho = np.eye(2) / 2
+    rep, = run_sanov(sigma, [rho], [512], np_baseline=False)
+    assert 512 * (rep.theta - rep.reference_d) > 1024
+    for value in (rep.eps, rep.type1_max, rep.type2, rep.empirical_exponent, rep.theta):
+        assert math.isfinite(value)
+    assert 0.0 < rep.type2 < 1.0
+    # a type-two error just above the bound still raises, and one just below passes
+    real = hypotest.label_errors
+    n = 16
+    bound = 2.0 ** (-n * (qrel_entropy(rho, sigma) - theta(n, 0.25, 2, sigma)))
+    for factor, raises in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+        def doctored(spec, labels=None, alphabet=(), factor=factor):
+            misses = real(spec, labels, alphabet).misses
+            return hypotest.LabelErrors(type_two=bound * factor, misses=misses)
+
+        monkeypatch.setattr(hypotest, "label_errors", doctored)
+        if raises:
+            with pytest.raises(VerificationError, match="above 2"):
+                run_sanov(sigma, [rho], [n], epsilon=0.25, np_baseline=False)
+        else:
+            rep, = run_sanov(sigma, [rho], [n], epsilon=0.25, np_baseline=False)
+            assert rep.type2 == bound * factor
+
+
+def test_label_errors_raise_on_non_finite_results(monkeypatch):
+    # the [0, 1] clamp on the misses passes NaN through; an overflowing
+    # form must raise instead of reporting a miss
+    rng = np.random.default_rng(40)
+    sigma = random_state(2, rng)
+    alphabet = [random_state(2, rng), random_state(2, rng)]
+    spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.3, n=8, hull=True)
+    labels = lambda_set(spec)
+    assert all(math.isfinite(m) for m in label_errors(spec, labels, alphabet).misses.values())
+    real = hypotest._qubit_label_mass
+    for bad in (math.nan, math.inf):
+        def poisoned(states, n, selected, bad=bad):
+            mass = real(states, n, selected).copy()
+            mass[(3,)] = bad
+            return mass
+
+        monkeypatch.setattr(hypotest, "_qubit_label_mass", poisoned)
+        with pytest.raises(VerificationError, match="1 of 9 word-type misses are not finite"):
+            label_errors(spec, labels, alphabet)
+    monkeypatch.setattr(hypotest, "hook_dimension", lambda lam: math.inf)
+    with pytest.raises(VerificationError, match="type-two error inf is not finite"):
+        label_errors(spec, labels)
+
+
+def test_type_one_and_type_two_match_dense_products():
+    # site-wise contraction against tr{P rho^n} of the Kronecker power, for
+    # complex non-commuting pairs at d = 2 and 3 and one site
+    for d, n, seed in ((2, 1, 60), (2, 6, 61), (3, 1, 62), (3, 4, 63)):
+        rng = np.random.default_rng(seed)
+        sigma = random_state(d, rng)
+        rho = random_state(d, rng)
+        assert np.abs(rho @ sigma - sigma @ rho).max() > 1e-3
+        p = build_test(TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n))
+        t1 = 1.0 - np.einsum("ij,ji->", p, tensor_power(rho, n)).real
+        t2 = np.einsum("ij,ji->", p, tensor_power(sigma, n)).real
+        assert abs(type_one(p, rho) - t1) <= 1e-12 * max(abs(t1), 1e-3), (d, n)
+        assert abs(type_two(p, sigma) - t2) <= 1e-12 * max(abs(t2), 1e-3), (d, n)
 
 
 def test_run_sanov_hull_reference_is_the_hull_minimum():

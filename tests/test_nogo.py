@@ -7,6 +7,7 @@ import pytest
 from qsanov.avqs import robustification_check
 from qsanov.nogo import (
     NogoReport,
+    _probe_states,
     dim_ratio_bound,
     haar_twirl_mc,
     haar_unitary,
@@ -114,6 +115,47 @@ def test_random_invariant_operator_is_the_group_average():
         assert np.abs(got - want).max() < 1e-12, (d, n)
 
 
+def _unique_rows_operator(d, n, rng):
+    """The orbit average keyed by the rows of letter-pair counts (np.unique)."""
+    dim = d**n
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2.0
+    words = np.array(np.unravel_index(np.arange(dim), (d,) * n)).T
+    one_hot = np.eye(d * d, dtype=np.uint8)
+    counts = sum(one_hot[d * words[:, None, i] + words[None, :, i]] for i in range(n))
+    _, orbit = np.unique(counts.reshape(dim * dim, d * d), axis=0, return_inverse=True)
+    orbit = orbit.ravel()
+    sizes = np.bincount(orbit)
+    mean = (np.bincount(orbit, h.real.ravel()) + 1j * np.bincount(orbit, h.imag.ravel())) / sizes
+    acc = mean[orbit].reshape(dim, dim)
+    vals = np.linalg.eigvalsh(acc)
+    lo, hi = float(vals[0]), float(vals[-1])
+    if hi - lo < 1e-12:
+        return np.eye(dim, dtype=complex)
+    return (acc - lo * np.eye(dim)) / (hi - lo)
+
+
+def test_random_invariant_operator_matches_the_unique_rows_form_bit_for_bit():
+    # integer orbit keys number the orbits differently; bincount sums each
+    # orbit in entry order either way, so every bit agrees
+    for d, n in ((2, 1), (2, 3), (3, 4), (2, 7), (4, 3), (16, 2)):
+        got = random_invariant_operator(d, n, np.random.default_rng(30 + d + n))
+        want = _unique_rows_operator(d, n, np.random.default_rng(30 + d + n))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (d, n)
+
+
+def test_verify_nogo_traces_match_dense_products():
+    # eps_hat from the batched site-wise traces against the Kronecker powers
+    # of the same probes, drawn again from the same seed
+    for d, n in ((2, 5), (3, 3)):
+        a = random_invariant_operator(d, n, np.random.default_rng(n))
+        report = verify_nogo_instance(a, d, n, sample_states=16, rng=np.random.default_rng(9))
+        probes = list(_probe_states(d, 16, np.random.default_rng(9)))
+        worst = min(1.0, min(np.einsum("ij,ji->", a, tensor_power(r, n)).real for r in probes))
+        assert abs(report.eps_hat - max(0.0, 1.0 - worst)) < 1e-12, (d, n)
+        assert report.min_eig == float(np.linalg.eigvalsh(a)[0])
+
+
 def test_dim_ratio_frozen_and_sweep():
     ratio, floor = dim_ratio_bound((2, 1), 2, 3)
     assert abs(ratio - 2.0 / 3.0) < 1e-15
@@ -219,3 +261,23 @@ def test_even_permutation_average_is_rejected():
             assert invariance_defect(full, d, n) < 1e-12
             # one site has no permutation to break; two sites have the one swap
             assert (invariance_defect(raw, d, n) == 0.0) == (n == 1)
+
+
+def test_invariance_tolerance_scales_with_the_operator():
+    # an A_3 average shrunk to 1e-9 reads a defect of about 2.5e-9, under
+    # the absolute 1e-8; read against its own scale it is still rejected
+    even = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    every = list(itertools.permutations(range(3)))
+    m = np.random.default_rng(7).standard_normal((8, 8))
+    b = m + m.T
+    a = _site_average(b, 2, 3, even)
+    with pytest.raises(ValueError):
+        unitary_twirl_invariant(1e-9 * a, 2, 3)
+    with pytest.raises(ValueError):
+        verify_nogo_instance(1e-9 * a, 2, 3)
+    full = _site_average(b, 2, 3, every)
+    for scale in (1e-9, 1e-6, 1e-3, 1.0):
+        twirl = unitary_twirl_invariant(scale * full, 2, 3)
+        assert abs(np.trace(twirl) - scale * np.trace(full)) < 1e-12 * max(scale, 1e-3)
+    # the zero operator is invariant at any scale
+    assert np.abs(unitary_twirl_invariant(np.zeros((8, 8)), 2, 3)).max() == 0.0

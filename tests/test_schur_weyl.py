@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -21,6 +22,7 @@ from qsanov.schur_weyl import (
     invariance_defect,
     isotypical_projector,
     kcycle_class_size,
+    product_trace,
     schur_polynomial,
     spectral_estimate_check,
     tensor_power,
@@ -489,6 +491,64 @@ def test_size_guard_messages_name_what_tripped():
         tensor_power(np.eye(2), 13)
     with pytest.raises(SizeGuardError, match="d = 3, n = 8"):
         dense_from_blocks([], 3, 8)
+
+
+def _complex_letters(rng, shape, d):
+    """Random complex d x d letters; neighbours do not commute."""
+    return rng.standard_normal((*shape, d, d)) + 1j * rng.standard_normal((*shape, d, d))
+
+
+def _dense_product_trace(a, states):
+    """tr{A rho_0 x ... x rho_{n-1}} from the Kronecker product, per batch entry."""
+    flat = states.reshape(-1, *states.shape[-3:])
+    got = [np.einsum("ij,ji->", a, functools.reduce(np.kron, x)) for x in flat]
+    return np.array(got).reshape(states.shape[:-3])
+
+
+def test_product_trace_matches_dense_products():
+    # Kronecker products of complex, mutually non-commuting letters against
+    # the site-wise contraction, in every batch shape; 1e-12 relative to the
+    # sum of |terms|, which bounds the rounding of either form
+    rng = np.random.default_rng(17)
+    cases = [(2, 1), (2, 3), (2, 6), (3, 1), (3, 3), (4, 2), (4, 3)]
+    for d, n in cases:
+        dim = d**n
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for batch in ((), (17,), (3, 5)):
+            states = _complex_letters(rng, (*batch, n), d)
+            got = product_trace(a, states)
+            want = _dense_product_trace(a, states)
+            assert got.shape == tuple(batch)
+            scale = np.abs(a).max() * np.prod(np.abs(states).sum(axis=(-1, -2)), axis=-1)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), (d, n, batch)
+        first, second = states[0, 0, 0], states[0, 0, -1]
+        if n > 1:
+            assert np.abs(first @ second - second @ first).max() > 0.1
+    # a real operator against complex states stays complex; real with real stays real
+    a = rng.standard_normal((8, 8))
+    states = _complex_letters(rng, (3,), 2)
+    got = product_trace(a, states)
+    assert np.iscomplexobj(got)
+    scale = np.abs(a).max() * np.prod(np.abs(states).sum(axis=(-1, -2)))
+    assert abs(got - _dense_product_trace(a, states)) <= 1e-12 * scale
+    assert product_trace(a, states.real).dtype == np.float64
+    # states of one letter broadcast over the sites and over a batch
+    rho = random_state(3, np.random.default_rng(4))
+    a = rng.standard_normal((27, 27))
+    want = np.einsum("ij,ji->", a, tensor_power(rho, 3))
+    got = product_trace(a, np.broadcast_to(rho, (5, 3, 3, 3)))
+    assert np.abs(got - want).max() < 1e-12 * max(1.0, abs(want))
+
+
+def test_product_trace_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="states must have shape"):
+        product_trace(np.eye(4), np.eye(2))
+    with pytest.raises(ValueError, match="states must have shape"):
+        product_trace(np.eye(4), np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError, match="does not match"):
+        product_trace(np.eye(8), np.zeros((2, 2, 2)))
+    with pytest.raises(SizeGuardError, match="d = 2, n = 13"):
+        product_trace(np.eye(2), np.zeros((13, 2, 2)))
 
 
 def test_block_cache_shares_instances():
