@@ -13,6 +13,7 @@ from .tableaux import (
     Frequency,
     YoungFrame,
     dimension_bounds,
+    dimension_log2_bounds,
     dominance,
     entropy,
     entropy_continuity_bound,
@@ -25,6 +26,7 @@ from .tableaux import (
     pinsker_bound,
     relative_entropy,
     type_class_bounds,
+    type_class_log2_bounds,
     type_class_size,
 )
 from .quantum import (

@@ -132,9 +132,21 @@ def dim_ratio_bound(lam, d: int, n: int) -> tuple[float, float]:
 
 
 def nogo_bound(eps: float, d: int, n: int) -> float:
-    """1 - eps (2 d n)**(4 d*d); negative values carry no information."""
+    """1 - eps (2 d n)**(4 d*d); negative values carry no information.
+
+    eps = 0 gives 1.0, and -inf stands for a product past 2**1023, so no
+    power is taken that overflows. A power past 2**1023 under a small
+    enough eps is taken as 2**(log2 eps + 4 d*d log2(2 d n)).
+    """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
+    if eps == 0:
+        return 1.0
+    exponent = 4 * d * d * math.log2(2.0 * d * n)
+    if math.log2(eps) + exponent > 1023:
+        return -math.inf
+    if exponent > 1023:
+        return 1.0 - 2.0 ** (math.log2(eps) + exponent)
     return 1.0 - eps * (2.0 * d * n) ** (4 * d * d)
 
 

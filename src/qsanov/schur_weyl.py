@@ -14,11 +14,16 @@ Every central element of the group algebra acts on a frame component as an
 exact integer scalar (its central character, from the Murnaghan-Nakayama
 rule). The k-cycle class sums Z_k commute, so for the fewest cycle lengths
 2..K whose central characters tell the candidate frames of a block apart,
-the real combination sum_k (pi/7)**(k-2) Z_k is one symmetric matrix whose
-eigenspaces are the frame components. A single eigendecomposition per block
-therefore yields all of its projectors, and each eigenvalue is checked
-against the exact target sum_k (pi/7)**(k-2) chi_k(lam). The blocks are
-real in the word basis. `dense_from_blocks` is the one path from blocks to
+the real combination sum_k (pi/7)**(k-2) Z_k has the frame components as
+its eigenspaces. It is never formed on the m words of a block: an
+S_n-invariant operator there is fixed by its entries against the sorted
+word, one per orbit of the Young subgroup S_f, and the r = sum_lam
+K_lam,f**2 orbits are keyed by letter-pair count tables. One r x r
+eigendecomposition per block yields all of its projectors, each eigenvalue
+is checked against the exact target sum_k (pi/7)**(k-2) chi_k(lam), and
+every block entry is read off the orbit of its word pair. The blocks are
+real in the word basis. `class_sum_on_words` keeps the dense m x m class
+sum as an oracle. `dense_from_blocks` is the one path from blocks to
 d**n operators (`block_projector`, `isotypical_projector`), and
 `word_block_state` restricts a product of site states to a block.
 Full-space work is guarded: index-level work allows d**n up to 60000,
@@ -55,6 +60,7 @@ from .tableaux import (
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
+    kostka,
     relative_entropy,
     type_class_size,
 )
@@ -245,7 +251,11 @@ def _k_cycles(n: int, k: int):
 
 
 def class_sum_on_words(words: np.ndarray, d: int, k: int) -> np.ndarray:
-    """The k-cycle class sum on a block of sorted, distinct words (non-increasing f)."""
+    """The k-cycle class sum on a block of sorted, distinct words (non-increasing f).
+
+    Dense m x m; `frequency_blocks` works on the S_f-orbits instead, and
+    this stays as the oracle it is checked against.
+    """
     m, n = words.shape
     codes = word_codes(words, d)
     if np.any(np.diff(codes) <= 0):
@@ -271,11 +281,20 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     The candidate frames are those dominating f. With 2..K the fewest
     cycle lengths whose central characters chi_k tell the candidates
     apart, the lam component is the eigenspace of
-    sum_k (pi/7)**(k-2) Z_k for the value sum_k (pi/7)**(k-2) chi_k(lam),
-    so one eigh yields every projector. Each eigenvector goes to the
-    nearest target value; ArithmeticError is raised when the characters do
-    not separate the frames, or when an eigenvalue lies more than a quarter
-    of the smallest target gap from its target.
+    sum_k (pi/7)**(k-2) Z_k for the value sum_k (pi/7)**(k-2) chi_k(lam).
+
+    The block is the permutation module of the Young subgroup S_f, the
+    stabiliser of the sorted word w0, and splits as sum_lam K_lam,f S^lam
+    (Young's rule). An S_n-invariant operator is fixed by its entries
+    against w0, one per S_f-orbit of words, so the class sums are taken
+    on the r = sum_lam K_lam,f**2 orbits only (`_word_orbits`), where the
+    lam eigenspace has dimension K_lam,f**2. One r x r eigh yields every
+    projector: entry [w, w'] is the (w0, v) entry for the orbit of v whose
+    letter-pair count table against w0 equals that of (w, w'). Each
+    eigenvector goes to the nearest target value; ArithmeticError is
+    raised when the characters do not separate the frames, when an
+    eigenvalue lies more than a quarter of the smallest target gap from
+    its target, or when frame lam does not own K_lam,f**2 eigenvalues.
 
     Returns a dict mapping frame parts to the projector matrix in the
     word basis of `words_of_type(f)` (real symmetric, size |T_f|,
@@ -284,6 +303,46 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     shared between callers and must not be modified.
     """
     return _frequency_blocks(_freq_counts(f))
+
+
+def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
+    """S_f-orbits of the sorted words of non-increasing counts f.
+
+    A pair of words (w, w') is keyed by its letter-pair count table
+    N[x, y] = #{i : w_i = x, w'_i = y}, whose margins are both f, so the
+    entries with x, y below the last letter in use fix it. They are read
+    in mixed radix f_x + 1 as one GEMM of place values against one-hot
+    letters. The S_f-orbit of v is the key of (w0, v), w0 = words[0].
+
+    Returns (orbit_of, pair_orbit, reps, sizes), orbits numbered in key
+    order: orbit_of(v) is the orbit of words v of shape (..., n),
+    pair_orbit[w, w'] the orbit whose key is that of (w, w'), reps one word
+    per orbit and sizes the orbit sizes. pair_orbit reads a lookup table
+    over all keys when it has at most m**2 entries, else it searches the
+    r orbit keys.
+    """
+    m, n = words.shape
+    inner = sum(c > 0 for c in counts) - 1
+    radix = np.repeat(np.asarray(counts[:inner], dtype=np.int64) + 1, inner)
+    places = np.cumprod(np.r_[1, radix])
+    place = np.zeros((inner + 1, inner + 1))
+    place[:inner, :inner] = places[:-1].reshape(inner, inner)
+    a = place[words[:, :, None], np.arange(inner)].reshape(m, -1)
+    b = (words[:, :, None] == np.arange(inner)).reshape(m, -1).astype(float)
+    codes = (a @ b.T).astype(np.intp)  # exact: keys are below places[-1] <= 2**25 here
+    keys, first, sizes = np.unique(codes[0], return_index=True, return_counts=True)
+    if places[-1] <= m * m:
+        lut = np.zeros(places[-1], dtype=np.intp)
+        lut[keys] = np.arange(len(keys))
+        pair_orbit = lut[codes]
+    else:
+        pair_orbit = np.searchsorted(keys, codes)
+    row = place[words[0]]
+
+    def orbit_of(v: np.ndarray) -> np.ndarray:
+        return np.searchsorted(keys, row[np.arange(n), v].sum(axis=-1).astype(np.intp))
+
+    return orbit_of, pair_orbit, words[first], sizes
 
 
 @lru_cache(maxsize=256)
@@ -313,18 +372,29 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
         ]
     weights = _CYCLE_WEIGHT ** np.arange(k - 1)
     targets = np.asarray(chars, dtype=float) @ weights
-    mixed = np.zeros((m, m))
+    orbit_of, pair_orbit, reps, sizes = _word_orbits(words, counts)
+    r = len(sizes)
+    # hits[O, O'] = sum_k w_k #{k-cycles pi : pi . v_O in O'}; a class holds the
+    # inverse of each of its cycles, so reading the images as pi**-1 . v_O counts the same
+    hits = np.zeros(r * r)
     for j, w in enumerate(weights, start=2):
-        mixed += w * class_sum_on_words(words, d, j)
-    vals, vecs = np.linalg.eigh(mixed)
+        images = orbit_of(reps[:, np.array(list(_k_cycles(n, j)))])
+        hits += w * np.bincount((np.arange(r)[:, None] * r + images).ravel(), minlength=r * r)
+    # the mixed class sum in the orthonormal orbit-sum basis
+    root = np.sqrt(sizes)
+    vals, vecs = np.linalg.eigh(hits.reshape(r, r) * root[:, None] / root[None, :])
     owner = np.abs(vals[:, None] - targets[None, :]).argmin(axis=1)
     gap = np.diff(np.sort(targets)).min(initial=np.inf)
     if np.abs(vals - targets[owner]).max() > gap / 4.0:
         raise ArithmeticError("class-sum eigenvalues do not match the frame targets")
+    owned = np.bincount(owner, minlength=len(candidates))
+    if owned.tolist() != [kostka(counts, lam) ** 2 for lam in candidates]:
+        raise ArithmeticError("frames do not own K_lam,f**2 orbit eigenvalues each")
+    o0 = orbit_of(words[0])
     blocks: dict[tuple[int, ...], np.ndarray] = {}
     for i, lam in enumerate(candidates):
         sel = vecs[:, owner == i]
-        blocks[lam] = sel @ sel.T
+        blocks[lam] = ((sel @ sel[o0]) / root)[pair_orbit]
         blocks[lam].flags.writeable = False
     return blocks
 

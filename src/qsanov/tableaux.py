@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import SizeGuardError
+
 # Pinsker constant for base-2 relative entropy: D(p||q) >= ALPHA * |p - q|_1^2.
 ALPHA = 1.0 / (2.0 * math.log(2.0))
 
@@ -263,11 +265,11 @@ def hook_dimension(lam) -> int:
     return num // prod
 
 
-def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
-    """Entropic sandwich for hook_dimension.
+def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:
+    """Entropic sandwich for log2 hook_dimension.
 
-    Returns (2**(n*H(norm) - 2*d**6*log2(2n)), 2**(n*H(norm))); the lower
-    bound is extremely loose at small n and may underflow to 0.
+    Returns (n*H(norm) - 2*d**6*log2(2n), n*H(norm)), finite at every n;
+    the lower bound is extremely loose at small n.
     """
     frame = lam if isinstance(lam, YoungFrame) else YoungFrame(lam)
     if d is None:
@@ -277,8 +279,23 @@ def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
     n = frame.n
     h = entropy(np.asarray(frame.padded(d), dtype=float) / n)
     upper_exp = n * h
-    lower_exp = upper_exp - 2.0 * d**6 * math.log2(2 * n)
+    return upper_exp - 2.0 * d**6 * math.log2(2 * n), upper_exp
+
+
+def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
+    """2 to the power of `dimension_log2_bounds`; the lower bound may underflow to 0.
+
+    SizeGuardError when the upper exponent passes 1023, past which the
+    float would overflow.
+    """
+    lower_exp, upper_exp = dimension_log2_bounds(lam, d)
+    _check_exponent(upper_exp)
     return 2.0**lower_exp, 2.0**upper_exp
+
+
+def _check_exponent(exp: float) -> None:
+    if exp > 1023:
+        raise SizeGuardError(f"2**{exp:.6g} overflows a float; use the log2 form")
 
 
 def type_class_size(f) -> int:
@@ -291,16 +308,26 @@ def type_class_size(f) -> int:
     return size
 
 
-def type_class_bounds(f) -> tuple[float, float]:
-    """Entropic sandwich ((n+1)**-d * 2**(nH), 2**(nH)) for type_class_size."""
+def type_class_log2_bounds(f) -> tuple[float, float]:
+    """Entropic sandwich (nH - d log2(n+1), nH) for log2 type_class_size."""
     counts = _freq_counts(f)
     n = sum(counts)
-    d = len(counts)
     if n == 0:
         raise ValueError("empty word")
-    h = entropy(np.asarray(counts, dtype=float) / n)
-    upper = 2.0 ** (n * h)
-    return upper / (n + 1) ** d, upper
+    upper_exp = n * entropy(np.asarray(counts, dtype=float) / n)
+    return upper_exp - len(counts) * math.log2(n + 1), upper_exp
+
+
+def type_class_bounds(f) -> tuple[float, float]:
+    """Entropic sandwich ((n+1)**-d * 2**(nH), 2**(nH)) for type_class_size.
+
+    SizeGuardError when nH passes 1023 (`type_class_log2_bounds` has no limit).
+    """
+    counts = _freq_counts(f)
+    upper_exp = type_class_log2_bounds(counts)[1]
+    _check_exponent(upper_exp)
+    upper = 2.0**upper_exp
+    return upper / (sum(counts) + 1) ** len(counts), upper
 
 
 def dominance(f, lam) -> bool:

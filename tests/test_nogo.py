@@ -185,6 +185,21 @@ def test_nogo_bound_values():
         nogo_bound(-0.1, 2, 4)
 
 
+def test_nogo_bound_never_overflows():
+    # at d = 8, n = 2 the amplification (2dn)**(4d*d) = 2**1280 is past the float range
+    assert nogo_bound(0.0, 8, 2) == 1.0
+    assert nogo_bound(1e-12, 8, 2) == -math.inf
+    assert nogo_bound(1e-3, 7, 3) == -math.inf
+    # a power past 2**1023 under an eps that keeps the product finite
+    assert nogo_bound(2.0**-300, 8, 2) == 1.0 - 2.0**980
+    # inside the float range the formula is kept bit for bit
+    for eps, d, n in [(1e-3, 2, 4), (0.5, 2, 7), (1e-12, 3, 4), (0.25, 4, 3), (1e-12, 7, 2)]:
+        assert nogo_bound(eps, d, n) == 1.0 - eps * (2.0 * d * n) ** (4 * d * d)
+    report = verify_nogo_instance(np.eye(64), 8, 2)
+    assert (report.eps_hat, report.bound, report.vacuous) == (0.0, 1.0, False)
+    assert report.min_eig == pytest.approx(1.0)
+
+
 def test_verify_nogo_identity():
     report = verify_nogo_instance(np.eye(16), 2, 4)
     assert report.eps_hat == 0.0

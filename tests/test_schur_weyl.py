@@ -295,15 +295,79 @@ def test_sweep_builds_sorted_frequencies_only(monkeypatch):
 
 
 def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
-    # Z_2 targets on f = (2, 2) are 6, 2 and 0: a shift of 1 is half the smallest gap
-    exact = schur_weyl.class_sum_on_words
-    monkeypatch.setattr(
-        schur_weyl, "class_sum_on_words", lambda w, d, k: exact(w, d, k) + np.eye(len(w))
-    )
+    # Z_2 targets on f = (2, 2) are 6, 2 and 0: a shift of 1 is half the smallest gap.
+    # The only eigh in frequency_blocks is the one of the restricted orbit operator.
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh(a + np.eye(len(a))))
     schur_weyl._frequency_blocks.cache_clear()
     try:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ArithmeticError, match="targets"):
             frequency_blocks((2, 2))
+    finally:
+        schur_weyl._frequency_blocks.cache_clear()
+
+
+def test_blocks_reject_owner_counts_off_kostka_squares(monkeypatch):
+    # every eigenvalue sits on a target, but the smallest is moved onto the
+    # largest one, so the frames own 2 and 0 orbit eigenvalues instead of 1 and 1
+    eigh = np.linalg.eigh
+
+    def moved(a):
+        vals, vecs = eigh(a)
+        return np.r_[vals[-1], vals[1:]], vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", moved)
+    schur_weyl._frequency_blocks.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="own"):
+            frequency_blocks((2, 2))
+    finally:
+        schur_weyl._frequency_blocks.cache_clear()
+
+
+def _sorted_frequencies(d, n):
+    freqs = (f.counts for f in enumerate_frequencies(d, n))
+    return [f for f in freqs if list(f) == sorted(f, reverse=True)]
+
+
+def test_orbit_blocks_match_the_dense_class_sum_oracle():
+    # every sorted f at d = 2 (n <= 10), d = 3 (n <= 8), d = 4 (n <= 5); d = 5, n = 5
+    # holds (1, 1, 1, 1, 1), whose pair keys outnumber m**2 and are searched, not looked up
+    cases = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 9)]
+    cases += [(4, n) for n in range(1, 6)] + [(5, 5)]
+    schur_weyl._frequency_blocks.cache_clear()
+    try:
+        for d, n in cases:
+            for f in _sorted_frequencies(d, n):
+                words, want = direct_blocks(f)
+                assert np.array_equal(words, words_of_type(f))
+                got = frequency_blocks(f)
+                assert sorted(got) == sorted(want), f
+                for lam, block in got.items():
+                    assert np.abs(block - want[lam]).max() <= 1e-12, (f, lam)
+    finally:
+        schur_weyl._frequency_blocks.cache_clear()
+
+
+def test_blocks_diagonalise_on_the_orbits_only(monkeypatch):
+    # no dense class sum is formed, and the one eigh per block has size sum_lam K**2
+    def dense(*args):
+        raise AssertionError("class_sum_on_words called")
+
+    sizes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(schur_weyl, "class_sum_on_words", dense)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape) or eigh(a))
+    schur_weyl._frequency_blocks.cache_clear()
+    try:
+        orbits = {}
+        for d, n in [(2, 10), (3, 8), (4, 5), (5, 5)]:
+            for f in _sorted_frequencies(d, n):
+                sizes.clear()
+                orbits[f] = sum(kostka(f, lam) ** 2 for lam in frequency_blocks(f))
+                assert sizes == [(orbits[f], orbits[f])], (f, sizes)
+        assert len(words_of_type((3, 3, 2))) == 560 and orbits[(3, 3, 2)] == 35
+        assert len(words_of_type((5, 5))) == 252 and orbits[(5, 5)] == 6
     finally:
         schur_weyl._frequency_blocks.cache_clear()
 

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from qsanov.errors import SizeGuardError
 from qsanov.tableaux import (
     ALPHA,
     Frequency,
     YoungFrame,
     _kostka_rec,
     dimension_bounds,
+    dimension_log2_bounds,
     dominance,
     entropy,
     entropy_continuity_bound,
@@ -22,6 +24,7 @@ from qsanov.tableaux import (
     pinsker_bound,
     relative_entropy,
     type_class_bounds,
+    type_class_log2_bounds,
     type_class_size,
 )
 
@@ -189,6 +192,38 @@ def test_dimension_sandwich():
                     1.0, lo
                 )
                 assert lo <= hook_dimension(fr.parts) <= hi * (1 + 1e-12)
+
+
+def test_log2_sandwiches_at_n_2048():
+    # the linear forms overflow here; the log2 forms hold against exact logs
+    n = 2048
+    for f in [(1024, 1024), (2047, 1), (2048, 0), (700, 700, 648), (1000, 600, 300, 148)]:
+        lo, hi = type_class_log2_bounds(f)
+        exact = (math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in f)) / math.log(2)
+        assert lo <= exact <= hi + 1e-9 * hi, f
+    for lam, d in [((1024, 1024), 2), ((2047, 1), 2), ((2048,), 2), ((700, 700, 648), 3)]:
+        lo, hi = dimension_log2_bounds(lam, d)
+        assert lo <= math.log2(hook_dimension(lam)) <= hi + 1e-9 * hi, lam
+    with pytest.raises(SizeGuardError):
+        type_class_bounds((512, 512))
+    with pytest.raises(SizeGuardError):
+        dimension_bounds((600, 600))
+
+
+def test_linear_bounds_keep_their_values():
+    # 2 to the power of the log2 forms, bit for bit the formulas they replace
+    cases = [(d, n) for d in (2, 3, 4) for n in (1, 5, 12)]
+    freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
+    for counts in freqs + [(300, 0), (150, 150), (300, 200, 100)]:
+        n, d = sum(counts), len(counts)
+        upper = 2.0 ** (n * entropy(np.asarray(counts, dtype=float) / n))
+        assert type_class_bounds(counts) == (upper / (n + 1) ** d, upper)
+    frames = [(fr.parts, d) for d, n in cases for fr in enumerate_frames(d, n)]
+    for parts, d in frames + [((299, 1), 2), ((150, 150), 3), ((400, 100), 2)]:
+        n = sum(parts)
+        upper_exp = n * entropy(np.asarray(YoungFrame(parts).padded(d), dtype=float) / n)
+        lower_exp = upper_exp - 2.0 * d**6 * math.log2(2 * n)
+        assert dimension_bounds(parts, d) == (2.0**lower_exp, 2.0**upper_exp)
 
 
 # ---------------------------------------------------------------------------
