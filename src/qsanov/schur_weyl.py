@@ -317,9 +317,7 @@ def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
     Returns (orbit_of, pair_orbit, reps, sizes), orbits numbered in key
     order: orbit_of(v) is the orbit of words v of shape (..., n),
     pair_orbit[w, w'] the orbit whose key is that of (w, w'), reps one word
-    per orbit and sizes the orbit sizes. pair_orbit reads a lookup table
-    over all keys when it has at most m**2 entries, else it searches the
-    r orbit keys.
+    per orbit and sizes the orbit sizes. Both search the r sorted orbit keys.
     """
     m, n = words.shape
     inner = sum(c > 0 for c in counts) - 1
@@ -331,12 +329,7 @@ def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
     b = (words[:, :, None] == np.arange(inner)).reshape(m, -1).astype(float)
     codes = (a @ b.T).astype(np.intp)  # exact: keys are below places[-1] <= 2**25 here
     keys, first, sizes = np.unique(codes[0], return_index=True, return_counts=True)
-    if places[-1] <= m * m:
-        lut = np.zeros(places[-1], dtype=np.intp)
-        lut[keys] = np.arange(len(keys))
-        pair_orbit = lut[codes]
-    else:
-        pair_orbit = np.searchsorted(keys, codes)
+    pair_orbit = np.searchsorted(keys, codes)
     row = place[words[0]]
 
     def orbit_of(v: np.ndarray) -> np.ndarray:

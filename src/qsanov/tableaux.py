@@ -285,8 +285,8 @@ def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:
 def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
     """2 to the power of `dimension_log2_bounds`; the lower bound may underflow to 0.
 
-    SizeGuardError when the upper exponent passes 1023, past which the
-    float would overflow.
+    SizeGuardError when the upper exponent reaches 1024, where the float
+    overflows.
     """
     lower_exp, upper_exp = dimension_log2_bounds(lam, d)
     _check_exponent(upper_exp)
@@ -294,7 +294,7 @@ def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
 
 
 def _check_exponent(exp: float) -> None:
-    if exp > 1023:
+    if exp >= 1024:
         raise SizeGuardError(f"2**{exp:.6g} overflows a float; use the log2 form")
 
 
@@ -321,7 +321,8 @@ def type_class_log2_bounds(f) -> tuple[float, float]:
 def type_class_bounds(f) -> tuple[float, float]:
     """Entropic sandwich ((n+1)**-d * 2**(nH), 2**(nH)) for type_class_size.
 
-    SizeGuardError when nH passes 1023 (`type_class_log2_bounds` has no limit).
+    SizeGuardError when nH reaches 1024, where the float overflows
+    (`type_class_log2_bounds` has no limit).
     """
     counts = _freq_counts(f)
     upper_exp = type_class_log2_bounds(counts)[1]

@@ -331,8 +331,7 @@ def _sorted_frequencies(d, n):
 
 
 def test_orbit_blocks_match_the_dense_class_sum_oracle():
-    # every sorted f at d = 2 (n <= 10), d = 3 (n <= 8), d = 4 (n <= 5); d = 5, n = 5
-    # holds (1, 1, 1, 1, 1), whose pair keys outnumber m**2 and are searched, not looked up
+    # every sorted f at d = 2 (n <= 10), d = 3 (n <= 8), d = 4 (n <= 5) and d = 5, n = 5
     cases = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 9)]
     cases += [(4, n) for n in range(1, 6)] + [(5, 5)]
     schur_weyl._frequency_blocks.cache_clear()

@@ -211,15 +211,16 @@ def test_log2_sandwiches_at_n_2048():
 
 
 def test_linear_bounds_keep_their_values():
-    # 2 to the power of the log2 forms, bit for bit the formulas they replace
+    # 2 to the power of the log2 forms, bit for bit the formulas they replace,
+    # up to the top of the float range: (520, 504) has nH = 1023.82
     cases = [(d, n) for d in (2, 3, 4) for n in (1, 5, 12)]
     freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
-    for counts in freqs + [(300, 0), (150, 150), (300, 200, 100)]:
+    for counts in freqs + [(300, 0), (150, 150), (300, 200, 100), (520, 504)]:
         n, d = sum(counts), len(counts)
         upper = 2.0 ** (n * entropy(np.asarray(counts, dtype=float) / n))
         assert type_class_bounds(counts) == (upper / (n + 1) ** d, upper)
     frames = [(fr.parts, d) for d, n in cases for fr in enumerate_frames(d, n)]
-    for parts, d in frames + [((299, 1), 2), ((150, 150), 3), ((400, 100), 2)]:
+    for parts, d in frames + [((299, 1), 2), ((150, 150), 3), ((400, 100), 2), ((520, 504), 2)]:
         n = sum(parts)
         upper_exp = n * entropy(np.asarray(YoungFrame(parts).padded(d), dtype=float) / n)
         lower_exp = upper_exp - 2.0 * d**6 * math.log2(2 * n)
