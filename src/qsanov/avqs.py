@@ -238,7 +238,7 @@ def _trace_dists(stack: np.ndarray, point: np.ndarray) -> np.ndarray:
 def _state_pool(d: int, rng: np.random.Generator) -> np.ndarray:
     if d == 2:
         shells = (0.25, 0.5, 0.75, 0.9, 1.0)
-        return np.stack([bloch_state(np.zeros(3)), *bloch_spiral(shells, 400)])
+        return np.concatenate([bloch_state(np.zeros(3))[None], bloch_spiral(shells, 400)])
     # Cholesky-angle sample: lower-triangular factors with seeded entries
     out = [np.eye(d, dtype=complex) / d]
     for _ in range(6000):

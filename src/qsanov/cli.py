@@ -284,13 +284,13 @@ def example_bloch(n: int = 6, eps: float = 0.25, grid: int = 24, seed: int = 0) 
         x = rng.uniform(-0.95, 0.95, size=3)
         if np.linalg.norm(x) <= 0.95 and x[2] <= 0.25:
             states.append(bloch_state(x))
-    spec = TestSpec(sigma=sigma, null_set=states, epsilon=eps, n=n)
+    spec = TestSpec(sigma=sigma, null_set=np.stack(states), epsilon=eps, n=n)
     labels = sorted(lambda_set(spec))
 
     def outcome_probs(xi: np.ndarray) -> np.ndarray:
         return np.array([block_weight(f, lam, xi) for f, lam in labels])
 
-    pool = states + [sigma]
+    pool = np.concatenate([spec.null_set, sigma[None]])
     probs = np.stack([outcome_probs(xi) for xi in pool])
     p_e = np.clip(1.0 - probs.sum(axis=1), 0.0, 1.0)
     accept_null = probs.sum(axis=1)[:-1]

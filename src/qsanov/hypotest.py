@@ -33,7 +33,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeGuardError, VerificationError
-from .quantum import assert_state, eigenbasis, pinch, qrel_entropy, spectrum
+from .quantum import (
+    _pinched,
+    _spectra,
+    assert_basis,
+    assert_state,
+    assert_states,
+    eigenbasis,
+    qrel_entropy,
+    spectrum,
+)
 from .schur_weyl import (
     GUARD_LIMIT,
     _gt_diagonal,
@@ -41,6 +50,7 @@ from .schur_weyl import (
     frequency_blocks,
     gt_irrep,
     gt_weights,
+    log_schur_polynomial,
     product_trace,
     schur_polynomial,
     word_block_state,
@@ -53,30 +63,33 @@ from .tableaux import (
 )
 
 SIGMA_MIN_EIG = 1e-12
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
 class TestSpec:
     """Inputs of one projector test.
 
-    `null_set` lists the null-hypothesis states; with `hull=True` the null
-    is their convex hull, probed on a mixing-weight grid of pitch about
-    epsilon/4 (SizeGuardError above GUARD_LIMIT grid points).
+    `null_set` lists the null-hypothesis states (a sequence of d x d
+    states or a (K, d, d) stack; it is kept as the validated complex
+    stack); with `hull=True` the null is their convex hull, probed on a
+    mixing-weight grid of pitch about epsilon/4 (SizeGuardError above
+    GUARD_LIMIT grid points).
     """
 
     sigma: np.ndarray
-    null_set: list[np.ndarray]
+    null_set: np.ndarray
     epsilon: float
     n: int
     hull: bool = False
 
     def __post_init__(self):
         self.sigma = assert_state(self.sigma)
-        self.null_set = [assert_state(s) for s in self.null_set]
-        if not self.null_set:
+        if not len(self.null_set):
             raise ValueError("null_set must contain at least one state")
-        if any(s.shape != self.sigma.shape for s in self.null_set):
+        if any(np.shape(s) != self.sigma.shape for s in self.null_set):
             raise ValueError("all states must share the dimension of sigma")
+        self.null_set = assert_states(self.null_set)[0]
         if not 0.0 <= self.epsilon <= 2.0:
             raise ValueError(f"epsilon={self.epsilon} outside [0, 2]")
         if self.n < 1:
@@ -92,30 +105,40 @@ class TestSpec:
         return self.sigma.shape[0]
 
 
-def _null_candidates(spec: TestSpec) -> list[np.ndarray]:
-    if not spec.hull or len(spec.null_set) == 1:
-        return list(spec.null_set)
+def _null_candidates(spec: TestSpec) -> np.ndarray:
+    """The null states that `lambda_set` probes, as one (K, d, d) stack.
+
+    Without the hull (or with one null state) these are the K = |S| nulls.
+    With it they are the K = C(steps + |S| - 1, |S| - 1) mixtures of the
+    weight grid of pitch 1/steps, in `enumerate_frequencies` order: every
+    mixture at once, as an |S|-term sum over the stacked nulls, in the same
+    order and rounding as adding the weighted states one at a time.
+    """
+    nulls = spec.null_set
+    if not spec.hull or len(nulls) == 1:
+        return nulls
     steps = max(1, math.ceil(1.0 / max(spec.epsilon / 4.0, 1e-3)))
-    size = len(spec.null_set)
+    size = len(nulls)
     count = math.comb(steps + size - 1, size - 1)
     if count > GUARD_LIMIT:
         raise SizeGuardError(
             f"|S| = {size}: a hull grid of {count} mixtures exceeds the guard of {GUARD_LIMIT}"
         )
-    out = []
-    for grid_point in enumerate_frequencies(size, steps):
-        weights = np.array(grid_point.counts, dtype=float) / steps
-        out.append(sum(w * s for w, s in zip(weights, spec.null_set)))
-    return out
+    weights = np.array([g.counts for g in enumerate_frequencies(size, steps)], float) / steps
+    return sum(weights[:, s, None, None] * nulls[s] for s in range(size))
 
 
 def _label_band(states, basis, epsilon: float, d: int, n: int):
     """The epsilon-band of the label criterion: (freqs, frames, freq_ok, frame_ok).
 
-    freqs and frames are the frequency counts and frame parts of n letters
-    in d. freq_ok[i, q] says that pinch(states[i], basis) lies within
-    epsilon (l1) of freqs[q]/n, frame_ok[i, j] that spectrum(states[i])
-    lies within epsilon of frames[j]/n, padded to d parts.
+    `states` is a (K, d, d) stack, or a sequence of K states. freqs (a list
+    of count tuples) and frames (a list of parts) are the frequencies and
+    frames of n letters in d. freq_ok, a (K, len(freqs)) bool array, says
+    that the pinching of state i in `basis` lies within epsilon (l1) of
+    freqs[q]/n; frame_ok, (K, len(frames)), that its spectrum lies within
+    epsilon of frames[j]/n, padded to d parts. The K states are validated,
+    pinched and diagonalised together: one batched `eigvalsh` (the
+    validator's, `assert_states`) and one `einsum`.
     """
     freqs = [f.counts for f in enumerate_frequencies(d, n)]
     frames = enumerate_frames(d, n)
@@ -123,9 +146,10 @@ def _label_band(states, basis, epsilon: float, d: int, n: int):
     def within(points, centres):
         return np.stack([np.abs(points - c).sum(axis=1) <= epsilon for c in centres], axis=1)
 
-    freq_ok = within(np.array([pinch(s, basis) for s in states]), np.array(freqs, float) / n)
+    m, evals = assert_states(states)
+    freq_ok = within(_pinched(m, assert_basis(basis)), np.array(freqs, float) / n)
     frame_ok = within(
-        np.array([spectrum(s) for s in states]),
+        _spectra(evals),
         np.array([fr.padded(d) for fr in frames], dtype=float) / n,
     )
     return freqs, [fr.parts for fr in frames], freq_ok, frame_ok
@@ -314,19 +338,38 @@ def _irrep_miss(rho, accepted, d: int, n: int) -> float:
     d_lam times the diagonal of pi_lam(rho) on its rejected weights, from
     the cache that single-state `block_weight` reads too. Every term is
     nonnegative.
+
+    d_lam is a Python int that passes the float range near n = 1030 at
+    d = 2, and d_lam * mass <= 1 then pushes the mass below the smallest
+    normal float, where it underflows. Such a term is taken in logs: as
+    exp(ln d_lam + ln s_lam) for a rejected frame (`log_schur_polynomial`),
+    and for a partly accepted one as exp(ln d_lam + n ln r_max + ln m'),
+    m' the rejected mass of rho / r_max (pi_lam is homogeneous of degree n).
+    Every other term is the plain d_lam * mass.
     """
     r = np.linalg.eigvalsh(rho)
     key = np.ascontiguousarray(rho, dtype=complex).tobytes()
     miss = 0.0
     for fr in enumerate_frames(d, n):
         acc = accepted.get(fr.parts)
+        if acc is not None and acc.all():
+            continue
+        dim = hook_dimension(fr.parts)
         if acc is None:
             mass = schur_polynomial(fr.parts, r)
-        elif acc.all():
-            continue
         else:
             mass = float(_gt_diagonal(fr.parts, d, key)[~acc].sum())
-        miss += hook_dimension(fr.parts) * mass
+        if mass >= _TINY:
+            miss += dim * mass
+            continue
+        if acc is None:
+            log_mass = log_schur_polynomial(fr.parts, r)
+        else:
+            top = float(r[-1])
+            scaled = np.ascontiguousarray(rho / top, dtype=complex).tobytes()
+            mass = float(_gt_diagonal(fr.parts, d, scaled)[~acc].sum())
+            log_mass = n * math.log(top) + math.log(mass) if mass > 0.0 else -math.inf
+        miss += math.exp(math.log(dim) + log_mass)
     return miss
 
 

@@ -9,37 +9,74 @@ import math
 
 import numpy as np
 
-from .tableaux import as_prob_vec, entropy
+from .tableaux import entropy
 
 RHO_SUPPORT_TOL = 1e-9
 SIGMA_NULL_TOL = 1e-12
 
 
+def _name(flags: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """(index, name) of the first flagged state: "state" alone for one state."""
+    idx = np.unravel_index(int(np.flatnonzero(flags)[0]), flags.shape)
+    if not idx:
+        return idx, "state"
+    return idx, f"state {idx[0] if len(idx) == 1 else idx}"
+
+
+def assert_states(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack of density matrices: square, Hermitian, unit trace, PSD.
+
+    `states` has shape (..., d, d), or is a sequence of d x d states; a
+    single (d, d) state is the one-state case. Returns (stack, eigenvalues):
+    the complex stack and its ascending eigenvalues, shape (..., d), from one
+    batched `eigvalsh`. The error names the first bad state by its index.
+    """
+    m = np.asarray(states, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"state must be square, got shape {m.shape}")
+    skew = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if (skew > tol).any():
+        raise ValueError(f"{_name(skew > tol)[1]} is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if (np.abs(tr - 1.0) > tol).any():
+        i, name = _name(np.abs(tr - 1.0) > tol)
+        raise ValueError(f"{name} trace is {tr[i]}, expected 1")
+    evals = np.linalg.eigvalsh(m)
+    low = evals.min(axis=-1)
+    if (low < -tol).any():
+        i, name = _name(low < -tol)
+        raise ValueError(f"{name} has negative eigenvalue {low[i]}")
+    return m, evals
+
+
 def assert_state(rho, tol: float = 1e-9) -> np.ndarray:
     """Validate a density matrix: square, Hermitian, PSD, unit trace."""
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError(f"state must be square, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > tol:
-        raise ValueError("state is not Hermitian")
-    tr = m.trace().real
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"state trace is {tr}, expected 1")
-    evals = np.linalg.eigvalsh(m)
-    if evals.min() < -tol:
-        raise ValueError(f"state has negative eigenvalue {evals.min()}")
-    return m
+    return assert_states(m, tol)[0]
+
+
+def _spectra(evals: np.ndarray) -> np.ndarray:
+    """Descending, clipped and renormalized rows of ascending eigenvalues."""
+    vals = evals[..., ::-1].copy()
+    np.clip(vals, 0.0, None, out=vals)
+    s = vals.sum(axis=-1, keepdims=True)
+    off = np.abs(s[..., 0] - 1.0) > 1e-10
+    if off.any():
+        i, name = _name(off)
+        raise ValueError(f"clipped spectrum of {name} sums to {s[i][0]}")
+    return vals / s
 
 
 def spectrum(rho) -> np.ndarray:
-    """Eigenvalues of a state, descending, clipped at 0 and renormalized."""
-    m = assert_state(rho)
-    vals = np.linalg.eigvalsh(m)[::-1].copy()
-    np.clip(vals, 0.0, None, out=vals)
-    s = vals.sum()
-    if abs(s - 1.0) > 1e-10:
-        raise ValueError(f"clipped spectrum sums to {s}")
-    return vals / s
+    """Eigenvalues of a state, descending, clipped at 0 and renormalized.
+
+    `rho` is one (d, d) state or a stack (..., d, d); the result has shape
+    (d,) or (..., d). The eigenvalues are the validator's (`assert_states`),
+    so each call runs one batched `eigvalsh`.
+    """
+    return _spectra(assert_states(rho)[1])
 
 
 def eigenbasis(sigma) -> tuple[np.ndarray, np.ndarray]:
@@ -59,12 +96,34 @@ def assert_basis(basis, tol: float = 1e-9) -> np.ndarray:
     return b
 
 
+def _pinched(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Diagonals of the validated stack m in the orthonormal basis b.
+
+    Each row is checked, clipped at 0 and renormalized at the tolerance
+    of `tableaux.as_prob_vec`.
+    """
+    tol = 1e-9
+    diag = np.einsum("ji,...jk,ki->...i", b.conj(), m, b).real.copy()
+    low = diag.min(axis=-1)
+    if (low < -tol).any():
+        i, name = _name(low < -tol)
+        raise ValueError(f"negative entry {low[i]} in the pinching of {name}")
+    np.clip(diag, 0.0, None, out=diag)
+    s = diag.sum(axis=-1, keepdims=True)
+    off = np.abs(s[..., 0] - 1.0) > tol
+    if off.any():
+        i, name = _name(off)
+        raise ValueError(f"the pinching of {name} sums to {s[i][0]}, expected 1")
+    return diag / s
+
+
 def pinch(rho, basis) -> np.ndarray:
-    """Diagonal of rho in the given orthonormal basis, as a probability vector."""
-    m = assert_state(rho)
-    b = assert_basis(basis)
-    diag = np.einsum("ji,jk,ki->i", b.conj(), m, b).real
-    return as_prob_vec(diag)
+    """Diagonal of rho in the given orthonormal basis, as a probability vector.
+
+    `rho` is one (d, d) state or a stack (..., d, d); the result has shape
+    (d,) or (..., d), each row validated, clipped at 0 and renormalized.
+    """
+    return _pinched(assert_states(rho)[0], assert_basis(basis))
 
 
 def qrel_entropy(rho, sigma) -> float:
@@ -169,21 +228,30 @@ def bloch_state(x) -> np.ndarray:
     )
 
 
-def bloch_spiral(shells, n_dir: int) -> list[np.ndarray]:
+def bloch_spiral(shells, n_dir: int) -> np.ndarray:
     """Qubit states on a golden-angle (Fibonacci) spiral of n_dir Bloch directions.
 
     Direction i has z = 1 - (2 i + 1) / n_dir and azimuth i pi (3 - sqrt 5);
     the spiral is repeated at each Bloch length in `shells`, in order.
+    Returns one complex array of shape (len(shells) * n_dir, 2, 2), entry
+    for entry the `bloch_state` of each point; ValueError if a point lies
+    outside the Bloch ball.
     """
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    out = []
-    for shell in shells:
-        for i in range(n_dir):
-            z = 1.0 - 2.0 * (i + 0.5) / n_dir
-            r = math.sqrt(max(0.0, 1.0 - z * z))
-            phi = golden * i
-            out.append(bloch_state(shell * np.array([r * math.cos(phi), r * math.sin(phi), z])))
-    return out
+    i = np.arange(n_dir)
+    z = 1.0 - 2.0 * (i + 0.5) / n_dir
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    shell = np.asarray(shells, dtype=float)[:, None]
+    x1, x2, x3 = (
+        (shell * c).ravel() for c in (r * np.cos(phi), r * np.sin(phi), z)
+    )
+    norm = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    if (norm > 1.0 + 1e-12).any():
+        raise ValueError(f"Bloch vector has norm {norm.max()} > 1")
+    return 0.5 * np.stack([
+        np.stack([1.0 + x3, x1 - 1j * x2], axis=-1),
+        np.stack([x1 + 1j * x2, 1.0 - x3], axis=-1),
+    ], axis=-2)
 
 
 def random_state(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -621,6 +621,23 @@ def schur_polynomial(lam, r) -> float:
     return float(_weight_powers(gt_weights(lam, r.shape[0]), r).sum())
 
 
+def log_schur_polynomial(lam, r) -> float:
+    """ln s_lam(r), summed in logs so that no power underflows; -inf when s_lam(r) = 0.
+
+    A pattern with weight on an eigenvalue r_i <= 0 adds nothing (r is
+    clipped at 0, as in `schur_polynomial`, with 0**0 = 1).
+    """
+    r = np.asarray(r, dtype=float)
+    w = gt_weights(lam, r.shape[0])
+    pos = r > 0
+    live = ~(w[:, ~pos] > 0).any(axis=1)
+    if not live.any():
+        return -math.inf
+    terms = w[live][:, pos] @ np.log(r[pos])
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()))
+
+
 def _weight_powers(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.prod(np.power(np.clip(r, 0.0, None)[None, :], weights), axis=1)
 

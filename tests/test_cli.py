@@ -10,9 +10,11 @@ from qsanov import cli, hypotest, schur_weyl
 from qsanov.avqs import min_relative_entropy_hull
 from qsanov.errors import VerificationError
 from qsanov.hypotest import TestSpec, lambda_set, neyman_pearson, run_sanov
-from qsanov.quantum import pinch, spectrum
+from qsanov.quantum import bloch_state, pinch, spectrum
 from qsanov.schur_weyl import block_weight
 from qsanov.tableaux import hook_dimension, kostka, l1_distance
+
+from test_quantum import bad_states
 
 
 def _write_cfg(tmp_path, name, payload):
@@ -338,6 +340,20 @@ def test_example_bloch_with_no_labels(tmp_path):
         if eps == "0.05":
             assert report["label_count"] == 0 and report["localization_min"] is None
             assert report["indistinguishable_gap"] == 0.0
+
+
+def test_example_bloch_names_a_bad_grid_state(monkeypatch):
+    # the grid goes to TestSpec as one stack; a bad state is named by its index
+    for what, bad in bad_states(2):
+        made = []
+
+        def grid_state(x, bad=bad):
+            made.append(x)
+            return bad if len(made) == 6 else bloch_state(x)
+
+        monkeypatch.setattr(cli, "bloch_state", grid_state)
+        with pytest.raises(ValueError, match=f"state 5 .*{what}"):
+            cli.example_bloch(n=4)
 
 
 def test_example_bloch_localization_matches_a_brute_force_band(monkeypatch):

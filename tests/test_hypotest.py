@@ -31,7 +31,13 @@ from qsanov.hypotest import (
 )
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import bloch_state, pinch, qrel_entropy, random_state, spectrum
-from qsanov.schur_weyl import block_weight, tensor_power
+from qsanov.schur_weyl import (
+    _gt_diagonal,
+    block_weight,
+    gt_weights,
+    schur_polynomial,
+    tensor_power,
+)
 from qsanov.tableaux import (
     ALPHA,
     dominance,
@@ -42,6 +48,7 @@ from qsanov.tableaux import (
     l1_distance,
 )
 
+from test_quantum import bad_states, count_eigvalsh
 from test_tableaux import ssyt_count, syt_count
 
 
@@ -143,6 +150,37 @@ def test_lambda_set_matches_the_double_loop():
                 rho = np.diag([a / n, 1 - a / n])
                 spec = TestSpec(sigma=np.diag([0.6, 0.4]), null_set=[rho], epsilon=k / n, n=n)
                 assert lambda_set(spec) == lambda_set_loop(spec), (n, a, k)
+
+
+def test_null_stacks_name_their_bad_state():
+    rng = np.random.default_rng(17)
+    for d in (2, 3):
+        sigma = random_state(d, rng)
+        good = [random_state(d, rng) for _ in range(3)]
+        for what, bad in bad_states(d):
+            with pytest.raises(ValueError, match=f"state 2 .*{what}"):
+                TestSpec(sigma=sigma, null_set=good[:2] + [bad] + good[2:], epsilon=0.25, n=4)
+            # lambda_set validates its candidates again, as one stack
+            spec = TestSpec(sigma=sigma, null_set=good, epsilon=0.25, n=4)
+            spec.null_set[1] = bad
+            with pytest.raises(ValueError, match=f"state 1 .*{what}"):
+                lambda_set(spec)
+
+
+def test_lambda_set_runs_one_eigvalsh_whatever_the_grid(monkeypatch):
+    rng = np.random.default_rng(23)
+    sigma = random_state(2, rng)
+    nulls = [random_state(2, rng) for _ in range(3)]
+    specs = [
+        TestSpec(sigma=sigma, null_set=nulls, epsilon=eps, n=n, hull=hull)
+        for eps, n, hull in ((0.25, 8, True), (1.0, 8, True), (0.25, 8, False), (0.25, 20, True))
+    ]
+    assert [len(_null_candidates(s)) for s in specs] == [153, 15, 3, 153]
+    calls = count_eigvalsh(monkeypatch)
+    for spec in specs:
+        del calls[:]
+        lambda_set(spec)
+        assert calls == [(len(_null_candidates(spec)), 2, 2)], calls
 
 
 def test_build_test_is_projector():
@@ -782,3 +820,54 @@ def test_irrep_miss_and_accepted_block_weights_sum_to_one():
                 miss = _irrep_miss(rho, _accepted_weights(labels, d), d, n)
                 kept = sum(block_weight(f, lam, rho) for f, lam in labels)
                 assert abs(miss + kept - 1.0) <= 1e-14, (d, n, miss + kept - 1.0)
+
+
+def test_irrep_miss_stays_finite_past_the_float_range():
+    # d_lam passes 2**1024 and s_lam(r) underflows near n = 1030; with no
+    # label accepted the miss is sum_lam d_lam s_lam(r) = (0.7 + 0.3)**n = 1
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    for n in (1536, 2048):
+        assert abs(_irrep_miss(rho, {}, 2, n) - 1.0) <= 1e-12, n
+    # one partly accepted frame past 2**1023: for a diagonal rho its GT
+    # diagonal is r**wt, so the miss is sum over rejected rows of d_lam r**wt
+    n, lam = 1100, (600, 500)
+    rho = np.diag([0.6, 0.4]).astype(complex)
+    assert hook_dimension(lam).bit_length() > 1024
+    accepted = {
+        fr.parts: np.ones(len(gt_weights(fr.parts, 2)), dtype=bool) for fr in enumerate_frames(2, n)
+    }
+    accepted[lam][::2] = False
+    log_r = np.log([0.6, 0.4])
+    log_terms = math.log(hook_dimension(lam)) + gt_weights(lam, 2)[~accepted[lam]] @ log_r
+    want = float(np.exp(log_terms).sum())
+    assert want > 1e-6
+    assert abs(_irrep_miss(rho, accepted, 2, n) / want - 1.0) <= 1e-12
+
+
+def test_irrep_miss_is_the_plain_sum_below_the_float_range():
+    # below the float range the miss is the int-times-float sum, bit for bit
+    rng = np.random.default_rng(67)
+    for d, ns in ((2, (16, 40, 64)), (3, (6, 10))):
+        for n in ns:
+            rho = random_state(d, rng)
+            r = np.linalg.eigvalsh(rho)
+            key = rho.tobytes()
+            frames = enumerate_frames(d, n)
+            pairs = [
+                (f.counts, lam.parts)
+                for f in enumerate_frequencies(d, n)
+                for lam in frames
+                if dominance(f.counts, lam.parts) and rng.random() < 0.5
+            ]
+            accepted = _accepted_weights(pairs, d)
+            want = 0.0
+            for fr in frames:
+                acc = accepted.get(fr.parts)
+                if acc is None:
+                    mass = schur_polynomial(fr.parts, r)
+                elif acc.all():
+                    continue
+                else:
+                    mass = float(_gt_diagonal(fr.parts, d, key)[~acc].sum())
+                want += hook_dimension(fr.parts) * mass
+            assert _irrep_miss(rho, accepted, d, n) == want, (d, n)

@@ -5,7 +5,9 @@ import pytest
 
 from qsanov.quantum import (
     assert_state,
+    assert_states,
     binary_entropy,
+    bloch_spiral,
     bloch_state,
     depolarize,
     depolarize_adjoint,
@@ -42,6 +44,96 @@ def test_assert_state_rejects_bad_input():
         assert_state(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValueError):
         assert_state(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def bad_states(d):
+    """A non-Hermitian, a trace-1.4 and a negative-eigenvalue d x d matrix."""
+    skew = np.eye(d) / d
+    skew[0, 1] = 0.2
+    return [
+        ("not Hermitian", skew),
+        ("trace is 1.4", np.eye(d) * 1.4 / d),
+        ("negative eigenvalue", np.diag([1.5, -0.5] + [0.0] * (d - 2))),
+    ]
+
+
+def test_stacked_validator_names_the_first_bad_state():
+    rng = np.random.default_rng(11)
+    for d in (2, 3):
+        good = [random_state(d, rng) for _ in range(5)]
+        m, evals = assert_states(good)
+        assert m.shape == (5, d, d) and m.dtype == complex
+        assert np.array_equal(evals, np.stack([np.linalg.eigvalsh(s) for s in good]))
+        assert np.all(np.diff(evals, axis=1) >= 0)
+        for what, bad in bad_states(d):
+            for at in (0, 3):
+                stack = good[:at] + [bad] + good[at:]
+                with pytest.raises(ValueError, match=f"state {at} .*{what}"):
+                    assert_states(stack)
+                with pytest.raises(ValueError, match=f"state {at}"):
+                    spectrum(np.stack(stack))
+            # the one-state case keeps its message, with no index
+            with pytest.raises(ValueError, match=f"^state (is |has |trace is )"):
+                assert_state(bad)
+    with pytest.raises(ValueError, match="square"):
+        assert_states(np.zeros((3, 2, 3)))
+
+
+def test_stacked_pinch_and_spectrum_match_per_state_bit_for_bit():
+    # seeded complex states in a noncommuting complex basis, d = 2, 3, 4
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        states = np.stack([random_state(d, rng, rank=1 + k % d) for k in range(12)])
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        basis = np.linalg.qr(g)[0]
+        pinched = pinch(states, basis)
+        spectra = spectrum(states)
+        assert pinched.shape == spectra.shape == (12, d)
+        for k, s in enumerate(states):
+            assert pinched[k].tobytes() == pinch(s, basis).tobytes(), (d, k)
+            assert spectra[k].tobytes() == spectrum(s).tobytes(), (d, k)
+        grid = states.reshape(3, 4, d, d)
+        assert pinch(grid, basis).tobytes() == pinched.tobytes()
+        assert spectrum(grid).tobytes() == spectra.tobytes()
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh to record the shape of each call's input."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_spectrum_runs_one_decomposition(monkeypatch):
+    calls = count_eigvalsh(monkeypatch)
+    rng = np.random.default_rng(2)
+    spectrum(random_state(3, rng))
+    assert calls == [(3, 3)]
+    spectrum(np.stack([random_state(3, rng) for _ in range(7)]))
+    assert calls[1:] == [(7, 3, 3)]
+
+
+def test_bloch_spiral_is_one_stack_of_bloch_states():
+    shells, n_dir = (0.25, 0.5, 0.9, 1.0), 37
+    stack = bloch_spiral(shells, n_dir)
+    assert isinstance(stack, np.ndarray) and stack.shape == (len(shells) * n_dir, 2, 2)
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    k = 0
+    for shell in shells:
+        for i in range(n_dir):
+            z = 1.0 - 2.0 * (i + 0.5) / n_dir
+            r = math.sqrt(max(0.0, 1.0 - z * z))
+            x = shell * np.array([r * math.cos(golden * i), r * math.sin(golden * i), z])
+            assert stack[k].tobytes() == bloch_state(x).tobytes(), (shell, i)
+            k += 1
+    with pytest.raises(ValueError, match="norm"):
+        bloch_spiral((1.1,), 4)
 
 
 def test_bloch_state_spectrum_closed_form():
