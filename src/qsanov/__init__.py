@@ -67,6 +67,7 @@ from .hypotest import (
     build_test,
     epsilon_schedule,
     feasibility_bound,
+    feasibility_log2_bound,
     label_errors,
     lambda_set,
     neyman_pearson,
@@ -93,6 +94,7 @@ from .avqs import (
     spectral_estimation_check,
     word_type_one,
     worst_word_bound,
+    worst_word_log2_bound,
 )
 from .nogo import (
     NogoReport,

@@ -23,6 +23,11 @@ formed.
 The Neyman-Pearson baseline works on the same irreps: the blocks
 pi_lam(rho) and pi_lam(sigma) of rho^n and sigma^n (Schur-Weyl duality),
 with the S_n irrep dimension as multiplicity. No d**n operator is formed.
+Its search over the likelihood threshold t is certified: every sweep of
+eigh over the blocks of rho^n - t sigma^n yields the beta of a feasible
+test (an upper bound) and the Lagrange dual bound (a lower one), and the
+search stops once the two meet within tol, relative. When the blocks of
+rho^n and sigma^n commute, two sweeps suffice.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
+    _check_exponent,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -64,6 +70,7 @@ from .tableaux import (
 
 SIGMA_MIN_EIG = 1e-12
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -515,9 +522,20 @@ def epsilon_schedule(n: int, nu: float, d: int) -> float:
     return math.sqrt((math.log2(1.0 / nu) + d * d * math.log2(2 * n)) / (ALPHA * n))
 
 
+def feasibility_log2_bound(n: int, eps: float, d: int) -> float:
+    """log2 of the type-one ceiling: -n (ALPHA eps^2 - (2 d*d / n) log2(2n))."""
+    return -n * (ALPHA * eps * eps - (2.0 * d * d / n) * math.log2(2 * n))
+
+
 def feasibility_bound(n: int, eps: float, d: int) -> float:
-    """Type-one ceiling 2**(-n (ALPHA eps^2 - (2 d*d / n) log2(2n)))."""
-    return 2.0 ** (-n * (ALPHA * eps * eps - (2.0 * d * d / n) * math.log2(2 * n)))
+    """Type-one ceiling 2**(-n (ALPHA eps^2 - (2 d*d / n) log2(2n))).
+
+    SizeGuardError when the exponent reaches 1024, where the float
+    overflows (`feasibility_log2_bound` has no limit).
+    """
+    exp = feasibility_log2_bound(n, eps, d)
+    _check_exponent(exp)
+    return 2.0**exp
 
 
 @dataclass
@@ -612,24 +630,35 @@ def _fractional_np(p: np.ndarray, q: np.ndarray, target: float) -> float:
     Outcomes are included in decreasing likelihood-ratio order with a
     fractional share of the marginal outcome.
     """
+    return _classical_np(p, q, target)[0]
+
+
+def _classical_np(p: np.ndarray, q: np.ndarray, target: float) -> tuple[float, int]:
+    """(`_fractional_np` value, index of its marginal outcome).
+
+    The marginal outcome is the last one the test takes a share of (-1
+    when it takes none). The running sums are sequential (`cumsum`), as
+    in an outcome-by-outcome loop that stops once the level is within
+    1e-15 of the target.
+    """
     if target <= 0.0:
-        return 0.0
+        return 0.0, -1
     ratio = np.where(q > 0, p / np.where(q > 0, q, 1.0), np.inf)
     ratio = np.where((q <= 0) & (p <= 0), -np.inf, ratio)
     order = np.argsort(-ratio, kind="stable")
-    beta = 0.0
-    caught = 0.0
-    for idx in order:
-        if caught >= target - 1e-15:
-            break
-        take_p = p[idx]
-        if caught + take_p <= target:
-            frac = 1.0
-        else:
-            frac = (target - caught) / take_p if take_p > 0 else 0.0
-        caught += take_p * frac
-        beta += q[idx] * frac
-    return float(beta)
+    ps, qs = p[order], q[order]
+    caught = np.cumsum(ps)
+    before = np.concatenate(([0.0], caught[:-1]))
+    # outcome j is reached unless the level was met before it; the first
+    # one that would overshoot the target is taken in part, and is the last
+    reached = np.flatnonzero(before >= target - 1e-15)
+    stop = int(reached[0]) if len(reached) else len(ps)
+    over = np.flatnonzero(caught[:stop] > target)
+    j = int(over[0]) if len(over) else stop
+    beta = float(np.cumsum(qs[:j])[-1]) if j else 0.0
+    if j == stop:
+        return beta, int(order[j - 1]) if j else -1
+    return beta + float(qs[j]) * float((target - before[j]) / ps[j]), int(order[j])
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
@@ -678,50 +707,159 @@ def _diag_in(vecs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ji,ji->i", vecs.conj(), a @ vecs).real
 
 
-def _np_over_blocks(blocks, bracket, target: float, tol: float) -> float:
-    """Neyman-Pearson optimum over (multiplicity, R, S) blocks.
+_TIE_ULPS = 16.0
+_FINISH_GAP = 1e-12
 
-    Bisects log t in `bracket` down to width tol: each step diagonalizes
-    every block of R - t S, scaled by 1/(1 + t) so that no t overflows,
-    and takes the test onto its positive part, which is optimal at its own
-    level (multiplicity x R mass). The result mixes the tests at the two
-    ends of the final bracket so that the mixture meets the target level:
-    a point on the chord of the convex optimal-beta curve, so it is
-    feasible, exact when no likelihood ratio but the threshold's lies in
-    the bracket (commuting pairs), and off the optimum only to second order
-    in the bracket width otherwise.
+
+def _np_sweep(blocks, traces, log_t: float):
+    """Eigenvector masses of every block of (R - t S) / (1 + t) at one t.
+
+    Returns (r, s, level) over the eigenvectors v of all blocks (mult, R,
+    S): r_v = mult v^dag R v, s_v = mult v^dag S v, and v's eigenvalue in
+    units of its block's rounding scale, eps (w_r tr R + w_s tr S) (the
+    traces bound the norms). An eigenvalue within _TIE_ULPS such units of
+    zero has a sign that rounding can flip, as at a likelihood-ratio tie
+    at t. The 1/(1 + t) scaling keeps every t finite.
+    """
+    shift = float(np.logaddexp(0.0, log_t))
+    w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
+    masses_r, masses_s, levels = [], [], []
+    for (mult, r, s), (tr_r, tr_s) in zip(blocks, traces):
+        vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
+        masses_r.append(mult * _diag_in(vecs, r))
+        masses_s.append(mult * _diag_in(vecs, s))
+        levels.append(vals / (_EPS * (w_r * tr_r + w_s * tr_s)))
+    return np.concatenate(masses_r), np.concatenate(masses_s), np.concatenate(levels)
+
+
+def _np_over_blocks(blocks, bracket, target: float, tol: float) -> float:
+    """Neyman-Pearson optimum over (multiplicity, R, S) blocks, certified.
+
+    A sweep at log t diagonalizes every block of (R - t S)/(1 + t)
+    (`_np_sweep`) and bounds the optimum beta* on both sides with no
+    further eigh:
+    - U(t) >= beta*, the classical optimum (`_fractional_np`) over the
+      eigenvector masses (r_v, s_v): the beta of a feasible test that is
+      diagonal in that eigenbasis;
+    - L(t) <= beta*, the Lagrange dual bound
+      (target - tr(R - t S)_+) / t = beta_+ + (target - m_+) / t, with m_+
+      and beta_+ the R and S masses of the positive part, so that no t
+      overflows it.
+    The search stops once min U - max L <= tol * min U, so the result is
+    within tol of beta*, relative.
+
+    The next point is the likelihood ratio log(r_k / s_k) of the marginal
+    eigenvector k of the last U when it lies strictly inside the bracket,
+    or the top of the bracket when k has the top ratio there and the top
+    was never probed. When R and S commute in every block that ratio is
+    the exact threshold, where L meets U, so the second sweep closes the
+    gap. A ratio that did not halve the gap is followed by a bracket step:
+    a regula falsi step on m_+ - target (with the Illinois halving of a
+    stale end) when the bracket halved over the last two sweeps, else the
+    midpoint.
+
+    The bracket (lo, hi) holds the threshold: the positive part at lo
+    accepts at least the target mass, the one at hi less. A likelihood
+    ratio may sit on a tie, where rounding picks the sign of the tied
+    eigenvalues; a sweep there moves an end only when no eigenvalue
+    within _TIE_ULPS of zero can flip the verdict (L is exact at a tie
+    anyway). A bracket width of tol is the worst-case stop.
+
+    The finish mixes the tests at the two bracket ends to meet the target
+    level: a feasible point on the chord of the convex optimal-beta curve,
+    off beta* by the product of the ends' distances from the target mass.
+    When the gap closed above _FINISH_GAP, one or two more sweeps probe the
+    far side of the threshold, mirrored across the secant root of the last
+    two verdicts on the near side, so that both ends are close. The result
+    is the smallest feasible beta found.
     """
     lo, hi = bracket
-
-    def positive_part(log_t: float) -> tuple[float, float]:
-        shift = float(np.logaddexp(0.0, log_t))
-        w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
-        got = beta = 0.0
-        for mult, r, s in blocks:
-            vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
-            keep = vecs[:, vals > 0]
-            got += mult * float(_diag_in(keep, r).sum())
-            beta += mult * float(_diag_in(keep, s).sum())
-        return got, beta
-
-    # above the bracket R - t S <= 0, so the test at hi is empty; evaluating
-    # it would count the rounding of a ratio tied to hi as positive
+    traces = [(float(np.trace(r).real), float(np.trace(s).real)) for _, r, s in blocks]
+    # above the bracket R - t S <= 0, so the test at hi is empty; below it
+    # the positive part holds (nearly) all of rho's mass
     ends = {"hi": (0.0, 0.0)}
+    f_lo, f_hi, moved = 1.0 - target, -target, None
+    upper, lower = math.inf, -math.inf
+    probed, widths, verdicts = set(), [hi - lo] * 3, []
+
+    def sweep(log_t: float, at_ratio: bool):
+        """Bounds and bracket from one sweep; the marginal log ratio or None."""
+        nonlocal lo, hi, f_lo, f_hi, moved, upper, lower
+        probed.add(log_t)
+        r, s, level = _np_sweep(blocks, traces, log_t)
+        beta, k = _classical_np(r, s, target)
+        upper = min(upper, beta)
+        pos = level > 0
+        got, beta_pos = float(r[pos].sum()), float(s[pos].sum())
+        if -log_t < 700.0:
+            lower = max(lower, beta_pos + (target - got) * math.exp(-log_t))
+        if at_ratio:
+            # a likelihood ratio may be a tie: no verdict that rounding flips
+            firm, loose = level > _TIE_ULPS, level >= -_TIE_ULPS
+            if r[firm].sum() >= target:
+                pos = firm
+            elif r[loose].sum() < target:
+                pos = loose
+            else:
+                pos = None
+            if pos is not None:
+                got, beta_pos = float(r[pos].sum()), float(s[pos].sum())
+        if pos is not None:
+            verdicts.append((log_t, got - target))
+            if got >= target:
+                lo, ends["lo"], f_lo = log_t, (got, beta_pos), got - target
+                f_hi *= 0.5 if moved == "lo" else 1.0
+                moved = "lo"
+            else:
+                hi, ends["hi"], f_hi = log_t, (got, beta_pos), got - target
+                f_lo *= 0.5 if moved == "hi" else 1.0
+                moved = "hi"
+        if k >= 0 and r[k] > 0.0 and s[k] > 0.0:
+            return math.log(r[k]) - math.log(s[k])
+        return None
+
+    guess = None
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= tol or upper - lower <= tol * upper < math.inf:
             break
-        mid = 0.5 * (lo + hi)
-        got, beta = positive_part(mid)
-        if got >= target:
-            lo, ends["lo"] = mid, (got, beta)
+        gap = upper - lower
+        at_ratio = guess is not None and (
+            lo < guess < hi and guess not in probed or guess >= hi and hi not in probed
+        )
+        if at_ratio:
+            log_t = min(guess, hi)
         else:
-            hi, ends["hi"] = mid, (got, beta)
-    p_lo, b_lo = ends.get("lo") or positive_part(lo)
-    p_hi, b_hi = ends["hi"]
-    if p_lo <= p_hi:
-        return b_lo
-    w = min(max((target - p_hi) / (p_lo - p_hi), 0.0), 1.0)
-    return w * b_lo + (1.0 - w) * b_hi
+            secant = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            halved = hi - lo <= 0.5 * widths[-3]
+            if halved and lo < secant < hi and secant not in probed:
+                log_t = secant
+            else:
+                log_t = 0.5 * (lo + hi)
+        guess = sweep(log_t, at_ratio)
+        if at_ratio and not upper - lower <= 0.5 * gap:
+            guess = None
+        widths.append(hi - lo)
+    # mirror the near end across the threshold, so the chord's ends are close
+    if _FINISH_GAP * upper < upper - lower <= tol * upper and "lo" in ends:
+        near_lo = ends["lo"][0] - target <= target - ends["hi"][0]
+        near = [(x, g) for x, g in verdicts if (g >= 0) == near_lo]
+        if len(near) >= 2 and near[-1][1] != near[-2][1]:
+            (x1, g1), (x2, g2) = near[-2:]
+            for stretch in (2.0, 4.0):
+                x = x2 - stretch * g2 * (x2 - x1) / (g2 - g1)
+                if not lo < x < hi:
+                    break
+                sweep(x, False)
+                if (x == lo) != near_lo:
+                    break
+    if "lo" not in ends and not upper - lower <= tol * upper:
+        sweep(lo, False)
+    if "lo" in ends:
+        (p_lo, b_lo), (p_hi, b_hi) = ends["lo"], ends["hi"]
+        if p_lo > p_hi:
+            w = min(max((target - p_hi) / (p_lo - p_hi), 0.0), 1.0)
+            upper = min(upper, w * b_lo + (1.0 - w) * b_hi)
+    return upper
 
 
 def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
@@ -730,23 +868,32 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     Both operators commute with S_n, so they split into U(d) irrep blocks
     pi_lam(.) (x) 1_{d_lam} and the optimal test does too. The blocks are
     pi_lam in the Gelfand-Tsetlin basis, one per frame with at most d rows,
-    guarded at DENSE_LIMIT per irrep. No d**n matrix is formed. The
-    likelihood threshold t is bisected in log t to relative width tol, then
-    the mix of the tests at the two bracket ends meets the type-one
-    constraint exactly. The result is clamped into [0, 1]: the eigh
-    rounding can leave a beta near 0 a few 1e-17 below it, and the nu = 0
-    value of a nonsingular rho a few ulps above 1.
+    guarded at DENSE_LIMIT per irrep. No d**n matrix is formed.
+
+    The likelihood threshold t is searched in log t (`_np_over_blocks`).
+    Each sweep bounds the optimum from above, by the classical optimum in
+    the sweep's eigenbasis (a feasible test), and from below, by the
+    Lagrange dual ((1 - nu) - tr(R - t S)_+) / t. `tol` is the relative
+    gap between the best two bounds at which the search stops, with a
+    bracket of width tol in log t as the fallback stop. The tests at the
+    two bracket ends are then mixed to meet the type-one constraint
+    exactly, one more feasible candidate; the result is the smallest
+    feasible beta found, clamped into [0, 1]:
+    the eigh rounding can leave a beta near 0 a few 1e-17 below it, and
+    the nu = 0 value of a nonsingular rho a few ulps above 1.
 
     At nu = 0 the test must act as the identity on supp(rho)^n, so the
     optimum is tr(Pi sigma)^n, Pi the projector onto the eigenvectors of
-    rho above SIGMA_MIN_EIG; the bisection would resolve that level only
-    up to the rounding of a singular rho^n. At nu = 1 the empty test is
-    optimal.
+    rho above SIGMA_MIN_EIG; the search would resolve that level only up
+    to the rounding of a singular rho^n. At nu = 1 the empty test is
+    optimal, and 0.0 is returned with no eigh.
     """
     rho_m = assert_state(rho)
     s_m = assert_state(sigma)
     if not 0.0 <= nu <= 1.0:
         raise ValueError("nu must be in [0, 1]")
+    if nu == 1.0:
+        return 0.0
     if nu == 0.0:
         vals, vecs = np.linalg.eigh(rho_m)
         support = vecs[:, vals > SIGMA_MIN_EIG]

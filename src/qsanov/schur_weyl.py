@@ -736,8 +736,15 @@ class GTIrrep:
         return out
 
     def matrix(self, x) -> np.ndarray:
-        """pi_lam(X) = pi_lam(V) diag(r**wt) pi_lam(V)^dag for X = V diag(r) V^dag >= 0."""
-        r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
+        """pi_lam(X) = pi_lam(V) diag(r**wt) pi_lam(V)^dag for X = V diag(r) V^dag >= 0.
+
+        A diagonal X needs no eigh: the Gelfand-Tsetlin basis is a weight
+        basis, so pi_lam(X) = diag(x**wt).
+        """
+        x = np.asarray(x, dtype=complex)
+        if not np.any(x - np.diag(np.diagonal(x))):
+            return np.diag(_weight_powers(self.weights, np.diagonal(x).real))
+        r, v = np.linalg.eigh(x)
         p = self.unitary(v)
         return (p * _weight_powers(self.weights, r)) @ p.conj().T
 

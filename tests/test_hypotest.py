@@ -11,8 +11,10 @@ from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
     _accepted_weights,
+    _diag_in,
     _fractional_np,
     _hermitian,
+    _irrep_blocks,
     _irrep_miss,
     _log_threshold_bracket,
     _np_over_blocks,
@@ -20,6 +22,7 @@ from qsanov.hypotest import (
     build_test,
     epsilon_schedule,
     feasibility_bound,
+    feasibility_log2_bound,
     label_errors,
     lambda_set,
     neyman_pearson,
@@ -30,7 +33,14 @@ from qsanov.hypotest import (
     type_two,
 )
 from qsanov.nogo import haar_unitary
-from qsanov.quantum import bloch_state, pinch, qrel_entropy, random_state, spectrum
+from qsanov.quantum import (
+    assert_state,
+    bloch_state,
+    pinch,
+    qrel_entropy,
+    random_state,
+    spectrum,
+)
 from qsanov.schur_weyl import (
     _gt_diagonal,
     block_weight,
@@ -251,6 +261,23 @@ def test_theta_prime_and_schedule():
     assert abs(fb - 2.0 ** (-100 * (ALPHA * 0.09 - 0.08 * math.log2(200)))) < 1e-12
 
 
+def test_feasibility_bound_guards_the_float_range():
+    # (n, eps, d) = (128, 0.05, 8) has exponent 1023.77 and (129, 0.05, 8)
+    # 1025.20: below the limit the linear form is bit for bit the formula
+    # it replaced, past it the log2 form stays finite and the linear one
+    # raises SizeGuardError instead of OverflowError
+    for n, eps, d in ((128, 0.05, 8), (100, 0.3, 2), (6, 0.5, 3)):
+        want = 2.0 ** (-n * (ALPHA * eps * eps - (2.0 * d * d / n) * math.log2(2 * n)))
+        assert feasibility_bound(n, eps, d) == want
+        assert 2.0 ** feasibility_log2_bound(n, eps, d) == want
+    assert 1023 < feasibility_log2_bound(128, 0.05, 8) < 1024
+    for n in (129, 256, 4096):
+        exp = feasibility_log2_bound(n, 0.05, 8)
+        assert math.isfinite(exp) and exp >= 1024, n
+        with pytest.raises(SizeGuardError):
+            feasibility_bound(n, 0.05, 8)
+
+
 def test_run_sanov_reports():
     rho = np.diag([0.7, 0.3])
     sigma = np.eye(2) / 2
@@ -351,6 +378,43 @@ def test_run_sanov_hull_reference_is_the_hull_minimum():
     # with the baseline on, the minimizing mixture I/2 is the null state
     r = run_sanov(np.eye(2) / 2, nulls, [8], epsilon=0.05, hull=True)[0]
     assert abs(r.np_beta - neyman_pearson(np.eye(2) / 2, np.eye(2) / 2, 8, r.type1_max)) < 1e-15
+
+
+def fractional_np_loop(p, q, target):
+    """`_fractional_np` as the outcome-by-outcome loop it replaced."""
+    if target <= 0.0:
+        return 0.0
+    ratio = np.where(q > 0, p / np.where(q > 0, q, 1.0), np.inf)
+    ratio = np.where((q <= 0) & (p <= 0), -np.inf, ratio)
+    beta = caught = 0.0
+    for idx in np.argsort(-ratio, kind="stable"):
+        if caught >= target - 1e-15:
+            break
+        take_p = p[idx]
+        if caught + take_p <= target:
+            frac = 1.0
+        else:
+            frac = (target - caught) / take_p if take_p > 0 else 0.0
+        caught += take_p * frac
+        beta += q[idx] * frac
+    return float(beta)
+
+
+def test_fractional_np_is_the_loop_bit_for_bit():
+    # running sums in the same order: equal results, with zero masses,
+    # ratio ties, and targets at 0, inside, at the total and past it
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        k = int(rng.integers(1, 12))
+        p, q = rng.random(k), rng.random(k)
+        p[rng.random(k) < 0.2] = 0.0
+        q[rng.random(k) < 0.2] = 0.0
+        if rng.random() < 0.3:
+            p, q = np.round(p, 1), np.round(q, 1)
+        if p.sum() > 0:
+            p /= p.sum()
+        for target in (0.0, float(rng.random()), float(p.sum()), 1.5):
+            assert _fractional_np(p, q, target) == fractional_np_loop(p, q, target), (p, q, target)
 
 
 def test_neyman_pearson_commuting_matches_classical():
@@ -554,6 +618,159 @@ def test_neyman_pearson_beta_is_a_probability():
 def _rotated(spectrum, rng):
     u = haar_unitary(len(spectrum), rng)
     return u @ np.diag(spectrum) @ u.conj().T
+
+
+def bisection_np(blocks, bracket, target, tol):
+    """Plain bisection of log t down to width tol, then the chord finish.
+
+    The Neyman-Pearson search the certified one replaced, kept as its
+    oracle: each step diagonalizes every block of (R - t S)/(1 + t) and
+    keeps the test on its positive part; the tests at the two ends of the
+    final bracket are mixed to meet the target level.
+    """
+    lo, hi = bracket
+
+    def positive_part(log_t):
+        shift = float(np.logaddexp(0.0, log_t))
+        w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
+        got = beta = 0.0
+        for mult, r, s in blocks:
+            vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
+            keep = vecs[:, vals > 0]
+            got += mult * float(_diag_in(keep, r).sum())
+            beta += mult * float(_diag_in(keep, s).sum())
+        return got, beta
+
+    ends = {"hi": (0.0, 0.0)}
+    for _ in range(200):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        got, beta = positive_part(mid)
+        if got >= target:
+            lo, ends["lo"] = mid, (got, beta)
+        else:
+            hi, ends["hi"] = mid, (got, beta)
+    p_lo, b_lo = ends.get("lo") or positive_part(lo)
+    p_hi, b_hi = ends["hi"]
+    if p_lo <= p_hi:
+        return b_lo
+    w = min(max((target - p_hi) / (p_lo - p_hi), 0.0), 1.0)
+    return w * b_lo + (1.0 - w) * b_hi
+
+
+def count_eigh(monkeypatch) -> list:
+    """Patch np.linalg.eigh to record the shape of each call's input."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def np_search_cases():
+    """(rho, sigma, n) inputs of the search-against-bisection checks.
+
+    Noncommuting complex pairs at d = 2 (n <= 10) and d = 3 (n <= 8), a
+    rank-1 and a rank-2 rho, a pure rho against a sigma with smallest
+    eigenvalue 0.016, and the d = 3 pair of default_rng(100) at n = 1,
+    whose level 0.95 sits on a likelihood-ratio tie.
+    """
+    cases = []
+    for seed in (10, 11, 12):
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_state(2, rng), random_state(2, rng)
+        cases += [(rho, sigma, n) for n in range(1, 11)]
+    for seed in (20, 21):
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_state(3, rng), random_state(3, rng)
+        cases += [(rho, sigma, n) for n in range(1, 9)]
+    rng = np.random.default_rng(30)
+    rho, sigma = random_state(2, rng, rank=1), random_state(2, rng)
+    cases += [(rho, sigma, n) for n in (4, 8)]
+    rng = np.random.default_rng(31)
+    rho, sigma = random_state(3, rng, rank=2), random_state(3, rng)
+    cases += [(rho, sigma, n) for n in (3, 6)]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        rho, sigma = random_state(2, rng, rank=1), _rotated([0.984, 0.016], rng)
+        cases += [(rho, sigma, n) for n in range(6, 11)]
+    rng = np.random.default_rng(100)
+    cases.append((random_state(3, rng), random_state(3, rng), 1))
+    return [(assert_state(rho), assert_state(sigma), n) for rho, sigma, n in cases]
+
+
+def test_np_search_matches_the_bisection_oracle():
+    # At tol = 1e-15 both resolve beta to its eigh rounding floor, about
+    # 1e-17 absolute, hence that floor next to the 1e-9 relative part.
+    for i, (rho, sigma, n) in enumerate(np_search_cases()):
+        blocks = _irrep_blocks(rho, sigma, n)
+        bracket = _log_threshold_bracket(rho, sigma, n)
+        for nu in (0.05, 0.3):
+            got = _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-15)
+            want = bisection_np(blocks, bracket, 1.0 - nu, 1e-15)
+            assert abs(got - want) <= 1e-9 * want + 1e-17, (i, n, nu, got, want)
+
+
+def test_np_search_sweeps_no_more_than_bisection(monkeypatch):
+    calls = count_eigh(monkeypatch)
+    for i, (rho, sigma, n) in enumerate(np_search_cases()):
+        blocks = _irrep_blocks(rho, sigma, n)
+        bracket = _log_threshold_bracket(rho, sigma, n)
+        for nu in (0.05, 0.3):
+            calls.clear()
+            _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-10)
+            search = len(calls)
+            calls.clear()
+            bisection_np(blocks, bracket, 1.0 - nu, 1e-10)
+            assert search <= len(calls), (i, n, nu, search, len(calls))
+
+
+def type_masses(p_vec, n):
+    """Masses of the n + 1 letter-count types of a product of diag(p_vec)."""
+    k = np.arange(n + 1)
+    binom = np.array([math.comb(n, j) for j in k], dtype=float)
+    return binom * p_vec[0] ** (n - k) * p_vec[1] ** k
+
+
+def test_np_search_on_commuting_pairs_takes_two_sweeps(monkeypatch):
+    # sigma = I/2 makes every S_lam a multiple of the identity, and the tie
+    # pair is diagonal, so R and S commute in every block: the ratio of the
+    # first sweep's marginal eigenvector is the threshold, and the second
+    # sweep closes the gap. The optimum is the classical one over types.
+    half = np.eye(2) / 2
+    pairs = [
+        (np.diag([0.7, 0.3]), half),
+        (bloch_state([0.4, 0.0, 0.3]), half),
+        (np.diag([0.6, 0.4]), np.diag([0.4, 0.6])),
+        (half, half),
+    ]
+    calls = count_eigh(monkeypatch)
+    for i, (rho, sigma) in enumerate(pairs):
+        p_vec = np.linalg.eigvalsh(rho)[::-1]
+        q_vec = np.diag(sigma).real
+        for n in range(4, 11):
+            blocks = _irrep_blocks(rho, sigma, n)
+            bracket = _log_threshold_bracket(rho, sigma, n)
+            p, q = type_masses(p_vec, n), type_masses(q_vec, n)
+            for nu in (0.05, 0.3):
+                calls.clear()
+                beta = _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-10)
+                assert len(calls) <= 2 * len(enumerate_frames(2, n)), (i, n, nu, len(calls))
+                want = _fractional_np(p, q, 1.0 - nu)
+                assert abs(beta - want) <= 1e-12 * want, (i, n, nu, beta, want)
+
+
+def test_neyman_pearson_at_level_one_runs_no_eigh(monkeypatch):
+    calls = count_eigh(monkeypatch)
+    rng = np.random.default_rng(8)
+    for d, n in ((2, 6), (3, 4)):
+        assert neyman_pearson(random_state(d, rng), random_state(d, rng), n, 1.0) == 0.0
+    assert calls == []
 
 
 def test_label_errors_match_dense_type_one_and_type_two():

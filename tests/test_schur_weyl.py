@@ -724,6 +724,23 @@ def test_gt_irreps_at_d2_are_det_times_sym_powers():
                 assert np.abs(got - want).max() < 1e-14, (rank, n, k)
 
 
+def test_gt_irrep_of_a_diagonal_state_is_its_weight_powers():
+    # a diagonal X skips the eigh: diag(x**wt) against pi(V) diag(r**wt)
+    # pi(V)^dag with V = eigh(X), whose eigenvalues come sorted
+    for d, n in ((2, 7), (3, 5)):
+        full = np.diag(np.linspace(0.1, 1.0, d)[::-1])
+        singular = np.diag([0.0] + [1.0 / (d - 1)] * (d - 1))
+        for x in (full / np.trace(full), singular):
+            for fr in enumerate_frames(d, n):
+                irrep = gt_irrep(fr.parts, d)
+                r, v = np.linalg.eigh(x.astype(complex))
+                p = irrep.unitary(v)
+                want = (p * np.prod(r[None, :] ** irrep.weights, axis=1)) @ p.conj().T
+                got = irrep.matrix(x)
+                assert np.abs(got - want).max() < 1e-14, (d, n, fr.parts)
+                assert np.count_nonzero(got - np.diag(np.diagonal(got))) == 0
+
+
 def _weight_cases(d):
     # complex sigma eigenbases; rank-1, rank-2, commuting (with sigma) and
     # maximally mixed rho; a sigma with smallest eigenvalue near SIGMA_MIN_EIG
