@@ -37,7 +37,7 @@ from .nogo import (
 )
 from .quantum import bloch_state, qrel_entropy, random_state
 from .schur_weyl import (
-    _gt_diagonal,
+    _clear_irrep_caches,
     block_projector,
     block_weight,
     completeness_check,
@@ -487,11 +487,14 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
     lines.append("ok twirl")
 
     def _fingerprint() -> str:
-        # recompute: block_weight caches the irrep diagonal per state
-        _gt_diagonal.cache_clear()
+        # recompute: block_weight caches its weight-mass table, the irrep
+        # diagonal and the irreps per state; d = 2 is the closed form, d = 3
+        # the Gelfand-Tsetlin irrep
+        _clear_irrep_caches()
         r = np.random.default_rng(seed)
         xs = [random_state(2, r) for _ in range(3)]
         vals = [block_weight((2, 2), (3, 1), x) for x in xs]
+        vals += [block_weight((2, 1, 1), (3, 1), random_state(3, r)) for _ in range(2)]
         return ",".join(f"{v:.17g}" for v in vals)
 
     if _fingerprint() != _fingerprint():

@@ -342,9 +342,10 @@ def _irrep_miss(rho, accepted, d: int, n: int) -> float:
     weight-f part of the Gelfand-Tsetlin basis; `accepted` is as from
     `_accepted_weights`. A frame with no accepted weight adds
     d_lam s_lam(spec rho), with no eigh; a partly accepted frame adds
-    d_lam times the diagonal of pi_lam(rho) on its rejected weights, from
-    the cache that single-state `block_weight` reads too. Every term is
-    nonnegative.
+    d_lam times the diagonal of pi_lam(rho) on its rejected weights
+    (`_gt_diagonal`, the closed form at d = 2); its log fallback reads the
+    diagonal of rho / r_max that single-state `block_weight`'s weight-mass
+    table is built from. Every term is nonnegative.
 
     d_lam is a Python int that passes the float range near n = 1030 at
     d = 2, and d_lam * mass <= 1 then pushes the mass below the smallest

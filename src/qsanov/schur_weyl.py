@@ -36,8 +36,14 @@ the dense product is itself the output.
 The U(d) side is built in the Gelfand-Tsetlin basis (`gt_irrep`):
 pi_lam(X) of a d x d matrix X >= 0 is dense of the irrep's dimension,
 guarded at 4096, and its weight table at 60000 (`gt_weights`,
-`schur_polynomial`, `weyl_dimension`). Single-state block weights come from
-it alone.
+`schur_polynomial`, `weyl_dimension`). Every U(2) irrep, at d = 2 and as
+the U(2) sub-blocks of every U(d >= 3) irrep, is the closed form
+pi_mu(V) = det(V)**mu_2 D**(J/2)(V), J = mu_1 - mu_2, whose rotation
+eigenbasis depends on J alone and is built once per J (`_u2_unitary`);
+its diagonal on X >= 0 is a sum of nonnegative terms, taken in logs with
+no eigh (`_u2_diagonal`). Single-state block weights read one entry of a
+weight-mass table, cached per (frame, d, state) and scaled in logs, so
+that no d_lam overflows a float (`block_weight`).
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ import numpy as np
 from .errors import SizeGuardError
 from .quantum import assert_basis
 from .tableaux import (
+    _dominates,
     _frame_parts,
     _freq_counts,
     _interlacing_rows,
-    dominance,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -147,26 +153,21 @@ def _words_of_type(counts: tuple[int, ...]) -> np.ndarray:
         words = np.array(order)[_words_of_type(tuple(counts[a] for a in order))]
         words.flags.writeable = False
         return words
-    counts = list(counts)
-    d = len(counts)
-    n = sum(counts)
-    rows: list[tuple[int, ...]] = []
-    prefix: list[int] = []
+    # the words of c are, letter by letter in order, that letter followed by
+    # the words of c less one of it; each sub-count is built once
+    built: dict[tuple[int, ...], np.ndarray] = {}
 
-    def rec():
-        if len(prefix) == n:
-            rows.append(tuple(prefix))
-            return
-        for letter in range(d):
-            if counts[letter]:
-                counts[letter] -= 1
-                prefix.append(letter)
-                rec()
-                prefix.pop()
-                counts[letter] += 1
+    def words_of(c: tuple[int, ...]) -> np.ndarray:
+        if c not in built:
+            parts = []
+            for letter, k in enumerate(c):
+                if k:
+                    tail = words_of(c[:letter] + (k - 1,) + c[letter + 1 :])
+                    parts.append(np.column_stack([np.full(len(tail), letter), tail]))
+            built[c] = np.concatenate(parts) if parts else np.zeros((1, 0), dtype=np.int64)
+        return built[c]
 
-    rec()
-    words = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    words = words_of(counts)
     words.flags.writeable = False
     return words
 
@@ -352,7 +353,7 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
         return _frequency_blocks(canon)
     words = words_of_type(counts)
     candidates = [
-        fr.parts for fr in enumerate_frames(d, n) if dominance(counts, fr.parts)
+        fr.parts for fr in enumerate_frames(d, n) if _dominates(counts, fr.parts)
     ]
     chars = [()] * len(candidates)
     k = 1
@@ -384,12 +385,15 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
     if owned.tolist() != [kostka(counts, lam) ** 2 for lam in candidates]:
         raise ArithmeticError("frames do not own K_lam,f**2 orbit eigenvalues each")
     o0 = orbit_of(words[0])
-    blocks: dict[tuple[int, ...], np.ndarray] = {}
-    for i, lam in enumerate(candidates):
+    # row i: the (w0, v) entries of frame i's projector, one per orbit of v;
+    # one gather reads every block, and the dict values are its slices
+    table = np.empty((len(candidates), r))
+    for i in range(len(candidates)):
         sel = vecs[:, owner == i]
-        blocks[lam] = ((sel @ sel[o0]) / root)[pair_orbit]
-        blocks[lam].flags.writeable = False
-    return blocks
+        table[i] = (sel @ sel[o0]) / root
+    stack = np.take(table, pair_orbit, axis=1)
+    stack.flags.writeable = False
+    return dict(zip(candidates, stack))
 
 
 def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
@@ -482,13 +486,17 @@ def block_weight(f, lam, states, basis=None) -> float:
     no word block or d**n guard; a sequence is restricted to the word block
     of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
 
-    The irrep diagonal is taken once per (lam, rho') and shared by every f
-    of the frame. Like `GTIrrep.diagonal`, a tiny weight is accurate only
-    to about eps**2 times the frame's largest weight, in absolute terms.
+    One state reads entry f of the weight-mass table of (lam, rho')
+    (`_weight_masses`), built once and shared by every f of the frame, as
+    exp(ln d_lam + n ln r_max + ln m_f); it stays finite where d_lam is
+    past the float range. At d >= 3 a tiny weight is accurate only to about
+    eps**2 times the frame's largest weight, in absolute terms (see
+    `GTIrrep.diagonal`); at d = 2 each weight is accurate relative to
+    itself.
     """
     counts = _freq_counts(f)
     lam_p = _frame_parts(lam)
-    if sum(counts) != sum(lam_p) or not dominance(counts, lam_p):
+    if sum(counts) != sum(lam_p) or not _dominates(counts, lam_p):
         return 0.0
     rho = np.asarray(states, dtype=complex)
     if rho.ndim == 2:
@@ -496,9 +504,9 @@ def block_weight(f, lam, states, basis=None) -> float:
         if basis is not None:
             b = assert_basis(basis)
             rho = b.conj().T @ rho @ b
-        diag = _gt_diagonal(lam_p, d, np.ascontiguousarray(rho).tobytes())
-        rows = (gt_weights(lam_p, d) == counts).all(axis=1)
-        return hook_dimension(lam_p) * float(diag[rows].sum())
+        scale, masses = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
+        mass = masses.get(counts, 0.0)
+        return math.exp(scale + math.log(mass)) if mass > 0.0 else 0.0
     prod = word_block_state(counts, states, basis)
     return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
 
@@ -544,14 +552,20 @@ def _gt_patterns(lam: tuple[int, ...], d: int) -> np.ndarray:
     row d is lam padded with zeros, and entry i of row k - 1 lies between
     entries i + 1 and i of row k. The patterns are enumerated row by row
     from row d - 1 down, so those sharing row d - 1 are contiguous and in
-    the order of the patterns of U(d - 1) under that row.
+    the order of the patterns of U(d - 1) under that row. Row 1 ranges over
+    one interval below each choice of rows 2..d, written as one block.
     """
     rows = [lam + (0,) * (d - len(lam))]
-    out: list[tuple[int, ...]] = []
+    if d == 1:
+        return np.array([rows[0]], dtype=np.int64)
+    out: list[np.ndarray] = []
 
     def rec(above: tuple[int, ...]):
-        if len(above) == 1:
-            out.append(tuple(x for row in reversed(rows) for x in row))
+        if len(above) == 2:
+            block = np.empty((above[0] - above[1] + 1, d * (d + 1) // 2), dtype=np.int64)
+            block[:, 0] = np.arange(above[1], above[0] + 1)
+            block[:, 1:] = [x for row in reversed(rows) for x in row]
+            out.append(block)
             return
         for row in _interlacing_rows(above):
             rows.append(row)
@@ -559,7 +573,7 @@ def _gt_patterns(lam: tuple[int, ...], d: int) -> np.ndarray:
             rows.pop()
 
     rec(rows[0])
-    return np.array(out, dtype=np.int64).reshape(len(out), d * (d + 1) // 2)
+    return np.concatenate(out)
 
 
 def _gt_row(patterns: np.ndarray, k: int) -> np.ndarray:
@@ -679,13 +693,16 @@ class GTIrrep:
     E_{k+1,k} is its transpose and E_ij, j > i + 1, follows from
     [E_{i,j-1}, E_{j-1,j}].
 
-    pi_lam(V) is taken from V = K1 R K2 (`_cosets`). pi_lam of
-    K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is block diagonal over row
-    d - 1 (`sub_blocks`: the U(d - 1) irrep mu and its slice of patterns),
-    pi_mu(k) e^{i gamma (|lam| - |mu|)}. R = exp(theta (e_ab - e_ba))
-    moves row d - 1 only, so exp(theta G), G = E_ab - E_ba, is block
-    diagonal over rows 1..d - 2 (`rotation_blocks`: the patterns of a
-    block and the eigendecomposition (vecs, omega) of i G on it).
+    At d = 2, pi_lam(V) and the diagonal of pi_lam(X) are closed forms in
+    J = lam_1 - lam_2 (`_u2_unitary`, `_u2_diagonal`), and the two block
+    fields are empty. At d >= 3, pi_lam(V) is taken from V = K1 R K2
+    (`_cosets`). pi_lam of K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is
+    block diagonal over row d - 1 (`sub_blocks`: the U(d - 1) irrep mu and
+    its slice of patterns), pi_mu(k) e^{i gamma (|lam| - |mu|)}.
+    R = exp(theta (e_ab - e_ba)) moves row d - 1 only, so exp(theta G),
+    G = E_ab - E_ba, is block diagonal over rows 1..d - 2
+    (`rotation_blocks`: the patterns of a block and the eigendecomposition
+    (vecs, omega) of i G on it).
     """
 
     lam: tuple[int, ...]
@@ -719,14 +736,12 @@ class GTIrrep:
         v = np.asarray(v, dtype=complex)
         if self.d == 1:
             return np.full((1, 1), v[0, 0] ** sum(self.lam))
+        if self.d == 2:
+            return _u2_unitary(self.lam, v)
         k1, gamma, theta, k2 = _cosets(v)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for idx, vecs, omega in self.rotation_blocks:
             out[np.ix_(idx, idx)] = (vecs * np.exp(-1j * theta * omega)) @ vecs.conj().T
-        if self.d == 2:
-            # U(1) x U(1) acts by phases
-            left = k1[0, 0] ** self.weights[:, 0] * np.exp(1j * gamma * self.weights[:, 1])
-            return left[:, None] * out * (k2[0, 0] ** self.weights[:, 0])[None, :]
         n = sum(self.lam)
         keys = k1.tobytes(), k2.tobytes()
         for mu, sl in self.sub_blocks:
@@ -742,7 +757,7 @@ class GTIrrep:
         basis, so pi_lam(X) = diag(x**wt).
         """
         x = np.asarray(x, dtype=complex)
-        if not np.any(x - np.diag(np.diagonal(x))):
+        if _is_diagonal(x):
             return np.diag(_weight_powers(self.weights, np.diagonal(x).real))
         r, v = np.linalg.eigh(x)
         p = self.unitary(v)
@@ -751,14 +766,141 @@ class GTIrrep:
     def diagonal(self, x) -> np.ndarray:
         """pi_lam(X)[T, T] over all patterns T, X >= 0.
 
-        Each is sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), a sum of
-        nonnegative terms. The entries of pi_lam(V) carry about eps of
-        absolute noise, so a tiny value is accurate only to about eps**2
-        times the largest weight r**wt, in absolute terms, not relative
-        to itself.
+        A diagonal X gives x**wt, with no eigh. At d = 2 the diagonal is the
+        closed-form sum of nonnegative terms of `_u2_diagonal`, accurate
+        relative to each entry. At d >= 3 each entry is
+        sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), X = V diag(r) V^dag, also a
+        sum of nonnegative terms; the entries of pi_lam(V) carry about eps
+        of absolute noise, so a tiny value is accurate only to about eps**2
+        times the largest weight r**wt, in absolute terms, not relative to
+        itself.
         """
-        r, v = np.linalg.eigh(np.asarray(x, dtype=complex))
+        x = np.asarray(x, dtype=complex)
+        if self.d == 2:
+            return _u2_diagonal(self.lam, x)
+        if _is_diagonal(x):
+            return _weight_powers(self.weights, np.diagonal(x).real)
+        r, v = np.linalg.eigh(x)
         return (np.abs(self.unitary(v)) ** 2) @ _weight_powers(self.weights, r)
+
+
+def _is_diagonal(x: np.ndarray) -> bool:
+    return not np.any(x - np.diag(np.diagonal(x)))
+
+
+# ---------------------------------------------------------------------------
+# U(2) in closed form
+#
+# The U(2) irrep mu = (mu_1, mu_2) is det**mu_2 times the spin J/2 irrep,
+# J = mu_1 - mu_2, on the Gelfand-Tsetlin rows a = 0..J of weight
+# (mu_2 + a, mu_1 - a). E_01 raises row a by sqrt((J - a)(a + 1)), so the
+# rotation generator, and with it the Wigner-d matrix, depends on J alone.
+
+
+@lru_cache(maxsize=256)
+def _u2_rotation(j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vecs, omega), the eigendecomposition of i(E_01 - E_10) on spin j/2, read-only."""
+    a = np.arange(j)
+    gen = np.zeros((j + 1, j + 1))
+    gen[a + 1, a] = np.sqrt(((j - a) * (a + 1)).astype(float))
+    gen -= gen.T
+    omega, vecs = np.linalg.eigh(1j * gen)
+    vecs.flags.writeable = omega.flags.writeable = False
+    return vecs, omega
+
+
+@lru_cache(maxsize=64)
+def _u2_cosets(key: bytes) -> tuple[complex, float, float, complex]:
+    """(k1, gamma, theta, k2) of `_cosets` for a 2 x 2 unitary given by its bytes.
+
+    Every U(2) irrep of one V, a sub-block of each frame, shares them.
+    """
+    k1, gamma, theta, k2 = _cosets(np.frombuffer(key, dtype=complex).reshape(2, 2))
+    return k1[0, 0], gamma, theta, k2[0, 0]
+
+
+def _u2_unitary(mu: tuple[int, ...], v: np.ndarray) -> np.ndarray:
+    """pi_mu(V) of U(2), rows in Gelfand-Tsetlin order, with no pattern or irrep build.
+
+    With V = diag(k1, e^{i gamma}) R(theta) diag(k2, 1) (`_cosets`), row
+    a of weight (w0, w1) carries the phases k1**w0 e^{i gamma w1} on the
+    left and k2**w0 on the right of the Wigner-d matrix
+    exp(-i theta (vecs omega vecs^dag)) of `_u2_rotation`; together they
+    are det(V)**mu_2 D**(J/2)(V).
+    """
+    top = mu[0] if mu else 0
+    low = mu[1] if len(mu) > 1 else 0
+    k1, gamma, theta, k2 = _u2_cosets(np.ascontiguousarray(v, dtype=complex).tobytes())
+    vecs, omega = _u2_rotation(top - low)
+    w0 = low + np.arange(top - low + 1)
+    rot = (vecs * np.exp(-1j * theta * omega)) @ vecs.conj().T
+    left = k1**w0 * np.exp(1j * gamma * (top + low - w0))
+    return left[:, None] * rot * (k2**w0)[None, :]
+
+
+_U2_ROWS = 256  # rows of the log-term triangle per step of `_u2_diagonal`
+
+
+@lru_cache(maxsize=4)
+def _log_factorials_ext(size: int) -> np.ndarray:
+    """ln m! for m < size in numpy's long double, by a compensated running sum (read-only)."""
+    out = np.zeros(size, dtype=np.longdouble)
+    total = comp = np.longdouble(0.0)
+    for m, term in enumerate(np.log(np.arange(1, size, dtype=np.longdouble)), start=1):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = out[m] = t
+    out.flags.writeable = False
+    return out
+
+
+def _u2_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """pi_lam(X)[T, T] of U(2) for X >= 0, rows in Gelfand-Tsetlin order.
+
+    For lam = (n - k, k), J = n - 2k and row a, of weight (k + a, n - k - a),
+    with A = X_00, D = X_11 and E = |X_01|**2 it is
+        det(X)**k sum_i C(a, i) C(J - a, i) A**(a - i) D**(J - a - i) E**i
+        = det(X)**k A**a D**(J - a) T_a(E / (A D)),
+    a sum of nonnegative terms (the diagonal of det**k Sym^J(X)); no eigh
+    and no pattern is used. A diagonal X gives x**wt. Otherwise
+    T_a(q) = sum_i C(a, i) C(J - a, i) q**i = T_{J-a}(q) is summed in logs
+    for a <= J / 2, so no term overflows or underflows, on a triangle of
+    _U2_ROWS rows at a time. The log binomials are taken in numpy's long
+    double, since the log factorials they cancel from are ~J ln J large;
+    each entry is then accurate to a few eps times its log, relative to
+    itself.
+    """
+    top = lam[0] if lam else 0
+    k = lam[1] if len(lam) > 1 else 0
+    j = top - k
+    rows = np.arange(j + 1)
+    a00, a11 = float(x[0, 0].real), float(x[1, 1].real)
+    e = float(abs(x[0, 1])) ** 2
+    if e == 0.0 or a00 <= 0.0 or a11 <= 0.0:
+        # X_01 = 0 whenever X >= 0 has a vanishing diagonal entry
+        return _weight_powers(np.column_stack([k + rows, top - rows]), np.array([a00, a11]))
+    det = a00 * a11 - e
+    if k and det <= 0.0:
+        return np.zeros(j + 1)
+    lf = _log_factorials_ext(-(-(j + 1) // 1024) * 1024)
+    log_q = math.log(e) - math.log(a00) - math.log(a11)
+    half = j // 2
+    log_t = np.empty(half + 1)
+    for start in range(0, half + 1, _U2_ROWS):
+        a = np.arange(start, min(start + _U2_ROWS, half + 1))[:, None]
+        i = np.arange(a[-1, 0] + 1)[None, :]
+        live = i <= a
+        ai, bi = np.where(live, a - i, 0), np.where(live, j - a - i, 0)
+        terms = (lf[a] + lf[j - a] - lf[ai] - lf[bi] - 2 * lf[i]).astype(float) + i * log_q
+        terms[~live] = -np.inf
+        peak = terms.max(axis=1)
+        log_t[start : start + len(a)] = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    out = np.concatenate([log_t, log_t[: j - half][::-1]])
+    out += rows * math.log(a00) + (j - rows) * math.log(a11)
+    if k:
+        out += k * math.log(det)
+    return np.exp(out)
 
 
 @lru_cache(maxsize=512)
@@ -766,19 +908,51 @@ def _sub_unitary(mu: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
     """pi_mu(k) of U(d), k given by its bytes.
 
     Every frame lam of one state V meets the same k, so each mu is built
-    once per state.
+    once per state; U(2) takes the closed form.
     """
-    out = _gt_irrep(mu, d).unitary(np.frombuffer(key, dtype=complex).reshape(d, d))
+    k = np.frombuffer(key, dtype=complex).reshape(d, d)
+    out = _u2_unitary(mu, k) if d == 2 else _gt_irrep(mu, d).unitary(k)
     out.flags.writeable = False
     return out
 
 
 @lru_cache(maxsize=512)
 def _gt_diagonal(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
-    """pi_lam(x)[T, T] over all patterns T, x given by its bytes (read-only)."""
-    out = _gt_irrep(lam, d).diagonal(np.frombuffer(key, dtype=complex).reshape(d, d))
+    """pi_lam(x)[T, T] over all patterns T, x given by its bytes (read-only).
+
+    U(2) takes the closed form, with no irrep build.
+    """
+    x = np.frombuffer(key, dtype=complex).reshape(d, d)
+    out = _u2_diagonal(lam, x) if d == 2 else _gt_irrep(lam, d).diagonal(x)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=512)
+def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> tuple[float, dict]:
+    """The weight-mass table of frame lam and X >= 0 given by its bytes.
+
+    Returns (ln d_lam + n ln r_max, {f: m_f}), r_max the top eigenvalue of
+    X and m_f the sum of `_gt_diagonal(X / r_max)` over the patterns of
+    weight f, so the mass d_lam tr{Pi_f pi_lam(X)} is exp of the scale
+    plus ln m_f (pi_lam is homogeneous of degree n). The scaled key is the
+    one `_irrep_miss` reads, so both share the diagonal's cache.
+    """
+    x = np.frombuffer(key, dtype=complex).reshape(d, d)
+    top = float(np.linalg.eigvalsh(x)[-1])
+    if top <= 0.0:
+        return 0.0, {}
+    diag = _gt_diagonal(lam, d, np.ascontiguousarray(x / top).tobytes())
+    weights, index = np.unique(gt_weights(lam, d), axis=0, return_inverse=True)
+    masses = np.bincount(index.ravel(), weights=diag, minlength=len(weights))
+    scale = math.log(hook_dimension(lam)) + sum(lam) * math.log(top)
+    return scale, dict(zip(map(tuple, weights.tolist()), masses.tolist()))
+
+
+def _clear_irrep_caches() -> None:
+    """Empty every cache of computed irrep values, so that they are recomputed."""
+    for cached in (_gt_irrep, _u2_rotation, _u2_cosets, _sub_unitary, _gt_diagonal, _weight_masses):
+        cached.cache_clear()
 
 
 def gt_irrep(lam, d: int) -> GTIrrep:
@@ -823,7 +997,7 @@ def _gt_irrep(lam: tuple[int, ...], d: int) -> GTIrrep:
             parts.append((dst, src, np.sqrt(num / den)))
         raising.append(tuple(np.concatenate(a) for a in zip(*parts)))
     sub_blocks, rotation_blocks = [], []
-    if d > 1:
+    if d > 2:
         starts = np.flatnonzero(np.any(np.diff(_gt_row(pat, d - 1), axis=0) != 0, axis=1)) + 1
         bounds = [0, *starts.tolist(), dim]
         for a, b in zip(bounds[:-1], bounds[1:]):
@@ -856,8 +1030,9 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     """(tr{P_lam rho^n}, (2n)**(d*d) * 2**(-n D(lam_norm || spec rho))).
 
     The left side is d_lam s_lam(spec rho) (Keyl-Werner), summed over the
-    Gelfand-Tsetlin weights, so no d**n space is formed; the right side
-    uses the convention 2**(-inf) = 0.
+    Gelfand-Tsetlin weights, so no d**n space is formed, and taken as
+    exp(ln d_lam + ln s_lam), so that it stays finite where d_lam is past
+    the float range; the right side uses the convention 2**(-inf) = 0.
     """
     from .quantum import assert_state, spectrum
 
@@ -867,7 +1042,7 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
     spec = spectrum(rho_m)
-    lhs = hook_dimension(lam_p) * schur_polynomial(lam_p, spec)
+    lhs = math.exp(math.log(hook_dimension(lam_p)) + log_schur_polynomial(lam_p, spec))
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
     div = relative_entropy(lam_norm, spec)
     rhs = (2.0 * n) ** (d * d) * 2.0 ** (-n * div)

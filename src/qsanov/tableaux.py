@@ -144,7 +144,9 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
             return
         if len(prefix) == d:
             return
-        for p in range(min(remaining, cap), 0, -1):
+        # the last row takes all that remains
+        lowest = remaining if len(prefix) == d - 1 else 1
+        for p in range(min(remaining, cap), lowest - 1, -1):
             prefix.append(p)
             rec(remaining - p, p, prefix)
             prefix.pop()
@@ -233,36 +235,22 @@ def entropy_continuity_bound(theta: float, alphabet_size: int) -> float:
     return float(-theta * math.log2(theta / alphabet_size))
 
 
-def hook_lengths(lam) -> list[list[int]]:
-    """Hook lengths of each cell, row by row."""
-    parts = _frame_parts(lam)
-    cols = [0] * (parts[0] if parts else 0)
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
-    out = []
-    for i, p in enumerate(parts):
-        row = []
-        for j in range(p):
-            arm = p - j - 1
-            leg = cols[j] - i - 1
-            row.append(arm + leg + 1)
-        out.append(row)
-    return out
-
-
 def hook_dimension(lam) -> int:
-    """Dimension of the irreducible S_n module of shape lam (exact)."""
+    """Dimension of the irreducible S_n module of shape lam (exact).
+
+    Frobenius' form of the hook length formula: with the shifted parts
+    l_i = lam_i + k - 1 - i of the k rows,
+    d_lam = n! prod_{i<j} (l_i - l_j) / prod_i l_i!.
+    """
     parts = _frame_parts(lam)
-    n = sum(parts)
-    prod = 1
-    for row in hook_lengths(parts):
-        for h in row:
-            prod *= h
-    num = math.factorial(n)
-    if num % prod:
-        raise ArithmeticError(f"hook product {prod} does not divide {n}!")
-    return num // prod
+    shifted = [p + len(parts) - 1 - i for i, p in enumerate(parts)]
+    num = math.factorial(sum(parts))
+    for a, b in itertools.combinations(shifted, 2):
+        num *= a - b
+    den = math.prod(math.factorial(x) for x in shifted)
+    if num % den:
+        raise ArithmeticError(f"{den} does not divide the numerator of d_lam for {parts}")
+    return num // den
 
 
 def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:
@@ -340,6 +328,11 @@ def dominance(f, lam) -> bool:
     parts = _frame_parts(lam)
     if sum(counts) != sum(parts):
         raise ValueError("frequency and frame must count the same n")
+    return _dominates(counts, parts)
+
+
+def _dominates(counts: tuple[int, ...], parts: tuple[int, ...]) -> bool:
+    """`dominance` on checked counts and frame parts of the same n."""
     fs = sorted(counts, reverse=True)
     width = max(len(fs), len(parts))
     pf = pl = 0

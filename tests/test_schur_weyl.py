@@ -815,3 +815,224 @@ def test_gt_guards_name_the_irrep():
     with pytest.raises(SizeGuardError, match=r"lam = \(400,\) has dimension 80601"):
         gt_weights((400,), 3)
     assert gt_weights((90,), 3).shape == (4186, 3)
+
+
+# ---------------------------------------------------------------------------
+# closed-form U(2) irreps and the weight-mass table
+
+
+def _mp_sym_column(v, j, b):
+    """Column b of Sym^j(v) in the orthonormal symmetric basis, to 50 digits.
+
+    As in `_sym_powers`, entry a is the coefficient of u^a v^(j-a) in
+    p^b q^(j-b), p = v00 u + v10 v, q = v01 u + v11 v, times
+    sqrt(C(j, b) / C(j, a)); here every product is exact to 50 digits.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        (x00, x01), (x10, x11) = ((mp.mpc(complex(z)) for z in row) for row in v)
+        poly = [mp.mpc(1)]
+        for cu, cv in [(x00, x10)] * b + [(x01, x11)] * (j - b):
+            grown = [mp.mpc(0)] * (len(poly) + 1)
+            for a, c in enumerate(poly):
+                grown[a + 1] += cu * c
+                grown[a] += cv * c
+            poly = grown
+        return np.array([
+            complex(poly[a] * mp.sqrt(mp.binomial(j, b) / mp.binomial(j, a))) for a in range(j + 1)
+        ])
+
+
+def test_u2_closed_form_matches_sym_powers_and_mpmath():
+    rng = np.random.default_rng(150)
+    for j in range(11):
+        for k in (0, 2):
+            v = haar_unitary(2, rng)
+            want = np.linalg.det(v) ** k * _sym_powers(v, j + 2 * k)[j]
+            got = gt_irrep((j + k, k), 2).unitary(v)
+            assert np.abs(got - want).max() < 1e-12, (j, k)
+    for j in (64, 256):
+        v = haar_unitary(2, rng)
+        got = gt_irrep((j + 3, 3), 2).unitary(v)
+        det3 = np.linalg.det(v) ** 3
+        for b in (0, j // 3, j // 2, j):
+            assert np.abs(got[:, b] - det3 * _mp_sym_column(v, j, b)).max() < 1e-12, (j, b)
+    # unitary homomorphism at J = 256
+    irrep = gt_irrep((256,), 2)
+    u, w = haar_unitary(2, rng), haar_unitary(2, rng)
+    pu, pw = irrep.unitary(u), irrep.unitary(w)
+    assert np.abs(pu @ pu.conj().T - np.eye(257)).max() < 1e-12
+    assert np.abs(irrep.unitary(u @ w) - pu @ pw).max() < 1e-12
+
+
+def test_u2_irreps_are_not_built_from_gt_rotation_blocks():
+    # a d = 3 unitary reads its U(2) sub-blocks from the closed form, so the
+    # only Gelfand-Tsetlin irrep it builds is its own
+    schur_weyl._clear_irrep_caches()
+    irrep = gt_irrep((4, 2, 1), 3)
+    irrep.unitary(haar_unitary(3, np.random.default_rng(151)))
+    assert schur_weyl._gt_irrep.cache_info().currsize == 1
+    assert gt_irrep((5, 2), 2).rotation_blocks == gt_irrep((5, 2), 2).sub_blocks == ()
+
+
+def _mp_u2_diagonal(x, lam, a):
+    """pi_lam(X)[a, a] of U(2) to 50 digits, from the float entries of X."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        k = lam[1] if len(lam) > 1 else 0
+        j = lam[0] - k
+        big_a, big_d = mp.mpf(float(x[0, 0].real)), mp.mpf(float(x[1, 1].real))
+        e = mp.mpf(float(x[0, 1].real)) ** 2 + mp.mpf(float(x[0, 1].imag)) ** 2
+        terms = (
+            mp.binomial(a, i) * mp.binomial(j - a, i) * big_a ** (a - i) * big_d ** (j - a - i) * e**i
+            for i in range(min(a, j - a) + 1)
+        )
+        return (big_a * big_d - e) ** k * mp.fsum(terms)
+
+
+def test_u2_diagonal_is_relatively_exact_and_takes_no_eigh(monkeypatch):
+    # against _sym_powers at n = 40 (every weight) and mpmath at n = 40 and
+    # 512 (a few weights per frame), relative per weight, for rank-1, rank-2
+    # and diagonal states; rank-1 frames k >= 1 carry only det noise
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    rng = np.random.default_rng(152)
+    states = {
+        "rank-1": random_state(2, rng, rank=1),
+        "rank-2": random_state(2, rng),
+        "diagonal": np.diag([0.64, 0.36]).astype(complex),
+    }
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for name, x in states.items():
+        sym = _sym_powers(x, 40)
+        det = float(np.linalg.det(x).real)
+        for n in (40, 512):
+            for k in sorted({0, 1, n // 4, n // 2}):
+                lam = (n - k, k) if k else (n,)
+                got = gt_irrep(lam, 2).diagonal(x)
+                if name == "rank-1" and k:
+                    assert np.abs(got).max() < 1e-15, (n, k)
+                    continue
+                if n == 40:
+                    want = det**k * np.diagonal(sym[n - 2 * k]).real
+                    live = want > 1e-250
+                    assert np.all(np.abs(got[live] / want[live] - 1.0) < 1e-12), (name, n, k)
+                for a in sorted({0, len(got) // 3, int(got.argmax()), len(got) - 1}):
+                    want = _mp_u2_diagonal(x, lam, a)
+                    if want > 1e-250:
+                        assert abs(got[a] / float(want) - 1.0) < 1e-12, (name, n, k, a)
+
+
+def test_u2_masses_match_mpmath_past_the_float_range():
+    # block weights at n = 1536 and 2048, where d_lam is past 2**1024
+    rng = np.random.default_rng(153)
+    x = random_state(2, rng)
+    mp = pytest.importorskip("mpmath")
+    for n, k in ((1536, 307), (1536, 384), (2048, 341), (2048, 409)):
+        lam = (n - k, k)
+        assert hook_dimension(lam).bit_length() > 1024
+        # x**n underflows here; x / r_max does not
+        diag = gt_irrep(lam, 2).diagonal(x / np.linalg.eigvalsh(x)[-1])
+        top = int(diag.argmax())
+        for a in (top, top - len(diag) // 8):
+            f = (k + a, n - k - a)
+            got = block_weight(f, lam, x)
+            want = mp.mpf(hook_dimension(lam)) * _mp_u2_diagonal(x, lam, a)
+            assert 0.0 < got and abs(got / float(want) - 1.0) < 1e-12, (n, k, a)
+
+
+def test_u2_masses_sum_to_the_trace_power():
+    # sum over all labels of the mass of X^n is (tr X)^n = 1: a rank-2 state
+    # at n = 512 through block_weight's tables, and the d = 2 diagonals at
+    # n = 4096 for the pure state of (1, i) / sqrt(2), whose entries are
+    # dyadic, so that det X = 0 exactly and only lam = (n) carries mass
+    x = random_state(2, np.random.default_rng(154))
+    key = np.ascontiguousarray(x).tobytes()
+    total = 0.0
+    for fr in enumerate_frames(2, 512):
+        scale, masses = schur_weyl._weight_masses(fr.parts, 2, key)
+        total += sum(math.exp(scale + math.log(m)) for m in masses.values() if m > 0.0)
+    assert abs(total - 1.0) < 1e-12
+    n = 4096
+    x = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    key = np.ascontiguousarray(x).tobytes()
+    total, carried = 0.0, []
+    for k in range(n // 2 + 1):
+        mass = float(schur_weyl._gt_diagonal((n - k, k) if k else (n,), 2, key).sum())
+        if mass > 0.0:
+            carried.append(k)
+            log_dim = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 2)
+            total += math.exp(log_dim + math.log(n - 2 * k + 1) + math.log(mass))
+    assert carried == [0]
+    assert abs(total - 1.0) < 1e-12
+
+
+def test_single_state_masses_match_the_word_block_path():
+    # the weight-mass table of rho' = B^dag rho B against block_weight on
+    # [rho] * n through word blocks, in a complex sigma eigenbasis
+    for sigma, rho in _weight_cases(3)[:3]:
+        _, basis = eigenbasis(sigma)
+        for n in range(1, 8):
+            for fr in enumerate_frames(3, n):
+                for f in enumerate_frequencies(3, n):
+                    got = block_weight(f.counts, fr.parts, rho, basis=basis)
+                    want = block_weight(f.counts, fr.parts, [rho] * n, basis=basis)
+                    assert abs(got - want) < 1e-12, (n, fr.parts, f.counts)
+
+
+def test_block_weight_and_spectral_estimate_past_the_float_range():
+    # d_lam of (600, 500) is past 2**1023: both raised OverflowError on the
+    # int-times-float product
+    mp = pytest.importorskip("mpmath")
+    lam = (600, 500)
+    rho = np.diag([0.7, 0.3])
+    with mp.workdps(50):
+        dim = mp.mpf(hook_dimension(lam))
+        point = dim * (mp.mpf(0.7) * mp.mpf(0.3)) ** 550
+        schur = (mp.mpf(0.7) * mp.mpf(0.3)) ** 500 * mp.fsum(
+            mp.mpf(0.7) ** m * mp.mpf(0.3) ** (100 - m) for m in range(101)
+        )
+        total = dim * schur
+    got = block_weight((550, 550), lam, rho)
+    assert abs(got / float(point) - 1.0) < 1e-12
+    lhs, rhs = spectral_estimate_check(lam, rho, 1100)
+    assert abs(lhs / float(total) - 1.0) < 1e-12
+    assert lhs <= rhs
+
+
+def test_gt_diagonal_of_a_diagonal_state_takes_no_eigh(monkeypatch):
+    # x**wt, against pi(V) diag(r**wt) pi(V)^dag with V = eigh(X), on
+    # full-rank and singular diagonal states at d = 3 and 4
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    for d, n in ((3, 5), (4, 4)):
+        full = np.diag(np.linspace(0.1, 1.0, d)[::-1])
+        singular = np.diag([0.0] + [1.0 / (d - 1)] * (d - 1))
+        for x in (full / np.trace(full), singular):
+            x = x.astype(complex)
+            r, v = np.linalg.eigh(x)
+            wants = []
+            for fr in enumerate_frames(d, n):
+                irrep = gt_irrep(fr.parts, d)
+                wants.append(
+                    (np.abs(irrep.unitary(v)) ** 2) @ np.prod(np.clip(r, 0, None) ** irrep.weights, axis=1)
+                )
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", no_eigh)
+                for fr, want in zip(enumerate_frames(d, n), wants):
+                    irrep = gt_irrep(fr.parts, d)
+                    got = irrep.diagonal(x)
+                    assert np.array_equal(got, np.prod(np.diagonal(x).real ** irrep.weights, axis=1))
+                    assert np.abs(got - want).max() <= 1e-14 * want.max(), (d, n, fr.parts)
+
+
+def test_frequency_blocks_are_slices_of_one_read_only_stack():
+    blocks = frequency_blocks((3, 2, 1))
+    bases = {id(block.base) for block in blocks.values()}
+    assert len(bases) == 1
+    assert not any(block.flags.writeable for block in blocks.values())
+    stack = next(iter(blocks.values())).base
+    assert stack.shape == (len(blocks), *next(iter(blocks.values())).shape)
+    assert not stack.flags.writeable
