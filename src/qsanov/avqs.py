@@ -17,13 +17,15 @@ from functools import reduce
 import numpy as np
 
 from .errors import SizeGuardError
-from .hypotest import TestSpec, build_test, theta, type_one
+from .hypotest import TestSpec, build_test, theta
 from .quantum import (
+    _qrel_entropy,
+    _support_log2,
     assert_state,
+    assert_states,
     bloch_spiral,
     bloch_state,
     depolarize,
-    qrel_entropy,
     spectrum,
     trace_distance,
 )
@@ -102,17 +104,21 @@ def robustification_check(p_n, word, alphabet, rng=None) -> tuple[float, float]:
     """Word-state miss probability against its mixture-power reduction.
 
     Returns (tr{(1-P) rho_word}, (2n)**|S| tr{(1-P) mix^n}) where mix is the
-    empirical mixture of the word; both traces are contracted one site at a
-    time (`word_type_one`, `type_one`). P must commute with S_n; that is
-    certified exactly on the group's two generators (`require_invariant`),
-    and ValueError is raised otherwise. `rng` is unused; it is accepted for
-    callers that still pass one.
+    empirical mixture of the word. The alphabet is validated once, and both
+    traces come from one `product_trace` call on a batch of two site stacks,
+    the word's letters and n copies of mix, contracted one site at a time.
+    P must commute with S_n; that is certified exactly on the group's two
+    generators (`require_invariant`), and ValueError is raised otherwise.
+    `rng` is unused; it is accepted for callers that still pass one.
     """
     n = len(word)
-    p = require_invariant(p_n, np.asarray(alphabet[0]).shape[0], n)
-    lhs = word_type_one(p, word, alphabet)
-    rhs = (2.0 * n) ** len(alphabet) * type_one(p, empirical_mixture(word, alphabet))
-    return lhs, rhs
+    letters = assert_states(alphabet)[0]
+    p = require_invariant(p_n, letters.shape[-1], n)
+    sites = letters[list(word)]
+    mix = empirical_mixture(word, letters)
+    stacks = np.stack([sites, np.broadcast_to(mix, sites.shape)])
+    word_trace, mix_trace = product_trace(p, stacks).real
+    return float(1.0 - word_trace), (2.0 * n) ** len(alphabet) * float(1.0 - mix_trace)
 
 
 def spectral_estimation_check(lam, word, alphabet) -> tuple[float, float]:
@@ -153,12 +159,6 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     return np.clip(v - tau, 0.0, None)
 
 
-def _log2_psd(m: np.ndarray, floor: float = 1e-18) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, floor, None)
-    return (vecs * np.log2(vals)) @ vecs.conj().T
-
-
 def min_relative_entropy_hull(generators, sigma) -> tuple[float, np.ndarray]:
     """min over mixtures w of D(sum_i w_i rho_i || sigma), in bits.
 
@@ -166,34 +166,41 @@ def min_relative_entropy_hull(generators, sigma) -> tuple[float, np.ndarray]:
     objective is convex on the simplex and any local minimum is global:
     one projected gradient descent with backtracking from the barycentre
     finds it. Returns (value, weights).
+
+    The generators and sigma are validated and sigma diagonalised once;
+    each evaluated mixture takes one eigh, which serves its value
+    (`quantum._qrel_entropy`) and, once it is accepted, its gradient.
     """
-    gens = [assert_state(g) for g in generators]
+    gens = assert_states(generators)[0]
     sigma = assert_state(sigma)
+    if gens.shape[1:] != sigma.shape:
+        raise ValueError("dimension mismatch")
     k = len(gens)
+    s_vals, s_vecs = np.linalg.eigh(sigma)
+    null_cols, log_s = _support_log2(s_vals, s_vecs)
+    log_sigma = (s_vecs * np.log2(np.clip(s_vals, 1e-30, None))) @ s_vecs.conj().T
 
-    def mix(w):
-        return sum(wi * gi for wi, gi in zip(w, gens))
+    def evaluate(w):
+        m = sum(wi * gi for wi, gi in zip(w, gens))
+        vals, vecs = np.linalg.eigh(m)
+        return _qrel_entropy(m, vals, vecs, null_cols, log_s), (vals, vecs)
 
-    def value(w):
-        return qrel_entropy(mix(w), sigma)
-
-    log_sigma = _log2_psd(sigma, floor=1e-30)
-
-    def grad(w):
-        lg = _log2_psd(mix(w)) - log_sigma
+    def grad(eig):
+        vals, vecs = eig
+        lg = (vecs * np.log2(np.clip(vals, 1e-18, None))) @ vecs.conj().T - log_sigma
         return np.array([float(np.einsum("ij,ji->", g, lg).real) for g in gens])
 
     w = np.full(k, 1.0 / k)
-    fw = value(w)
+    fw, eig = evaluate(w)
     step = 0.5
     for _ in range(500):
-        g = grad(w)
+        g = grad(eig)
         moved = False
         for _ in range(40):
             cand = simplex_project(w - step * g)
-            fc = value(cand)
+            fc, eig_c = evaluate(cand)
             if fc < fw - 1e-15:
-                w, fw = cand, fc
+                w, fw, eig = cand, fc, eig_c
                 step *= 1.3
                 moved = True
                 break

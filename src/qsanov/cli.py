@@ -487,9 +487,9 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
     lines.append("ok twirl")
 
     def _fingerprint() -> str:
-        # recompute: block_weight caches its weight-mass table, the irrep
-        # diagonal and the irreps per state; d = 2 is the closed form, d = 3
-        # the Gelfand-Tsetlin irrep
+        # recompute: block_weight caches its log weight-mass table and the
+        # irreps per state; d = 2 is the closed form, d = 3 the
+        # Gelfand-Tsetlin irrep
         _clear_irrep_caches()
         r = np.random.default_rng(seed)
         xs = [random_state(2, r) for _ in range(3)]

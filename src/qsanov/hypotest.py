@@ -8,11 +8,12 @@ blocks, built in the eigenbasis of sigma.
 
 Its errors are sums over the labels (`label_errors`), taken at every d on
 the U(d) irreps pi_lam in the Gelfand-Tsetlin basis (`schur_weyl.gt_irrep`),
-whose weights are the label frequencies: the type-two error is
-sum d_lam t^(wt T) over the accepted weights T of each frame, and the
-type-one error of a state is the mass of rho^n on the rejected ones. The
-miss of every word state of a larger alphabet is taken per letter-count
-type: at d = 2 from forms in the letter weights, at d >= 3 as one minus
+whose weights are the label frequencies: the mass of X^n on label
+(f, lam) is one entry of the log weight-mass table of (lam, X), the
+type-two error sums the accepted entries of sigma's table, and the
+type-one error of a state the rejected entries of its own. The miss of
+every word state of a larger alphabet is taken per letter-count type: at
+d = 2 from forms in the letter weights, at d >= 3 as one minus
 the accepted word-block weights (`block_weight`) of the sorted word of
 that type. No d**n operator is formed. The dense functions (`build_test`,
 `type_one`, `type_two`) remain as the oracles of the label path and
@@ -50,14 +51,12 @@ from .quantum import (
 )
 from .schur_weyl import (
     GUARD_LIMIT,
-    _gt_diagonal,
+    _weight_masses,
     dense_from_blocks,
     frequency_blocks,
     gt_irrep,
-    gt_weights,
     log_schur_polynomial,
     product_trace,
-    schur_polynomial,
     word_block_state,
 )
 from .tableaux import (
@@ -69,7 +68,6 @@ from .tableaux import (
 )
 
 SIGMA_MIN_EIG = 1e-12
-_TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -247,16 +245,19 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     """Type-two error and word-state misses of a label test, at every d.
 
     Both come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
-    whose weights are the frequencies f of the labels (f, lam); the labels
-    are decoded once into per-frame masks of accepted weights
-    (`_accepted_weights`). Since sigma^n is diagonal in its own eigenbasis,
-    the type-two error is sum_lam d_lam sum_T t^(wt T) over the accepted
-    weights of each frame. A miss is taken per letter-count type c of the
-    alphabet, with rho' = B^dag rho B (B the sigma eigenbasis). The miss of
-    a one-state alphabet [rho] is the mass of rho'^n on the rejected
-    weights, summed over the irreps (`_irrep_miss`), with no 1 - sum term.
-    For a larger alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s
-    on the rejected weights, read off per monomial y^c and divided by the
+    whose weights are the frequencies f of the labels (f, lam). The mass of
+    X^n on label (f, lam), d_lam tr{Pi_f pi_lam(X)}, is the entry of weight
+    f of the log weight-mass table of (lam, X) (`schur_weyl._weight_masses`),
+    which has no entry for a label with K_{f,lam} = 0. Since sigma^n is diagonal in
+    its own eigenbasis, the type-two error is the sum over the labels of
+    the table of sigma' = diag(t), with no eigh. A miss is taken per
+    letter-count type c of the alphabet, with rho' = B^dag rho B (B the
+    sigma eigenbasis). The miss of a one-state alphabet [rho] is the mass
+    of rho'^n on the rejected labels, with no 1 - sum term: per frame, the
+    rejected entries of the table of rho', or d_lam s_lam(spec rho) in logs
+    (`log_schur_polynomial`, no diagonal) when no weight is accepted. For a larger
+    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s on the
+    rejected weights, read off per monomial y^c and divided by the
     multinomial C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one
     minus the accepted `block_weight`s of the sorted word of type c, so
     only the word blocks of accepted frequencies are built (word states
@@ -267,12 +268,19 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     if labels is None:
         labels = lambda_set(spec)
     d, n = spec.d, spec.n
-    accepted = _accepted_weights(labels, d)
-    log_t = np.log(spec.t)
+    freqs: dict[tuple[int, ...], set] = {}
+    for f, lam in labels:
+        freqs.setdefault(lam, set()).add(f)
+    # per frame: the table rows of its accepted weights, and whether that is all of them
+    accepted: dict[tuple[int, ...], tuple[list, bool]] = {}
+    sigma_key = np.diag(spec.t).astype(complex).tobytes()
     type_two = 0.0
-    for lam, acc in sorted(accepted.items()):
-        log_terms = math.log(hook_dimension(lam)) + gt_weights(lam, d)[acc] @ log_t
-        type_two += float(np.exp(log_terms).sum())
+    for lam, fs in sorted(freqs.items()):
+        index, logs = _weight_masses(lam, d, sigma_key)
+        rows = sorted(index[f] for f in fs if f in index)
+        type_two += float(np.exp(logs[rows]).sum())
+        if rows:
+            accepted[lam] = rows, len(rows) == len(logs)
     if not math.isfinite(type_two):
         raise VerificationError(f"type-two error {type_two} is not finite at n={n}")
     if not len(alphabet):
@@ -281,13 +289,26 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
     types = [c.counts for c in enumerate_frequencies(len(states), n)]
     if len(states) == 1:
-        misses = [_irrep_miss(states[0], accepted, d, n)]
+        r = np.linalg.eigvalsh(states[0])
+        key = np.ascontiguousarray(states[0]).tobytes()
+        miss = 0.0
+        for fr in enumerate_frames(d, n):
+            rows, full = accepted.get(fr.parts, (None, False))
+            if full:
+                continue
+            if rows is None:
+                log_mass = math.log(hook_dimension(fr.parts)) + log_schur_polynomial(fr.parts, r)
+                miss += math.exp(log_mass)
+            else:
+                logs = _weight_masses(fr.parts, d, key)[1]
+                miss += float(np.exp(np.delete(logs, rows)).sum())
+        misses = [miss]
     elif d == 2:
-        # GT row r of lam = (n - k, k) has weight (k + r, n - k - r)
+        # entry a of the table of lam = (n - k, k) is GT row a, of weight
+        # (k + a, n - k - a)
         rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
-        for lam, acc in accepted.items():
-            k = lam[1] if len(lam) > 1 else 0
-            rejected[k, : n - 2 * k + 1] = ~acc
+        for lam, (rows, _) in accepted.items():
+            rejected[lam[1] if len(lam) > 1 else 0, rows] = False
         mass = _qubit_label_mass(states, n, rejected)
         log_fact = _log_factorials(n)
         misses = [
@@ -317,68 +338,6 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
         type_two=type_two,
         misses={c: min(max(miss, 0.0), 1.0) for c, miss in zip(types, misses)},
     )
-
-
-def _accepted_weights(labels, d: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Mask of the accepted rows of `gt_weights(lam, d)`, per frame lam.
-
-    A frame with no accepted weight (or no label) has no entry.
-    """
-    freqs: dict[tuple[int, ...], set] = {}
-    for f, lam in labels:
-        freqs.setdefault(lam, set()).add(f)
-    out = {}
-    for lam, acc in freqs.items():
-        mask = np.array([w in acc for w in map(tuple, gt_weights(lam, d).tolist())])
-        if mask.any():
-            out[lam] = mask
-    return out
-
-
-def _irrep_miss(rho, accepted, d: int, n: int) -> float:
-    """Mass of rho^n on the frames' rejected weights, from U(d) irreps.
-
-    The (f, lam) label carries d_lam tr{Pi_f pi_lam(rho)}, Pi_f the
-    weight-f part of the Gelfand-Tsetlin basis; `accepted` is as from
-    `_accepted_weights`. A frame with no accepted weight adds
-    d_lam s_lam(spec rho), with no eigh; a partly accepted frame adds
-    d_lam times the diagonal of pi_lam(rho) on its rejected weights
-    (`_gt_diagonal`, the closed form at d = 2); its log fallback reads the
-    diagonal of rho / r_max that single-state `block_weight`'s weight-mass
-    table is built from. Every term is nonnegative.
-
-    d_lam is a Python int that passes the float range near n = 1030 at
-    d = 2, and d_lam * mass <= 1 then pushes the mass below the smallest
-    normal float, where it underflows. Such a term is taken in logs: as
-    exp(ln d_lam + ln s_lam) for a rejected frame (`log_schur_polynomial`),
-    and for a partly accepted one as exp(ln d_lam + n ln r_max + ln m'),
-    m' the rejected mass of rho / r_max (pi_lam is homogeneous of degree n).
-    Every other term is the plain d_lam * mass.
-    """
-    r = np.linalg.eigvalsh(rho)
-    key = np.ascontiguousarray(rho, dtype=complex).tobytes()
-    miss = 0.0
-    for fr in enumerate_frames(d, n):
-        acc = accepted.get(fr.parts)
-        if acc is not None and acc.all():
-            continue
-        dim = hook_dimension(fr.parts)
-        if acc is None:
-            mass = schur_polynomial(fr.parts, r)
-        else:
-            mass = float(_gt_diagonal(fr.parts, d, key)[~acc].sum())
-        if mass >= _TINY:
-            miss += dim * mass
-            continue
-        if acc is None:
-            log_mass = log_schur_polynomial(fr.parts, r)
-        else:
-            top = float(r[-1])
-            scaled = np.ascontiguousarray(rho / top, dtype=complex).tobytes()
-            mass = float(_gt_diagonal(fr.parts, d, scaled)[~acc].sum())
-            log_mass = n * math.log(top) + math.log(mass) if mass > 0.0 else -math.inf
-        miss += math.exp(math.log(dim) + log_mass)
-    return miss
 
 
 def _log_factorials(n: int) -> np.ndarray:

@@ -138,17 +138,24 @@ def qrel_entropy(rho, sigma) -> float:
     s_m = assert_state(sigma)
     if r_m.shape != s_m.shape:
         raise ValueError("dimension mismatch")
-    r_vals, r_vecs = np.linalg.eigh(r_m)
-    s_vals, s_vecs = np.linalg.eigh(s_m)
-    null_cols = s_vecs[:, s_vals <= SIGMA_NULL_TOL]
+    return _qrel_entropy(r_m, *np.linalg.eigh(r_m), *_support_log2(*np.linalg.eigh(s_m)))
+
+
+def _support_log2(s_vals: np.ndarray, s_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(null-space columns, log2 on the support) of sigma from its eigh."""
+    supp = s_vals > SIGMA_NULL_TOL
+    log_s = (s_vecs[:, supp] * np.log2(s_vals[supp])) @ s_vecs[:, supp].conj().T
+    return s_vecs[:, ~supp], log_s
+
+
+def _qrel_entropy(r_m, r_vals, r_vecs, null_cols, log_s) -> float:
+    """The core of `qrel_entropy`: rho with its eigh, sigma by `_support_log2`."""
     if null_cols.shape[1]:
         keep = r_vals > RHO_SUPPORT_TOL
         overlap = np.abs(null_cols.conj().T @ r_vecs[:, keep]) ** 2
         leak = float((r_vals[keep] * overlap.sum(axis=0)).sum())
         if leak > RHO_SUPPORT_TOL:
             return math.inf
-    supp = s_vals > SIGMA_NULL_TOL
-    log_s = (s_vecs[:, supp] * np.log2(s_vals[supp])) @ s_vecs[:, supp].conj().T
     r_pos = np.clip(r_vals, 0.0, None)
     ent = float((r_pos[r_pos > 0] * np.log2(r_pos[r_pos > 0])).sum())
     cross = float(np.einsum("ij,ji->", r_m, log_s).real)

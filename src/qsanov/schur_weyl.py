@@ -41,9 +41,13 @@ the U(2) sub-blocks of every U(d >= 3) irrep, is the closed form
 pi_mu(V) = det(V)**mu_2 D**(J/2)(V), J = mu_1 - mu_2, whose rotation
 eigenbasis depends on J alone and is built once per J (`_u2_unitary`);
 its diagonal on X >= 0 is a sum of nonnegative terms, taken in logs with
-no eigh (`_u2_diagonal`). Single-state block weights read one entry of a
-weight-mass table, cached per (frame, d, state) and scaled in logs, so
-that no d_lam overflows a float (`block_weight`).
+no eigh (`_u2_log_diagonal`). Every one-state scalar reads one table per
+(frame, d, state): ln(d_lam tr{Pi_f pi_lam(X)}) for each weight f, a
+log-sum-exp over the Gelfand-Tsetlin rows of weight f, so that no mass
+underflows and no d_lam overflows a float (`_weight_masses`). Single-state
+block weights read one entry (`block_weight`); the type-two error and the
+one-state miss of `hypotest.label_errors` sum the accepted and the
+rejected entries.
 """
 
 from __future__ import annotations
@@ -486,10 +490,11 @@ def block_weight(f, lam, states, basis=None) -> float:
     no word block or d**n guard; a sequence is restricted to the word block
     of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
 
-    One state reads entry f of the weight-mass table of (lam, rho')
+    One state reads entry f of the log weight-mass table of (lam, rho')
     (`_weight_masses`), built once and shared by every f of the frame, as
-    exp(ln d_lam + n ln r_max + ln m_f); it stays finite where d_lam is
-    past the float range. At d >= 3 a tiny weight is accurate only to about
+    exp of ln(d_lam tr{Pi_f pi_lam(rho')}); it stays finite where d_lam is
+    past the float range and does not underflow before the mass does. At
+    d >= 3 a tiny weight of a non-diagonal rho' is accurate only to about
     eps**2 times the frame's largest weight, in absolute terms (see
     `GTIrrep.diagonal`); at d = 2 each weight is accurate relative to
     itself.
@@ -504,9 +509,8 @@ def block_weight(f, lam, states, basis=None) -> float:
         if basis is not None:
             b = assert_basis(basis)
             rho = b.conj().T @ rho @ b
-        scale, masses = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
-        mass = masses.get(counts, 0.0)
-        return math.exp(scale + math.log(mass)) if mass > 0.0 else 0.0
+        index, logs = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
+        return math.exp(logs[index[counts]])
     prod = word_block_state(counts, states, basis)
     return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
 
@@ -642,18 +646,23 @@ def log_schur_polynomial(lam, r) -> float:
     clipped at 0, as in `schur_polynomial`, with 0**0 = 1).
     """
     r = np.asarray(r, dtype=float)
-    w = gt_weights(lam, r.shape[0])
-    pos = r > 0
-    live = ~(w[:, ~pos] > 0).any(axis=1)
-    if not live.any():
-        return -math.inf
-    terms = w[live][:, pos] @ np.log(r[pos])
+    terms = _log_weight_powers(gt_weights(lam, r.shape[0]), r)
     top = terms.max()
+    if top == -math.inf:
+        return -math.inf
     return float(top + math.log(np.exp(terms - top).sum()))
 
 
 def _weight_powers(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.prod(np.power(np.clip(r, 0.0, None)[None, :], weights), axis=1)
+
+
+def _log_weight_powers(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """ln of `_weight_powers`: r clipped at 0, 0**0 = 1 and ln 0 = -inf."""
+    pos = r > 0
+    out = weights[:, pos] @ np.log(r[pos])
+    out[(weights[:, ~pos] > 0).any(axis=1)] = -np.inf
+    return out
 
 
 def _cosets(v: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
@@ -694,7 +703,7 @@ class GTIrrep:
     [E_{i,j-1}, E_{j-1,j}].
 
     At d = 2, pi_lam(V) and the diagonal of pi_lam(X) are closed forms in
-    J = lam_1 - lam_2 (`_u2_unitary`, `_u2_diagonal`), and the two block
+    J = lam_1 - lam_2 (`_u2_unitary`, `_u2_log_diagonal`), and the two block
     fields are empty. At d >= 3, pi_lam(V) is taken from V = K1 R K2
     (`_cosets`). pi_lam of K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is
     block diagonal over row d - 1 (`sub_blocks`: the U(d - 1) irrep mu and
@@ -767,7 +776,7 @@ class GTIrrep:
         """pi_lam(X)[T, T] over all patterns T, X >= 0.
 
         A diagonal X gives x**wt, with no eigh. At d = 2 the diagonal is the
-        closed-form sum of nonnegative terms of `_u2_diagonal`, accurate
+        closed-form sum of nonnegative terms of `_u2_log_diagonal`, accurate
         relative to each entry. At d >= 3 each entry is
         sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), X = V diag(r) V^dag, also a
         sum of nonnegative terms; the entries of pi_lam(V) carry about eps
@@ -777,7 +786,7 @@ class GTIrrep:
         """
         x = np.asarray(x, dtype=complex)
         if self.d == 2:
-            return _u2_diagonal(self.lam, x)
+            return np.exp(_u2_log_diagonal(self.lam, x))
         if _is_diagonal(x):
             return _weight_powers(self.weights, np.diagonal(x).real)
         r, v = np.linalg.eigh(x)
@@ -838,7 +847,7 @@ def _u2_unitary(mu: tuple[int, ...], v: np.ndarray) -> np.ndarray:
     return left[:, None] * rot * (k2**w0)[None, :]
 
 
-_U2_ROWS = 256  # rows of the log-term triangle per step of `_u2_diagonal`
+_U2_ROWS = 256  # rows of the log-term triangle per step of `_u2_log_diagonal`
 
 
 @lru_cache(maxsize=4)
@@ -855,21 +864,21 @@ def _log_factorials_ext(size: int) -> np.ndarray:
     return out
 
 
-def _u2_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """pi_lam(X)[T, T] of U(2) for X >= 0, rows in Gelfand-Tsetlin order.
+def _u2_log_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """ln pi_lam(X)[T, T] of U(2) for X >= 0, rows in Gelfand-Tsetlin order.
 
     For lam = (n - k, k), J = n - 2k and row a, of weight (k + a, n - k - a),
     with A = X_00, D = X_11 and E = |X_01|**2 it is
         det(X)**k sum_i C(a, i) C(J - a, i) A**(a - i) D**(J - a - i) E**i
         = det(X)**k A**a D**(J - a) T_a(E / (A D)),
     a sum of nonnegative terms (the diagonal of det**k Sym^J(X)); no eigh
-    and no pattern is used. A diagonal X gives x**wt. Otherwise
+    and no pattern is used. A diagonal X gives wt . ln x. Otherwise
     T_a(q) = sum_i C(a, i) C(J - a, i) q**i = T_{J-a}(q) is summed in logs
     for a <= J / 2, so no term overflows or underflows, on a triangle of
     _U2_ROWS rows at a time. The log binomials are taken in numpy's long
     double, since the log factorials they cancel from are ~J ln J large;
     each entry is then accurate to a few eps times its log, relative to
-    itself.
+    itself. A vanishing entry is -inf.
     """
     top = lam[0] if lam else 0
     k = lam[1] if len(lam) > 1 else 0
@@ -879,10 +888,10 @@ def _u2_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     e = float(abs(x[0, 1])) ** 2
     if e == 0.0 or a00 <= 0.0 or a11 <= 0.0:
         # X_01 = 0 whenever X >= 0 has a vanishing diagonal entry
-        return _weight_powers(np.column_stack([k + rows, top - rows]), np.array([a00, a11]))
+        return _log_weight_powers(np.column_stack([k + rows, top - rows]), np.array([a00, a11]))
     det = a00 * a11 - e
     if k and det <= 0.0:
-        return np.zeros(j + 1)
+        return np.full(j + 1, -np.inf)
     lf = _log_factorials_ext(-(-(j + 1) // 1024) * 1024)
     log_q = math.log(e) - math.log(a00) - math.log(a11)
     half = j // 2
@@ -900,7 +909,7 @@ def _u2_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     out += rows * math.log(a00) + (j - rows) * math.log(a11)
     if k:
         out += k * math.log(det)
-    return np.exp(out)
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -917,41 +926,55 @@ def _sub_unitary(mu: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _gt_diagonal(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
-    """pi_lam(x)[T, T] over all patterns T, x given by its bytes (read-only).
+def _weight_classes(lam: tuple[int, ...], d: int) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+    """({f: i} over the distinct weights f of frame lam, sorted; the class i of each GT row).
 
-    U(2) takes the closed form, with no irrep build.
+    At d = 2 the rows are the classes: row a has weight (lam_2 + a, lam_1 - a).
     """
-    x = np.frombuffer(key, dtype=complex).reshape(d, d)
-    out = _u2_diagonal(lam, x) if d == 2 else _gt_irrep(lam, d).diagonal(x)
-    out.flags.writeable = False
-    return out
+    classes, inverse = np.unique(gt_weights(lam, d), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    inverse.flags.writeable = False
+    return {f: i for i, f in enumerate(map(tuple, classes.tolist()))}, inverse
 
 
 @lru_cache(maxsize=512)
-def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> tuple[float, dict]:
-    """The weight-mass table of frame lam and X >= 0 given by its bytes.
+def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> tuple[dict, np.ndarray]:
+    """ln(d_lam tr{Pi_f pi_lam(X)}) for each weight f of frame lam, X >= 0 given by its bytes.
 
-    Returns (ln d_lam + n ln r_max, {f: m_f}), r_max the top eigenvalue of
-    X and m_f the sum of `_gt_diagonal(X / r_max)` over the patterns of
-    weight f, so the mass d_lam tr{Pi_f pi_lam(X)} is exp of the scale
-    plus ln m_f (pi_lam is homogeneous of degree n). The scaled key is the
-    one `_irrep_miss` reads, so both share the diagonal's cache.
+    Returns (index, logs): the entry of weight f is logs[index[f]], index
+    the frame's shared `_weight_classes` map and logs read-only. The entry
+    is ln d_lam plus a log-sum-exp of ln pi_lam(X)[T, T] over the Gelfand-
+    Tsetlin rows T of weight f, so no mass underflows or overflows; a
+    vanishing mass is -inf. The row logs are taken at d = 2 from the closed form
+    (`_u2_log_diagonal`), for a diagonal X as wt . ln x, and otherwise as
+    the log of the diagonal of pi_lam(X / r_max) plus n ln r_max, r_max the
+    top eigenvalue of X (pi_lam is homogeneous of degree n). A label with
+    K_{f,lam} = 0 has no entry.
     """
     x = np.frombuffer(key, dtype=complex).reshape(d, d)
-    top = float(np.linalg.eigvalsh(x)[-1])
-    if top <= 0.0:
-        return 0.0, {}
-    diag = _gt_diagonal(lam, d, np.ascontiguousarray(x / top).tobytes())
-    weights, index = np.unique(gt_weights(lam, d), axis=0, return_inverse=True)
-    masses = np.bincount(index.ravel(), weights=diag, minlength=len(weights))
-    scale = math.log(hook_dimension(lam)) + sum(lam) * math.log(top)
-    return scale, dict(zip(map(tuple, weights.tolist()), masses.tolist()))
+    index, inverse = _weight_classes(lam, d)
+    if d == 2:
+        logs = _u2_log_diagonal(lam, x)
+    elif _is_diagonal(x):
+        logs = _log_weight_powers(gt_weights(lam, d), np.diagonal(x).real)
+    else:
+        top = float(np.linalg.eigvalsh(x)[-1])
+        with np.errstate(divide="ignore"):
+            logs = np.log(_gt_irrep(lam, d).diagonal(x / top)) + sum(lam) * math.log(top)
+    peak = np.full(len(index), -np.inf)
+    np.maximum.at(peak, inverse, logs)
+    shift = np.where(peak > -np.inf, peak, 0.0)
+    sums = np.bincount(inverse, weights=np.exp(logs - shift[inverse]), minlength=len(index))
+    with np.errstate(divide="ignore"):
+        out = math.log(hook_dimension(lam)) + shift + np.log(sums)
+    out.flags.writeable = False
+    return index, out
 
 
 def _clear_irrep_caches() -> None:
-    """Empty every cache of computed irrep values, so that they are recomputed."""
-    for cached in (_gt_irrep, _u2_rotation, _u2_cosets, _sub_unitary, _gt_diagonal, _weight_masses):
+    """Empty every cache of computed irrep values and weight tables, so that they are recomputed."""
+    caches = (_gt_irrep, _u2_rotation, _u2_cosets, _sub_unitary, _weight_classes, _weight_masses)
+    for cached in caches:
         cached.cache_clear()
 
 

@@ -175,13 +175,20 @@ def test_worst_word_bound_guards_the_float_range():
 
 
 def test_robustification_inequality_all_words():
-    n = 4
-    p = avqs_test(ALPHABET, SIGMA, 0.3, n)
+    # both sides against the word trace and the mixture-power trace taken
+    # one at a time, at d = 2 and in a complex qutrit basis
     rng = np.random.default_rng(7)
-    for word in enumerate_words(2, n):
-        lhs, rhs = robustification_check(p, word, ALPHABET, rng=rng)
-        assert lhs <= rhs + 1e-9, word
-        assert 0.0 <= lhs <= 1.0 + 1e-12
+    qutrits = [random_state(3, rng), random_state(3, rng, rank=1)]
+    cases = ((ALPHABET, SIGMA, 0.3, 4), (qutrits, random_state(3, rng), 0.6, 3))
+    for alphabet, sigma, eps, n in cases:
+        p = avqs_test(alphabet, sigma, eps, n)
+        for word in enumerate_words(2, n):
+            lhs, rhs = robustification_check(p, word, alphabet, rng=rng)
+            assert lhs <= rhs + 1e-9, word
+            assert 0.0 <= lhs <= 1.0 + 1e-12
+            assert abs(lhs - word_type_one(p, word, alphabet)) <= 1e-12, word
+            want = (2.0 * n) ** 2 * hypotest.type_one(p, empirical_mixture(word, alphabet))
+            assert abs(rhs - want) <= 1e-12, word
 
 
 def test_robustification_rejects_biased_operator():
@@ -235,6 +242,63 @@ def test_min_relative_entropy_two_generators_vs_grid():
     assert abs(qrel_entropy(mix, SIGMA) - val) < 1e-10
     # never worse than the best single generator
     assert val <= min(qrel_entropy(g, SIGMA) for g in ALPHABET) + 1e-12
+
+
+def _hull_loop(generators, sigma):
+    """The hull minimiser as one loop over `qrel_entropy` and a log2 per point."""
+
+    def log2_psd(m, floor=1e-18):
+        vals, vecs = np.linalg.eigh(m)
+        return (vecs * np.log2(np.clip(vals, floor, None))) @ vecs.conj().T
+
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+
+    def mix(w):
+        return sum(wi * gi for wi, gi in zip(w, gens))
+
+    log_sigma = log2_psd(sigma, floor=1e-30)
+
+    def grad(w):
+        lg = log2_psd(mix(w)) - log_sigma
+        return np.array([float(np.einsum("ij,ji->", g, lg).real) for g in gens])
+
+    w = np.full(len(gens), 1.0 / len(gens))
+    fw, step = qrel_entropy(mix(w), sigma), 0.5
+    for _ in range(500):
+        g = grad(w)
+        moved = False
+        for _ in range(40):
+            cand = simplex_project(w - step * g)
+            fc = qrel_entropy(mix(cand), sigma)
+            if fc < fw - 1e-15:
+                w, fw = cand, fc
+                step *= 1.3
+                moved = True
+                break
+            step *= 0.5
+        if not moved or step < 1e-14:
+            break
+    return float(fw), w
+
+
+def test_min_relative_entropy_hull_is_the_loop_bit_for_bit():
+    # sigma is diagonalised once and each mixture once, for its value and
+    # its gradient; the result is that of evaluating both from scratch
+    rng = np.random.default_rng(63)
+    bloch = [bloch_state(r * v / np.linalg.norm(v)) for r, v in
+             zip((0.62, 0.38, 0.52, 0.42, 0.32), rng.standard_normal((5, 3)))]
+    cases = [(bloch[:2], np.diag([0.75, 0.25])), (bloch[2:], np.diag([0.75, 0.25]))]
+    cases.append(([random_state(3, rng), random_state(3, rng)], random_state(3, rng)))
+    for i in range(10):
+        d = (2, 3, 4)[i % 3]
+        gens = [random_state(d, rng, rank=1 if i % 4 == 0 else None) for _ in range(2 + i % 2)]
+        sigma = random_state(d, rng, rank=d - 1 if i % 5 == 4 else None)
+        cases.append((gens, sigma))
+    for gens, sigma in cases:
+        val, w = min_relative_entropy_hull(gens, sigma)
+        want_val, want_w = _hull_loop(gens, sigma)
+        assert val == want_val
+        assert np.array_equal(w, want_w)
 
 
 def test_min_relative_entropy_single_generator():

@@ -56,15 +56,15 @@ def test_verify_catches_a_nondeterministic_irrep_diagonal(monkeypatch, capsys):
 
 
 def test_verify_recomputes_the_closed_form_u2_diagonal(monkeypatch, capsys):
-    # the d = 2 fingerprint reads the weight-mass table over the closed-form
-    # diagonal; both are cleared, so a drift beneath them shows
-    real = schur_weyl._u2_diagonal
+    # the d = 2 fingerprint reads the log weight-mass table over the
+    # closed-form diagonal; the table is cleared, so a drift beneath it shows
+    real = schur_weyl._u2_log_diagonal
     calls = itertools.count(1)
 
     def drifting(lam, x):
         return real(lam, x) * (1.0 + 1e-15 * next(calls))
 
-    monkeypatch.setattr(schur_weyl, "_u2_diagonal", drifting)
+    monkeypatch.setattr(schur_weyl, "_u2_log_diagonal", drifting)
     assert cli.main(["verify", "--n-max", "3"]) == 1
     assert "determinism" in capsys.readouterr().err
 

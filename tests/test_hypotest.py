@@ -10,12 +10,10 @@ from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
-    _accepted_weights,
     _diag_in,
     _fractional_np,
     _hermitian,
     _irrep_blocks,
-    _irrep_miss,
     _log_threshold_bracket,
     _np_over_blocks,
     _null_candidates,
@@ -42,8 +40,8 @@ from qsanov.quantum import (
     spectrum,
 )
 from qsanov.schur_weyl import (
-    _gt_diagonal,
     block_weight,
+    gt_irrep,
     gt_weights,
     schur_polynomial,
     tensor_power,
@@ -346,7 +344,13 @@ def test_label_errors_raise_on_non_finite_results(monkeypatch):
         monkeypatch.setattr(hypotest, "_qubit_label_mass", poisoned)
         with pytest.raises(VerificationError, match="1 of 9 word-type misses are not finite"):
             label_errors(spec, labels, alphabet)
-    monkeypatch.setattr(hypotest, "hook_dimension", lambda lam: math.inf)
+    real_table = hypotest._weight_masses
+
+    def overflowing(*key):
+        index, logs = real_table(*key)
+        return index, np.full_like(logs, math.inf)
+
+    monkeypatch.setattr(hypotest, "_weight_masses", overflowing)
     with pytest.raises(VerificationError, match="type-two error inf is not finite"):
         label_errors(spec, labels)
 
@@ -1018,73 +1022,87 @@ def test_hull_grid_enlarges_label_set():
     assert not mid <= l_sep
 
 
+def _dominance_pairs(d: int, n: int) -> list:
+    return [
+        (f.counts, lam.parts)
+        for lam in enumerate_frames(d, n)
+        for f in enumerate_frequencies(d, n)
+        if dominance(f.counts, lam.parts)
+    ]
+
+
 def test_irrep_miss_and_accepted_block_weights_sum_to_one():
-    # the miss and the accepted single-state block weights read one cached
-    # GT diagonal, so together they are the whole of tr{rho^n} = 1
+    # the miss and the accepted single-state block weights read one weight-
+    # mass table of rho', so together they are the whole of tr{rho^n} = 1
     rng = np.random.default_rng(61)
     for d, ns in ((2, range(1, 9)), (3, range(1, 9))):
         for n in ns:
-            rho = random_state(d, rng)
-            assert np.abs(rho.imag).max() > 1e-3
-            pairs = [
-                (f.counts, lam.parts)
-                for f in enumerate_frequencies(d, n)
-                for lam in enumerate_frames(d, n)
-                if dominance(f.counts, lam.parts)
-            ]
+            rho, sigma = random_state(d, rng), random_state(d, rng)
+            spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n)
+            assert np.abs(spec.basis.imag).max() > 1e-3
+            pairs = _dominance_pairs(d, n)
             for _ in range(3):
-                labels = [pair for pair in pairs if rng.random() < 0.5]
-                miss = _irrep_miss(rho, _accepted_weights(labels, d), d, n)
-                kept = sum(block_weight(f, lam, rho) for f, lam in labels)
+                labels = frozenset(pair for pair in pairs if rng.random() < 0.5)
+                miss = label_errors(spec, labels, [rho]).misses[(n,)]
+                kept = sum(block_weight(f, lam, rho, basis=spec.basis) for f, lam in labels)
                 assert abs(miss + kept - 1.0) <= 1e-14, (d, n, miss + kept - 1.0)
 
 
 def test_irrep_miss_stays_finite_past_the_float_range():
     # d_lam passes 2**1024 and s_lam(r) underflows near n = 1030; with no
     # label accepted the miss is sum_lam d_lam s_lam(r) = (0.7 + 0.3)**n = 1
+    # (read through the [0, 1] clamp of `misses`)
     rho = np.diag([0.7, 0.3]).astype(complex)
     for n in (1536, 2048):
-        assert abs(_irrep_miss(rho, {}, 2, n) - 1.0) <= 1e-12, n
+        spec = TestSpec(sigma=np.diag([0.6, 0.4]), null_set=[rho], epsilon=0.1, n=n)
+        assert abs(label_errors(spec, frozenset(), [rho]).misses[(n,)] - 1.0) <= 1e-12, n
     # one partly accepted frame past 2**1023: for a diagonal rho its GT
     # diagonal is r**wt, so the miss is sum over rejected rows of d_lam r**wt
     n, lam = 1100, (600, 500)
     rho = np.diag([0.6, 0.4]).astype(complex)
     assert hook_dimension(lam).bit_length() > 1024
-    accepted = {
-        fr.parts: np.ones(len(gt_weights(fr.parts, 2)), dtype=bool) for fr in enumerate_frames(2, n)
-    }
-    accepted[lam][::2] = False
+    rejected = {tuple(w) for w in gt_weights(lam, 2)[::2].tolist()}
+    labels = frozenset(
+        (f, fr) for f, fr in _dominance_pairs(2, n) if fr != lam or f not in rejected
+    )
     log_r = np.log([0.6, 0.4])
-    log_terms = math.log(hook_dimension(lam)) + gt_weights(lam, 2)[~accepted[lam]] @ log_r
+    log_terms = math.log(hook_dimension(lam)) + np.array(sorted(rejected)) @ log_r
     want = float(np.exp(log_terms).sum())
     assert want > 1e-6
-    assert abs(_irrep_miss(rho, accepted, 2, n) / want - 1.0) <= 1e-12
+    spec = TestSpec(sigma=np.diag([0.7, 0.3]), null_set=[rho], epsilon=0.1, n=n)
+    errs = label_errors(spec, labels, [rho])
+    assert abs(errs.misses[(n,)] / want - 1.0) <= 1e-12
+    # every label of every frame but lam's rejected rows: sum d_lam s_lam(t)
+    # less their sigma mass, (0.7 + 0.3)**n = 1 less a few
+    log_t = np.log([0.7, 0.3])
+    lost = float(np.exp(math.log(hook_dimension(lam)) + np.array(sorted(rejected)) @ log_t).sum())
+    assert abs(errs.type_two - (1.0 - lost)) <= 1e-12
 
 
 def test_irrep_miss_is_the_plain_sum_below_the_float_range():
-    # below the float range the miss is the int-times-float sum, bit for bit
+    # below the float range the miss is the int-times-float sum of the masses
+    # of rho'^n on the rejected labels: d_lam s_lam(r) for a frame with no
+    # accepted weight, d_lam times the rejected rows of the GT diagonal for a
+    # partly accepted one; the log table gives it within 1e-12, relative
     rng = np.random.default_rng(67)
     for d, ns in ((2, (16, 40, 64)), (3, (6, 10))):
         for n in ns:
-            rho = random_state(d, rng)
+            rho, sigma = random_state(d, rng), random_state(d, rng)
+            spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n)
+            rho_p = spec.basis.conj().T @ rho @ spec.basis
             r = np.linalg.eigvalsh(rho)
-            key = rho.tobytes()
-            frames = enumerate_frames(d, n)
-            pairs = [
-                (f.counts, lam.parts)
-                for f in enumerate_frequencies(d, n)
-                for lam in frames
-                if dominance(f.counts, lam.parts) and rng.random() < 0.5
-            ]
-            accepted = _accepted_weights(pairs, d)
+            pairs = [pair for pair in _dominance_pairs(d, n) if rng.random() < 0.5]
+            accepted = {}
+            for f, lam in pairs:
+                accepted.setdefault(lam, set()).add(f)
             want = 0.0
-            for fr in frames:
-                acc = accepted.get(fr.parts)
-                if acc is None:
+            for fr in enumerate_frames(d, n):
+                if fr.parts not in accepted:
                     mass = schur_polynomial(fr.parts, r)
-                elif acc.all():
-                    continue
                 else:
-                    mass = float(_gt_diagonal(fr.parts, d, key)[~acc].sum())
+                    acc = accepted[fr.parts]
+                    rows = [tuple(w) not in acc for w in gt_weights(fr.parts, d).tolist()]
+                    mass = float(gt_irrep(fr.parts, d).diagonal(rho_p)[rows].sum())
                 want += hook_dimension(fr.parts) * mass
-            assert _irrep_miss(rho, accepted, d, n) == want, (d, n)
+            got = label_errors(spec, frozenset(pairs), [rho]).misses[(n,)]
+            assert abs(got / want - 1.0) <= 1e-12, (d, n)

@@ -942,24 +942,38 @@ def test_u2_masses_match_mpmath_past_the_float_range():
             assert 0.0 < got and abs(got / float(want) - 1.0) < 1e-12, (n, k, a)
 
 
+def test_block_weight_below_the_frame_top_does_not_underflow():
+    # lam = (1536, 512) of X = random_state(2, default_rng(153)): the frame's
+    # largest scaled diagonal entry is 1.5e-274, so a weight-mass table kept
+    # in linear space loses most of its rows to 0.0; the log table keeps them
+    x = random_state(2, np.random.default_rng(153))
+    mp = pytest.importorskip("mpmath")
+    n, lam, f = 2048, (1536, 512), (827, 1221)
+    with mp.workdps(50):
+        want = mp.mpf(hook_dimension(lam)) * _mp_u2_diagonal(x, lam, f[0] - lam[1])
+    assert 1e-81 < want < 1e-79
+    got = block_weight(f, lam, x)
+    assert abs(got / float(want) - 1.0) < 1e-11
+    index, logs = schur_weyl._weight_masses(lam, 2, np.ascontiguousarray(x).tobytes())
+    assert len(index) == len(logs) == lam[0] - lam[1] + 1 and np.isfinite(logs).all()
+
+
 def test_u2_masses_sum_to_the_trace_power():
     # sum over all labels of the mass of X^n is (tr X)^n = 1: a rank-2 state
-    # at n = 512 through block_weight's tables, and the d = 2 diagonals at
+    # at n = 512 through block_weight's log tables, and the d = 2 diagonals at
     # n = 4096 for the pure state of (1, i) / sqrt(2), whose entries are
     # dyadic, so that det X = 0 exactly and only lam = (n) carries mass
     x = random_state(2, np.random.default_rng(154))
     key = np.ascontiguousarray(x).tobytes()
     total = 0.0
     for fr in enumerate_frames(2, 512):
-        scale, masses = schur_weyl._weight_masses(fr.parts, 2, key)
-        total += sum(math.exp(scale + math.log(m)) for m in masses.values() if m > 0.0)
+        total += np.exp(schur_weyl._weight_masses(fr.parts, 2, key)[1]).sum()
     assert abs(total - 1.0) < 1e-12
     n = 4096
     x = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    key = np.ascontiguousarray(x).tobytes()
     total, carried = 0.0, []
     for k in range(n // 2 + 1):
-        mass = float(schur_weyl._gt_diagonal((n - k, k) if k else (n,), 2, key).sum())
+        mass = float(np.exp(schur_weyl._u2_log_diagonal((n - k, k) if k else (n,), x)).sum())
         if mass > 0.0:
             carried.append(k)
             log_dim = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 2)
