@@ -1031,6 +1031,15 @@ def _dominance_pairs(d: int, n: int) -> list:
     ]
 
 
+def _qubit_pairs(n: int, ks) -> list:
+    # every label of the d = 2 frames (n - k, k), k in ks, as `_dominance_pairs`
+    return [
+        ((k + a, n - k - a), (n - k, k) if k else (n,))
+        for k in ks
+        for a in range(n - 2 * k + 1)
+    ]
+
+
 def test_irrep_miss_and_accepted_block_weights_sum_to_one():
     # the miss and the accepted single-state block weights read one weight-
     # mass table of rho', so together they are the whole of tr{rho^n} = 1
@@ -1049,13 +1058,36 @@ def test_irrep_miss_and_accepted_block_weights_sum_to_one():
 
 
 def test_irrep_miss_stays_finite_past_the_float_range():
-    # d_lam passes 2**1024 and s_lam(r) underflows near n = 1030; with no
-    # label accepted the miss is sum_lam d_lam s_lam(r) = (0.7 + 0.3)**n = 1
-    # (read through the [0, 1] clamp of `misses`)
-    rho = np.diag([0.7, 0.3]).astype(complex)
+    # d_lam passes 2**1024 and s_lam(r) underflows near n = 1030. Accept
+    # every label of the frames lam = (n - k, k) near the peak k = 0.3 n, so
+    # the miss, about 1/2 and clear of the [0, 1] clamp of `misses`, is the
+    # sum of d_lam s_lam(r) over the other frames; for r = (p, q) that is
+    # d_lam (p q)**k (p**(m+1) - q**(m+1)) / (p - q), m = n - 2k, with d_lam
+    # the exact int C(n, k) - C(n, k - 1)
+    p, q = 0.7, 0.3
+    rho = np.diag([p, q]).astype(complex)
     for n in (1536, 2048):
+        band = range(round(q * n) - 12, round(q * n) + 13)
+        labels = frozenset(_qubit_pairs(n, band))
+        log_terms = []
+        for k in range(n // 2 + 1):
+            if k in band:
+                continue
+            dim = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            m = n - 2 * k
+            log_terms.append(
+                math.log(dim) + k * math.log(q) + (n - k) * math.log(p)
+                + math.log1p(-((q / p) ** (m + 1))) - math.log1p(-q / p)
+            )
+        edge = band[0] - 1
+        assert (math.comb(n, edge) - math.comb(n, edge - 1)).bit_length() > 1024
+        want = math.fsum(map(math.exp, log_terms))
+        assert 0.2 < want < 0.8, (n, want)
         spec = TestSpec(sigma=np.diag([0.6, 0.4]), null_set=[rho], epsilon=0.1, n=n)
-        assert abs(label_errors(spec, frozenset(), [rho]).misses[(n,)] - 1.0) <= 1e-12, n
+        miss = label_errors(spec, labels, [rho]).misses[(n,)]
+        assert abs(miss / want - 1.0) <= 1e-12, (n, miss / want - 1.0)
+        kept = math.fsum(block_weight(f, lam, rho) for f, lam in labels)
+        assert abs(miss + kept - 1.0) <= 1e-12, (n, miss + kept - 1.0)
     # one partly accepted frame past 2**1023: for a diagonal rho its GT
     # diagonal is r**wt, so the miss is sum over rejected rows of d_lam r**wt
     n, lam = 1100, (600, 500)
@@ -1063,7 +1095,7 @@ def test_irrep_miss_stays_finite_past_the_float_range():
     assert hook_dimension(lam).bit_length() > 1024
     rejected = {tuple(w) for w in gt_weights(lam, 2)[::2].tolist()}
     labels = frozenset(
-        (f, fr) for f, fr in _dominance_pairs(2, n) if fr != lam or f not in rejected
+        (f, fr) for f, fr in _qubit_pairs(n, range(n // 2 + 1)) if fr != lam or f not in rejected
     )
     log_r = np.log([0.6, 0.4])
     log_terms = math.log(hook_dimension(lam)) + np.array(sorted(rejected)) @ log_r
