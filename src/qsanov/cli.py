@@ -18,7 +18,7 @@ from .avqs import enumerate_words, gamma, min_relative_entropy_hull
 from .errors import SizeGuardError, VerificationError
 from .hypotest import (
     TestSpec,
-    _fractional_np,
+    _classical_np,
     _label_band,
     build_test,
     label_errors,
@@ -466,7 +466,7 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
         outcome_q = np.array(
             [np.prod(q_vec[list(w)]) for w in enumerate_words(2, n)]
         )
-        cls = _fractional_np(outcome_p, outcome_q, 1.0 - t1)
+        cls = _classical_np(outcome_p, outcome_q, 1.0 - t1)[0]
         if abs(beta - cls) > 1e-9:
             raise VerificationError("np-ordering: commuting beta off the classical value")
     lines.append("ok np-ordering")

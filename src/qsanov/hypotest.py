@@ -62,9 +62,12 @@ from .schur_weyl import (
 from .tableaux import (
     ALPHA,
     _check_exponent,
+    _dominates,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
+    log_factorials,
+    log_hook_dimension,
 )
 
 SIGMA_MIN_EIG = 1e-12
@@ -166,13 +169,13 @@ def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ..
     A pair is kept when a single candidate null state has its pinched
     diagonal within epsilon of f/n and its spectrum within epsilon of the
     normalized frame, both in l1 (`_label_band`). Pairs with K_{f,lam} = 0
-    are kept too; their blocks are empty.
+    (lam does not dominate f) are dropped: their blocks are empty.
     """
     freqs, frames, freq_ok, frame_ok = _label_band(
         _null_candidates(spec), spec.basis, spec.epsilon, spec.d, spec.n
     )
-    hits = np.nonzero(freq_ok.T @ frame_ok)
-    return frozenset((freqs[q], frames[j]) for q, j in zip(*hits))
+    pairs = ((freqs[q], frames[j]) for q, j in zip(*np.nonzero(freq_ok.T @ frame_ok)))
+    return frozenset(pair for pair in pairs if _dominates(*pair))
 
 
 def build_test(spec: TestSpec, labels=None) -> np.ndarray:
@@ -245,42 +248,43 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     """Type-two error and word-state misses of a label test, at every d.
 
     Both come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
-    whose weights are the frequencies f of the labels (f, lam). The mass of
-    X^n on label (f, lam), d_lam tr{Pi_f pi_lam(X)}, is the entry of weight
-    f of the log weight-mass table of (lam, X) (`schur_weyl._weight_masses`),
-    which has no entry for a label with K_{f,lam} = 0. Since sigma^n is diagonal in
-    its own eigenbasis, the type-two error is the sum over the labels of
-    the table of sigma' = diag(t), with no eigh. A miss is taken per
+    whose weights are the frequencies f of the labels (f, lam); labels with
+    K_{f,lam} = 0 (empty blocks) are dropped first. The mass of X^n on
+    label (f, lam), d_lam tr{Pi_f pi_lam(X)}, is cell f[:-1] of the log
+    weight-mass table of (lam, X) (`schur_weyl._weight_masses`), and each
+    frame keeps one boolean mask of its accepted cells. Since sigma^n is
+    diagonal in its own eigenbasis, the type-two error sums the table of
+    sigma' = diag(t) under the masks, with no eigh. A miss is taken per
     letter-count type c of the alphabet, with rho' = B^dag rho B (B the
     sigma eigenbasis). The miss of a one-state alphabet [rho] is the mass
-    of rho'^n on the rejected labels, with no 1 - sum term: per frame, the
-    rejected entries of the table of rho', or d_lam s_lam(spec rho) in logs
-    (`log_schur_polynomial`, no diagonal) when no weight is accepted. For a larger
-    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s on the
-    rejected weights, read off per monomial y^c and divided by the
-    multinomial C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one
-    minus the accepted `block_weight`s of the sorted word of type c, so
-    only the word blocks of accepted frequencies are built (word states
-    are not of the form X^(x n)). No d**n operator is formed. Raises
+    of rho'^n off the masks, with no 1 - sum term: per frame, the table of
+    rho' off its mask (none when the nonsingular sigma' has no finite entry
+    there: every weight is accepted), or d_lam s_lam(spec rho) in logs
+    (`log_schur_polynomial`, no diagonal) when no weight is. For a larger
+    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s off the
+    masks, read off per monomial y^c and divided by the multinomial
+    C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one minus the
+    accepted `block_weight`s of the sorted word of type c, so only the
+    word blocks of accepted frequencies are built (word states are not of
+    the form X^(x n)). No d**n operator is formed. Raises
     VerificationError when the type-two error or a miss is not finite,
     which the [0, 1] clamp on the misses would otherwise pass through.
     """
     if labels is None:
         labels = lambda_set(spec)
+    labels = sorted((f, lam) for f, lam in labels if _dominates(f, lam))
     d, n = spec.d, spec.n
-    freqs: dict[tuple[int, ...], set] = {}
+    frames = {lam for _, lam in labels}
+    masks = {lam: np.zeros((lam[0] + 1,) * (d - 1), dtype=bool) for lam in frames}
     for f, lam in labels:
-        freqs.setdefault(lam, set()).add(f)
-    # per frame: the table rows of its accepted weights, and whether that is all of them
-    accepted: dict[tuple[int, ...], tuple[list, bool]] = {}
+        masks[lam][f[:-1]] = True
     sigma_key = np.diag(spec.t).astype(complex).tobytes()
-    type_two = 0.0
-    for lam, fs in sorted(freqs.items()):
-        index, logs = _weight_masses(lam, d, sigma_key)
-        rows = sorted(index[f] for f in fs if f in index)
-        type_two += float(np.exp(logs[rows]).sum())
-        if rows:
-            accepted[lam] = rows, len(rows) == len(logs)
+    type_two, full = 0.0, set()
+    for lam, mask in sorted(masks.items()):
+        logs = _weight_masses(lam, d, sigma_key)
+        type_two += float(np.exp(logs[mask]).sum())
+        if not np.isfinite(logs[~mask]).any():
+            full.add(lam)
     if not math.isfinite(type_two):
         raise VerificationError(f"type-two error {type_two} is not finite at n={n}")
     if not len(alphabet):
@@ -293,35 +297,29 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
         key = np.ascontiguousarray(states[0]).tobytes()
         miss = 0.0
         for fr in enumerate_frames(d, n):
-            rows, full = accepted.get(fr.parts, (None, False))
-            if full:
-                continue
-            if rows is None:
-                log_mass = math.log(hook_dimension(fr.parts)) + log_schur_polynomial(fr.parts, r)
-                miss += math.exp(log_mass)
-            else:
-                logs = _weight_masses(fr.parts, d, key)[1]
-                miss += float(np.exp(np.delete(logs, rows)).sum())
+            mask = masks.get(fr.parts)
+            if mask is None:
+                miss += math.exp(log_hook_dimension(fr.parts) + log_schur_polynomial(fr.parts, r))
+            elif fr.parts not in full:
+                miss += float(np.exp(_weight_masses(fr.parts, d, key)[~mask]).sum())
         misses = [miss]
     elif d == 2:
-        # entry a of the table of lam = (n - k, k) is GT row a, of weight
-        # (k + a, n - k - a)
+        # cell lam_2 + a of the tables of lam = (n - k, k) is weight (k + a, n - k - a)
         rejected = np.ones((n // 2 + 1, n + 1), dtype=bool)
-        for lam, (rows, _) in accepted.items():
-            rejected[lam[1] if len(lam) > 1 else 0, rows] = False
+        for lam, mask in masks.items():
+            k = lam[1] if len(lam) > 1 else 0
+            rejected[k, : n - 2 * k + 1] = ~mask[k:]
         mass = _qubit_label_mass(states, n, rejected)
-        log_fact = _log_factorials(n)
+        log_fact = log_factorials(n)
         misses = [
-            float(mass[c[1:]]) * math.exp(-(log_fact[n] - sum(log_fact[x] for x in c)))
+            float(mass[c[1:]] * np.exp(sum(log_fact[x] for x in c) - log_fact[n]))
             for c in types
         ]
     else:
         # the accepted part of each word block, summed over its frames
         blocks = {}
-        for f, lam in sorted(labels):
-            block = frequency_blocks(f).get(lam)
-            if block is not None:
-                blocks[f] = blocks.get(f, 0.0) + block
+        for f, lam in labels:
+            blocks[f] = blocks.get(f, 0.0) + frequency_blocks(f)[lam]
         misses = []
         for c in types:
             sites = [states[s] for s, k in enumerate(c) for _ in range(k)]
@@ -338,10 +336,6 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
         type_two=type_two,
         misses={c: min(max(miss, 0.0), 1.0) for c, miss in zip(types, misses)},
     )
-
-
-def _log_factorials(n: int) -> np.ndarray:
-    return np.array([math.lgamma(x + 1) for x in range(n + 1)])
 
 
 def _times(p: np.ndarray, deg: int, form, form_deg: int, nvar: int) -> np.ndarray:
@@ -401,8 +395,8 @@ def _qubit_label_mass(states, n: int, selected: np.ndarray) -> np.ndarray:
 
     a_form, d_form = linear(x00), linear(x11)
     e_form, det_form = quadratic(cross), quadratic(det)
-    log_fact = _log_factorials(n)
-    log_dim = [math.log(hook_dimension((n - k, k))) for k in range(n // 2 + 1)]
+    log_fact = log_factorials(n)
+    log_dim = [log_hook_dimension((n - k, k)) for k in range(n // 2 + 1)]
     # powers[j] = A^j D^(deg - j) for the current degree; terms[q][k] =
     # sum_j d_k C(a, i) C(m - a, i) A^j D^(M-j) over the selected a = i + j,
     # with i = q - k and M = n - 2q
@@ -584,22 +578,14 @@ def run_sanov(
     return reports
 
 
-def _fractional_np(p: np.ndarray, q: np.ndarray, target: float) -> float:
-    """Classical Neyman-Pearson: min sum(q on test) s.t. sum(p on test) >= target.
+def _classical_np(p: np.ndarray, q: np.ndarray, target: float) -> tuple[float, int]:
+    """Classical Neyman-Pearson: (min sum(q on test) s.t. sum(p on test) >= target, k).
 
     Outcomes are included in decreasing likelihood-ratio order with a
-    fractional share of the marginal outcome.
-    """
-    return _classical_np(p, q, target)[0]
-
-
-def _classical_np(p: np.ndarray, q: np.ndarray, target: float) -> tuple[float, int]:
-    """(`_fractional_np` value, index of its marginal outcome).
-
-    The marginal outcome is the last one the test takes a share of (-1
-    when it takes none). The running sums are sequential (`cumsum`), as
-    in an outcome-by-outcome loop that stops once the level is within
-    1e-15 of the target.
+    fractional share of the marginal outcome k, the last one the test
+    takes a share of (-1 when it takes none). The running sums are
+    sequential (`cumsum`), as in an outcome-by-outcome loop that stops
+    once the level is within 1e-15 of the target.
     """
     if target <= 0.0:
         return 0.0, -1
@@ -698,7 +684,7 @@ def _np_over_blocks(blocks, bracket, target: float, tol: float) -> float:
     A sweep at log t diagonalizes every block of (R - t S)/(1 + t)
     (`_np_sweep`) and bounds the optimum beta* on both sides with no
     further eigh:
-    - U(t) >= beta*, the classical optimum (`_fractional_np`) over the
+    - U(t) >= beta*, the classical optimum (`_classical_np`) over the
       eigenvector masses (r_v, s_v): the beta of a feasible test that is
       diagonal in that eigenbasis;
     - L(t) <= beta*, the Lagrange dual bound

@@ -42,12 +42,12 @@ pi_mu(V) = det(V)**mu_2 D**(J/2)(V), J = mu_1 - mu_2, whose rotation
 eigenbasis depends on J alone and is built once per J (`_u2_unitary`);
 its diagonal on X >= 0 is a sum of nonnegative terms, taken in logs with
 no eigh (`_u2_log_diagonal`). Every one-state scalar reads one table per
-(frame, d, state): ln(d_lam tr{Pi_f pi_lam(X)}) for each weight f, a
-log-sum-exp over the Gelfand-Tsetlin rows of weight f, so that no mass
+(frame, d, state), indexed by the weight f itself: cell f[:-1] holds
+ln(d_lam tr{Pi_f pi_lam(X)}), a log-sum-exp over the Gelfand-Tsetlin rows
+of weight f plus ln d_lam from the log-factorial table, so that no mass
 underflows and no d_lam overflows a float (`_weight_masses`). Single-state
-block weights read one entry (`block_weight`); the type-two error and the
-one-state miss of `hypotest.label_errors` sum the accepted and the
-rejected entries.
+block weights read one cell (`block_weight`); `hypotest.label_errors`
+sums the tables under and off each frame's mask of accepted weights.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ from .tableaux import (
     enumerate_frequencies,
     hook_dimension,
     kostka,
+    log_factorials,
+    log_hook_dimension,
     relative_entropy,
     type_class_size,
 )
@@ -490,14 +492,13 @@ def block_weight(f, lam, states, basis=None) -> float:
     no word block or d**n guard; a sequence is restricted to the word block
     of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
 
-    One state reads entry f of the log weight-mass table of (lam, rho')
-    (`_weight_masses`), built once and shared by every f of the frame, as
-    exp of ln(d_lam tr{Pi_f pi_lam(rho')}); it stays finite where d_lam is
-    past the float range and does not underflow before the mass does. At
-    d >= 3 a tiny weight of a non-diagonal rho' is accurate only to about
-    eps**2 times the frame's largest weight, in absolute terms (see
-    `GTIrrep.diagonal`); at d = 2 each weight is accurate relative to
-    itself.
+    One state reads cell f[:-1] of the log weight-mass table of (lam, rho')
+    (`_weight_masses`), shared by every f of the frame, as the exp of
+    ln(d_lam tr{Pi_f pi_lam(rho')}): finite where d_lam is past the float
+    range, with no underflow before the mass's own. At d >= 3 a tiny weight
+    of a non-diagonal rho' is accurate only to about eps**2 times the
+    frame's largest weight, in absolute terms (see `GTIrrep.diagonal`); at
+    d = 2 each weight is accurate relative to itself.
     """
     counts = _freq_counts(f)
     lam_p = _frame_parts(lam)
@@ -509,8 +510,8 @@ def block_weight(f, lam, states, basis=None) -> float:
         if basis is not None:
             b = assert_basis(basis)
             rho = b.conj().T @ rho @ b
-        index, logs = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
-        return math.exp(logs[index[counts]])
+        logs = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
+        return math.exp(logs[counts[:-1]])
     prod = word_block_state(counts, states, basis)
     return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
 
@@ -850,20 +851,6 @@ def _u2_unitary(mu: tuple[int, ...], v: np.ndarray) -> np.ndarray:
 _U2_ROWS = 256  # rows of the log-term triangle per step of `_u2_log_diagonal`
 
 
-@lru_cache(maxsize=4)
-def _log_factorials_ext(size: int) -> np.ndarray:
-    """ln m! for m < size in numpy's long double, by a compensated running sum (read-only)."""
-    out = np.zeros(size, dtype=np.longdouble)
-    total = comp = np.longdouble(0.0)
-    for m, term in enumerate(np.log(np.arange(1, size, dtype=np.longdouble)), start=1):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = out[m] = t
-    out.flags.writeable = False
-    return out
-
-
 def _u2_log_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     """ln pi_lam(X)[T, T] of U(2) for X >= 0, rows in Gelfand-Tsetlin order.
 
@@ -892,7 +879,7 @@ def _u2_log_diagonal(lam: tuple[int, ...], x: np.ndarray) -> np.ndarray:
     det = a00 * a11 - e
     if k and det <= 0.0:
         return np.full(j + 1, -np.inf)
-    lf = _log_factorials_ext(-(-(j + 1) // 1024) * 1024)
+    lf = log_factorials(j)
     log_q = math.log(e) - math.log(a00) - math.log(a11)
     half = j // 2
     log_t = np.empty(half + 1)
@@ -926,55 +913,48 @@ def _sub_unitary(mu: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _weight_classes(lam: tuple[int, ...], d: int) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
-    """({f: i} over the distinct weights f of frame lam, sorted; the class i of each GT row).
+def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
+    """The log weight-mass table of frame lam and X >= 0, X given by its bytes.
 
-    At d = 2 the rows are the classes: row a has weight (lam_2 + a, lam_1 - a).
-    """
-    classes, inverse = np.unique(gt_weights(lam, d), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    inverse.flags.writeable = False
-    return {f: i for i, f in enumerate(map(tuple, classes.tolist()))}, inverse
-
-
-@lru_cache(maxsize=512)
-def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> tuple[dict, np.ndarray]:
-    """ln(d_lam tr{Pi_f pi_lam(X)}) for each weight f of frame lam, X >= 0 given by its bytes.
-
-    Returns (index, logs): the entry of weight f is logs[index[f]], index
-    the frame's shared `_weight_classes` map and logs read-only. The entry
-    is ln d_lam plus a log-sum-exp of ln pi_lam(X)[T, T] over the Gelfand-
-    Tsetlin rows T of weight f, so no mass underflows or overflows; a
-    vanishing mass is -inf. The row logs are taken at d = 2 from the closed form
-    (`_u2_log_diagonal`), for a diagonal X as wt . ln x, and otherwise as
-    the log of the diagonal of pi_lam(X / r_max) plus n ln r_max, r_max the
-    top eigenvalue of X (pi_lam is homogeneous of degree n). A label with
-    K_{f,lam} = 0 has no entry.
+    Cell f[:-1] of this read-only array, of shape (lam_1 + 1,)**(d - 1), is
+    ln(d_lam tr{Pi_f pi_lam(X)}) for a weight f of lam: ln d_lam
+    (`log_hook_dimension`) plus a log-sum-exp of ln pi_lam(X)[T, T] over
+    the Gelfand-Tsetlin rows T of weight f, so no mass underflows or
+    overflows. Every other cell, and a vanishing mass, reads -inf. At d = 2
+    row a, the one row of weight (lam_2 + a, lam_1 - a), fills cell
+    lam_2 + a from the closed form (`_u2_log_diagonal`), with no pattern
+    built. At d >= 3 the row logs are wt . ln x for a diagonal X, else the
+    log of the diagonal of pi_lam(X / r_max) plus n ln r_max, r_max the top
+    eigenvalue of X (pi_lam is homogeneous of degree n).
     """
     x = np.frombuffer(key, dtype=complex).reshape(d, d)
-    index, inverse = _weight_classes(lam, d)
+    top = lam[0] if lam else 0
+    out = np.full((top + 1,) * (d - 1), -np.inf)
     if d == 2:
-        logs = _u2_log_diagonal(lam, x)
-    elif _is_diagonal(x):
-        logs = _log_weight_powers(gt_weights(lam, d), np.diagonal(x).real)
+        out[sum(lam[1:]) :] = log_hook_dimension(lam) + _u2_log_diagonal(lam, x)
     else:
-        top = float(np.linalg.eigvalsh(x)[-1])
+        weights = gt_weights(lam, d)
+        if _is_diagonal(x):
+            logs = _log_weight_powers(weights, np.diagonal(x).real)
+        else:
+            r_max = float(np.linalg.eigvalsh(x)[-1])
+            with np.errstate(divide="ignore"):
+                logs = np.log(_gt_irrep(lam, d).diagonal(x / r_max)) + sum(lam) * math.log(r_max)
+        # the C-order cell of f[:-1]; at d = 1 every row sits in the one cell
+        cells = weights[:, :-1] @ (top + 1) ** np.arange(d - 2, -1, -1)
+        peak = np.full(out.size, -np.inf)
+        np.maximum.at(peak, cells, logs)
+        shift = np.where(peak > -np.inf, peak, 0.0)
+        sums = np.bincount(cells, weights=np.exp(logs - shift[cells]), minlength=peak.size)
         with np.errstate(divide="ignore"):
-            logs = np.log(_gt_irrep(lam, d).diagonal(x / top)) + sum(lam) * math.log(top)
-    peak = np.full(len(index), -np.inf)
-    np.maximum.at(peak, inverse, logs)
-    shift = np.where(peak > -np.inf, peak, 0.0)
-    sums = np.bincount(inverse, weights=np.exp(logs - shift[inverse]), minlength=len(index))
-    with np.errstate(divide="ignore"):
-        out = math.log(hook_dimension(lam)) + shift + np.log(sums)
+            out = (log_hook_dimension(lam) + shift + np.log(sums)).reshape(out.shape)
     out.flags.writeable = False
-    return index, out
+    return out
 
 
 def _clear_irrep_caches() -> None:
     """Empty every cache of computed irrep values and weight tables, so that they are recomputed."""
-    caches = (_gt_irrep, _u2_rotation, _u2_cosets, _sub_unitary, _weight_classes, _weight_masses)
-    for cached in caches:
+    for cached in (_gt_irrep, _u2_rotation, _u2_cosets, _sub_unitary, _weight_masses):
         cached.cache_clear()
 
 
@@ -1065,7 +1045,7 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
     spec = spectrum(rho_m)
-    lhs = math.exp(math.log(hook_dimension(lam_p)) + log_schur_polynomial(lam_p, spec))
+    lhs = math.exp(log_hook_dimension(lam_p) + log_schur_polynomial(lam_p, spec))
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
     div = relative_entropy(lam_norm, spec)
     rhs = (2.0 * n) ** (d * d) * 2.0 ** (-n * div)

@@ -9,7 +9,9 @@ Conventions used throughout the package:
 * normalized vectors are numpy arrays summing to one.
 
 Counting functions (`hook_dimension`, `type_class_size`, `kostka`) work in
-exact integer arithmetic.
+exact integer arithmetic. Every log-combinatorial quantity comes from one
+table, ln m! in numpy's long double (`log_factorials`), so no big integer
+is formed where only its log is used (`log_hook_dimension`).
 """
 
 from __future__ import annotations
@@ -251,6 +253,38 @@ def hook_dimension(lam) -> int:
     if num % den:
         raise ArithmeticError(f"{den} does not divide the numerator of d_lam for {parts}")
     return num // den
+
+
+def log_hook_dimension(lam) -> float:
+    """ln `hook_dimension`(lam), Frobenius' form summed in `log_factorials`.
+
+    No big integer is formed, so it stays cheap and finite at any n; the
+    long-double sum is rounded once, to about an ulp of the exact log.
+    """
+    parts = _frame_parts(lam)
+    n, k = sum(parts), len(parts)
+    shifted = [p + k - 1 - i for i, p in enumerate(parts)]
+    lf = log_factorials(n + k)
+    gaps = np.array([a - b for a, b in itertools.combinations(shifted, 2)], dtype=np.longdouble)
+    return float(lf[n] - lf[shifted].sum() + np.log(gaps).sum())
+
+
+def log_factorials(m: int) -> np.ndarray:
+    """ln k! for k = 0..m and on, in numpy's long double by a compensated sum (read-only)."""
+    return _log_factorial_table(-(-(m + 1) // 1024) * 1024)
+
+
+@lru_cache(maxsize=8)
+def _log_factorial_table(size: int) -> np.ndarray:
+    out = np.zeros(size, dtype=np.longdouble)
+    total = comp = np.longdouble(0.0)
+    for m, term in enumerate(np.log(np.arange(1, size, dtype=np.longdouble)), start=1):
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = out[m] = t
+    out.flags.writeable = False
+    return out
 
 
 def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:

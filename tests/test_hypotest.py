@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from qsanov.avqs import word_type_one
-from qsanov import hypotest
+from qsanov import hypotest, schur_weyl, tableaux
 from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
     SIGMA_MIN_EIG,
     TestSpec,
+    _classical_np,
     _diag_in,
-    _fractional_np,
     _hermitian,
     _irrep_blocks,
+    _label_band,
     _log_threshold_bracket,
     _np_over_blocks,
     _null_candidates,
@@ -44,6 +45,7 @@ from qsanov.schur_weyl import (
     gt_irrep,
     gt_weights,
     schur_polynomial,
+    spectral_estimate_check,
     tensor_power,
 )
 from qsanov.tableaux import (
@@ -64,7 +66,8 @@ def classical_label_set(diag_rho, n, eps):
     """Independent label enumeration for a diagonal null state, sigma = I/2.
 
     Pinching and spectrum of the null state coincide with its diagonal, so
-    both conditions compare l1 distances against the same vector.
+    both conditions compare l1 distances against the same vector. A frame
+    whose top row is below max(f) has K_{f,lam} = 0 and is left out.
     """
     r = np.asarray(diag_rho, dtype=float)
     r_sorted = np.sort(r)[::-1]
@@ -76,7 +79,7 @@ def classical_label_set(diag_rho, n, eps):
         for top in range((n + 1) // 2, n + 1):
             lam = (top,) if top == n else (top, n - top)
             lam_bar = np.array([top, n - top]) / n
-            if np.abs(lam_bar - r_sorted).sum() <= eps:
+            if np.abs(lam_bar - r_sorted).sum() <= eps and max(f) <= top:
                 labels.append((f, lam))
     return labels
 
@@ -101,9 +104,10 @@ def test_lambda_set_extremes():
     rho = np.diag([0.7, 0.3])
     spec = TestSpec(sigma=np.eye(2) / 2, null_set=[rho], epsilon=2.0, n=4)
     labels = lambda_set(spec)
-    n_freqs = len(enumerate_frequencies(2, 4))
-    n_frames = len(enumerate_frames(2, 4))
-    assert len(labels) == n_freqs * n_frames
+    # every (f, lam) with K_{f,lam} > 0: 5 frequencies, 3 frames, 6 empty pairs
+    everything = itertools.product(enumerate_frequencies(2, 4), enumerate_frames(2, 4))
+    assert labels == {(f.counts, fr.parts) for f, fr in everything if kostka(f, fr) > 0}
+    assert len(labels) == 5 * 3 - 6
     # at a tiny radius only exact matches survive: f/n = (0.75, 0.25)
     spec = TestSpec(sigma=np.eye(2) / 2, null_set=[np.diag([0.75, 0.25])], epsilon=1e-6, n=4)
     assert lambda_set(spec) == frozenset({((3, 1), (3, 1))})
@@ -120,7 +124,7 @@ def test_lambda_set_matches_classical_enumeration():
 
 
 def lambda_set_loop(spec):
-    """lambda_set as a double loop over frequencies, frames and candidates."""
+    """lambda_set as a double loop over frequencies, frames and candidates, K > 0."""
     d, n = spec.d, spec.n
     cands = _null_candidates(spec)
     pinches = [pinch(s, spec.basis) for s in cands]
@@ -131,7 +135,7 @@ def lambda_set_loop(spec):
         freq_ok = [l1_distance(f_norm, p) <= spec.epsilon for p in pinches]
         for fr in enumerate_frames(d, n):
             lam_norm = np.asarray(fr.padded(d), dtype=float) / n
-            if any(
+            if kostka(f, fr) > 0 and any(
                 ok and l1_distance(lam_norm, r) <= spec.epsilon
                 for ok, r in zip(freq_ok, spectra)
             ):
@@ -173,6 +177,26 @@ def test_null_stacks_name_their_bad_state():
             spec.null_set[1] = bad
             with pytest.raises(ValueError, match=f"state 1 .*{what}"):
                 lambda_set(spec)
+
+
+def test_lambda_set_drops_empty_labels_and_label_errors_keep_their_values():
+    # the band also meets pairs whose frame does not dominate f (K_{f,lam} = 0,
+    # an empty block): 91 of 304 at d = 2, n = 64 and 9 of 228 at d = 3, n = 16,
+    # for (sigma, rho) two of the first four random_state draws of
+    # default_rng(5); lambda_set drops them, and the errors from the labels
+    # do not move
+    for d, n, (s, r), dropped, total in ((2, 64, (2, 3), 91, 304), (3, 16, (0, 2), 9, 228)):
+        rng = np.random.default_rng(5)
+        draws = [random_state(d, rng) for _ in range(4)]
+        sigma, rho = draws[s], draws[r]
+        spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=n)
+        freqs, frames, freq_ok, frame_ok = _label_band(spec.null_set, spec.basis, 0.3, d, n)
+        band = {(freqs[q], frames[j]) for q, j in zip(*np.nonzero(freq_ok.T @ frame_ok))}
+        labels = lambda_set(spec)
+        assert labels <= band and (len(band), len(band - labels)) == (total, dropped)
+        assert all(kostka(f, lam) > 0 for f, lam in labels)
+        assert all(kostka(f, lam) == 0 for f, lam in band - labels)
+        assert label_errors(spec, band, [rho]) == label_errors(spec, labels, [rho])
 
 
 def test_lambda_set_runs_one_eigvalsh_whatever_the_grid(monkeypatch):
@@ -347,12 +371,29 @@ def test_label_errors_raise_on_non_finite_results(monkeypatch):
     real_table = hypotest._weight_masses
 
     def overflowing(*key):
-        index, logs = real_table(*key)
-        return index, np.full_like(logs, math.inf)
+        return np.full_like(real_table(*key), math.inf)
 
     monkeypatch.setattr(hypotest, "_weight_masses", overflowing)
     with pytest.raises(VerificationError, match="type-two error inf is not finite"):
         label_errors(spec, labels)
+
+
+def test_label_path_forms_no_hook_dimension(monkeypatch):
+    # ln d_lam comes from log_hook_dimension: no exact big-int d_lam is formed
+    # on the label path, at d = 2 and 3, nor in spectral_estimate_check
+    def no_big_int(lam):
+        raise AssertionError(f"hook_dimension({lam}) called")
+
+    for module in (hypotest, schur_weyl, tableaux):
+        monkeypatch.setattr(module, "hook_dimension", no_big_int)
+    schur_weyl._clear_irrep_caches()
+    for d, n in ((2, 256), (3, 12)):
+        rng = np.random.default_rng(5)
+        rho, sigma = random_state(d, rng), random_state(d, rng)
+        report = run_sanov(sigma, [rho], [n], epsilon=0.1 if d == 2 else 0.3, np_baseline=False)[0]
+        assert 0.0 < report.type1_max < 1.0 and 0.0 < report.type2 < 1.0
+    lhs, rhs = spectral_estimate_check((600, 500), np.diag([0.7, 0.3]), 1100)
+    assert 0.0 < lhs < rhs
 
 
 def test_type_one_and_type_two_match_dense_products():
@@ -385,7 +426,7 @@ def test_run_sanov_hull_reference_is_the_hull_minimum():
 
 
 def fractional_np_loop(p, q, target):
-    """`_fractional_np` as the outcome-by-outcome loop it replaced."""
+    """The value of `_classical_np` as the outcome-by-outcome loop it replaced."""
     if target <= 0.0:
         return 0.0
     ratio = np.where(q > 0, p / np.where(q > 0, q, 1.0), np.inf)
@@ -418,7 +459,7 @@ def test_fractional_np_is_the_loop_bit_for_bit():
         if p.sum() > 0:
             p /= p.sum()
         for target in (0.0, float(rng.random()), float(p.sum()), 1.5):
-            assert _fractional_np(p, q, target) == fractional_np_loop(p, q, target), (p, q, target)
+            assert _classical_np(p, q, target)[0] == fractional_np_loop(p, q, target), (p, q, target)
 
 
 def test_neyman_pearson_commuting_matches_classical():
@@ -473,7 +514,7 @@ def test_neyman_pearson_with_likelihood_ratio_ties_across_frames():
         q = binom * q_vec[0] ** (n - k) * q_vec[1] ** k
         for nu in (0.05, 0.3, 0.5):
             beta = neyman_pearson(np.diag(p_vec), np.diag(q_vec), n, nu)
-            want = _fractional_np(p, q, 1.0 - nu)
+            want = _classical_np(p, q, 1.0 - nu)[0]
             assert abs(beta - want) <= 1e-12 * want, (n, nu, beta, want)
     # rho = sigma: every eigenvalue of rho^n - t sigma^n ties at t = 1
     for n in (2, 5, 8):
@@ -765,7 +806,7 @@ def test_np_search_on_commuting_pairs_takes_two_sweeps(monkeypatch):
                 calls.clear()
                 beta = _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-10)
                 assert len(calls) <= 2 * len(enumerate_frames(2, n)), (i, n, nu, len(calls))
-                want = _fractional_np(p, q, 1.0 - nu)
+                want = _classical_np(p, q, 1.0 - nu)[0]
                 assert abs(beta - want) <= 1e-12 * want, (i, n, nu, beta, want)
 
 

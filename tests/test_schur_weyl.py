@@ -954,8 +954,10 @@ def test_block_weight_below_the_frame_top_does_not_underflow():
     assert 1e-81 < want < 1e-79
     got = block_weight(f, lam, x)
     assert abs(got / float(want) - 1.0) < 1e-11
-    index, logs = schur_weyl._weight_masses(lam, 2, np.ascontiguousarray(x).tobytes())
-    assert len(index) == len(logs) == lam[0] - lam[1] + 1 and np.isfinite(logs).all()
+    logs = schur_weyl._weight_masses(lam, 2, np.ascontiguousarray(x).tobytes())
+    # cells lam_2..lam_1 are the frame's weights, and below lam_2 none is
+    assert logs.shape == (lam[0] + 1,) and np.isfinite(logs[lam[1] :]).all()
+    assert (logs[: lam[1]] == -np.inf).all()
 
 
 def test_u2_masses_sum_to_the_trace_power():
@@ -967,7 +969,7 @@ def test_u2_masses_sum_to_the_trace_power():
     key = np.ascontiguousarray(x).tobytes()
     total = 0.0
     for fr in enumerate_frames(2, 512):
-        total += np.exp(schur_weyl._weight_masses(fr.parts, 2, key)[1]).sum()
+        total += np.exp(schur_weyl._weight_masses(fr.parts, 2, key)).sum()
     assert abs(total - 1.0) < 1e-12
     n = 4096
     x = np.array([[0.5, -0.5j], [0.5j, 0.5]])
@@ -980,6 +982,48 @@ def test_u2_masses_sum_to_the_trace_power():
             total += math.exp(log_dim + math.log(n - 2 * k + 1) + math.log(mass))
     assert carried == [0]
     assert abs(total - 1.0) < 1e-12
+
+
+def test_weight_mass_tables_are_indexed_by_the_weight():
+    # cell f[:-1] against a test-side np.unique index over gt_weights, as
+    # ln(d_lam sum of the diagonal of pi_lam(rho') over the rows of weight f),
+    # on every label with K > 0; every other cell is -inf
+    for d, top in ((3, 8), (4, 5)):
+        sigma, rho = _weight_cases(d)[2]  # full rank: every mass is positive
+        _, basis = eigenbasis(sigma)
+        x = basis.conj().T @ rho @ basis
+        key = np.ascontiguousarray(x).tobytes()
+        for n in range(1, top + 1):
+            for fr in enumerate_frames(d, n):
+                logs = schur_weyl._weight_masses(fr.parts, d, key)
+                assert logs.shape == (fr.parts[0] + 1,) * (d - 1) and not logs.flags.writeable
+                weights = gt_weights(fr.parts, d)
+                classes, inverse = np.unique(weights, axis=0, return_inverse=True)
+                diag = gt_irrep(fr.parts, d).diagonal(x)
+                live = np.zeros(logs.shape, dtype=bool)
+                for i, f in enumerate(map(tuple, classes.tolist())):
+                    assert kostka(f, fr.parts) > 0
+                    want = hook_dimension(fr.parts) * diag[inverse.ravel() == i].sum()
+                    assert abs(math.exp(logs[f[:-1]]) / want - 1.0) < 1e-12, (fr.parts, f)
+                    live[f[:-1]] = True
+                assert (logs[~live] == -np.inf).all(), fr.parts
+                k_live = sum(kostka(f.counts, fr.parts) > 0 for f in enumerate_frequencies(d, n))
+                assert live.sum() == k_live
+
+
+def test_qubit_weight_masses_enumerate_no_patterns(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("Gelfand-Tsetlin patterns enumerated")
+
+    schur_weyl._clear_irrep_caches()
+    monkeypatch.setattr(schur_weyl, "_gt_table", no_table)
+    for x in (random_state(2, np.random.default_rng(155)), np.diag([0.7, 0.3]).astype(complex)):
+        key = np.ascontiguousarray(x).tobytes()
+        for fr in enumerate_frames(2, 40):
+            logs = schur_weyl._weight_masses(fr.parts, 2, key)
+            low = fr.parts[1] if len(fr.parts) > 1 else 0
+            assert np.isfinite(logs[low:]).all() and (logs[:low] == -np.inf).all()
+        assert block_weight((25, 15), (30, 10), x) > 0.0
 
 
 def test_single_state_masses_match_the_word_block_path():

@@ -20,6 +20,7 @@ from qsanov.tableaux import (
     hook_dimension,
     kostka,
     l1_distance,
+    log_hook_dimension,
     majorizes,
     pinsker_bound,
     relative_entropy,
@@ -155,6 +156,23 @@ def test_dimension_squares_sum_to_factorial():
     for n in range(1, 9):
         total = sum(hook_dimension(fr.parts) ** 2 for fr in enumerate_frames(n, n))
         assert total == math.factorial(n)
+
+
+def test_log_hook_dimension_is_the_log_of_the_exact_integer():
+    # within an ulp of the log of the exact int on every frame of d <= 4,
+    # n <= 60 (or 1e-18 from 0 where d_lam = 1), and within 1e-15 relative of
+    # 50 digits where d_lam is far past the float range
+    for n in range(61):
+        for fr in enumerate_frames(4, n):
+            want = math.log(hook_dimension(fr.parts))
+            got = log_hook_dimension(fr.parts)
+            assert abs(got - want) <= max(math.ulp(want), 1e-18), (fr.parts, got, want)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        for lam in ((4096,), (4095, 1), (3000, 1096), (2048, 2048), (300, 200, 100), (200, 200, 200)):
+            want = mp.log(mp.mpf(hook_dimension(lam)))
+            got = log_hook_dimension(lam)
+            assert abs(got - want) <= 1e-15 * abs(want) + 1e-300, lam
 
 
 def test_type_class_size_exact():
