@@ -11,7 +11,8 @@ the U(d) irreps pi_lam in the Gelfand-Tsetlin basis (`schur_weyl.gt_irrep`),
 whose weights are the label frequencies: the mass of X^n on label
 (f, lam) is one entry of the log weight-mass table of (lam, X), the
 type-two error sums the accepted entries of sigma's table, and the
-type-one error of a state the rejected entries of its own. The miss of
+type-one error of a state the rejected entries of its own, or, on a frame
+with no accepted weight, the whole table of its spectrum. The miss of
 every word state of a larger alphabet is taken per letter-count type: at
 d = 2 from forms in the letter weights, at d >= 3 as one minus
 the accepted word-block weights (`block_weight`) of the sorted word of
@@ -55,7 +56,6 @@ from .schur_weyl import (
     dense_from_blocks,
     frequency_blocks,
     gt_irrep,
-    log_schur_polynomial,
     product_trace,
     word_block_state,
 )
@@ -259,8 +259,9 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     sigma eigenbasis). The miss of a one-state alphabet [rho] is the mass
     of rho'^n off the masks, with no 1 - sum term: per frame, the table of
     rho' off its mask (none when the nonsingular sigma' has no finite entry
-    there: every weight is accepted), or d_lam s_lam(spec rho) in logs
-    (`log_schur_polynomial`, no diagonal) when no weight is. For a larger
+    there: every weight is accepted), or, when no weight is, the whole
+    table of diag(spec rho), whose sum d_lam s_lam(spec rho) does not depend
+    on the basis (no further eigh, and no pattern at d = 2). For a larger
     alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s off the
     masks, read off per monomial y^c and divided by the multinomial
     C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one minus the
@@ -293,13 +294,13 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
     types = [c.counts for c in enumerate_frequencies(len(states), n)]
     if len(states) == 1:
-        r = np.linalg.eigvalsh(states[0])
         key = np.ascontiguousarray(states[0]).tobytes()
+        spectrum_key = np.diag(np.linalg.eigvalsh(states[0])).astype(complex).tobytes()
         miss = 0.0
         for fr in enumerate_frames(d, n):
             mask = masks.get(fr.parts)
             if mask is None:
-                miss += math.exp(log_hook_dimension(fr.parts) + log_schur_polynomial(fr.parts, r))
+                miss += float(np.exp(_weight_masses(fr.parts, d, spectrum_key)).sum())
             elif fr.parts not in full:
                 miss += float(np.exp(_weight_masses(fr.parts, d, key)[~mask]).sum())
         misses = [miss]

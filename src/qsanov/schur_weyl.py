@@ -45,9 +45,12 @@ no eigh (`_u2_log_diagonal`). Every one-state scalar reads one table per
 (frame, d, state), indexed by the weight f itself: cell f[:-1] holds
 ln(d_lam tr{Pi_f pi_lam(X)}), a log-sum-exp over the Gelfand-Tsetlin rows
 of weight f plus ln d_lam from the log-factorial table, so that no mass
-underflows and no d_lam overflows a float (`_weight_masses`). Single-state
-block weights read one cell (`block_weight`); `hypotest.label_errors`
-sums the tables under and off each frame's mask of accepted weights.
+underflows and no d_lam overflows a float (`_weight_masses`, the one
+reader of the diagonal of pi_lam(X)). Single-state block weights read one
+cell (`block_weight`); `hypotest.label_errors` sums the tables under and
+off each frame's mask of accepted weights. A frame's total
+d_lam s_lam(spec X) is the sum of the table of diag(spec X)
+(`spectral_estimate_check`), with no eigh and, at d = 2, no pattern.
 """
 
 from __future__ import annotations
@@ -497,7 +500,7 @@ def block_weight(f, lam, states, basis=None) -> float:
     ln(d_lam tr{Pi_f pi_lam(rho')}): finite where d_lam is past the float
     range, with no underflow before the mass's own. At d >= 3 a tiny weight
     of a non-diagonal rho' is accurate only to about eps**2 times the
-    frame's largest weight, in absolute terms (see `GTIrrep.diagonal`); at
+    frame's largest weight, in absolute terms (see `_weight_masses`); at
     d = 2 each weight is accurate relative to itself.
     """
     counts = _freq_counts(f)
@@ -640,20 +643,6 @@ def schur_polynomial(lam, r) -> float:
     return float(_weight_powers(gt_weights(lam, r.shape[0]), r).sum())
 
 
-def log_schur_polynomial(lam, r) -> float:
-    """ln s_lam(r), summed in logs so that no power underflows; -inf when s_lam(r) = 0.
-
-    A pattern with weight on an eigenvalue r_i <= 0 adds nothing (r is
-    clipped at 0, as in `schur_polynomial`, with 0**0 = 1).
-    """
-    r = np.asarray(r, dtype=float)
-    terms = _log_weight_powers(gt_weights(lam, r.shape[0]), r)
-    top = terms.max()
-    if top == -math.inf:
-        return -math.inf
-    return float(top + math.log(np.exp(terms - top).sum()))
-
-
 def _weight_powers(weights: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.prod(np.power(np.clip(r, 0.0, None)[None, :], weights), axis=1)
 
@@ -703,12 +692,12 @@ class GTIrrep:
     E_{k+1,k} is its transpose and E_ij, j > i + 1, follows from
     [E_{i,j-1}, E_{j-1,j}].
 
-    At d = 2, pi_lam(V) and the diagonal of pi_lam(X) are closed forms in
-    J = lam_1 - lam_2 (`_u2_unitary`, `_u2_log_diagonal`), and the two block
-    fields are empty. At d >= 3, pi_lam(V) is taken from V = K1 R K2
-    (`_cosets`). pi_lam of K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is
-    block diagonal over row d - 1 (`sub_blocks`: the U(d - 1) irrep mu and
-    its slice of patterns), pi_mu(k) e^{i gamma (|lam| - |mu|)}.
+    At d = 2, pi_lam(V) is the closed form in J = lam_1 - lam_2
+    (`_u2_unitary`), and the two block fields are empty. At d >= 3,
+    pi_lam(V) is taken from V = K1 R K2 (`_cosets`). pi_lam of
+    K = diag(k, e^{i gamma}) in U(d - 1) x U(1) is block diagonal over
+    row d - 1 (`sub_blocks`: the U(d - 1) irrep mu and its slice of
+    patterns), pi_mu(k) e^{i gamma (|lam| - |mu|)}.
     R = exp(theta (e_ab - e_ba)) moves row d - 1 only, so exp(theta G),
     G = E_ab - E_ba, is block diagonal over rows 1..d - 2
     (`rotation_blocks`: the patterns of a block and the eigendecomposition
@@ -772,26 +761,6 @@ class GTIrrep:
         r, v = np.linalg.eigh(x)
         p = self.unitary(v)
         return (p * _weight_powers(self.weights, r)) @ p.conj().T
-
-    def diagonal(self, x) -> np.ndarray:
-        """pi_lam(X)[T, T] over all patterns T, X >= 0.
-
-        A diagonal X gives x**wt, with no eigh. At d = 2 the diagonal is the
-        closed-form sum of nonnegative terms of `_u2_log_diagonal`, accurate
-        relative to each entry. At d >= 3 each entry is
-        sum_T' |pi_lam(V)[T, T']|**2 r**wt(T'), X = V diag(r) V^dag, also a
-        sum of nonnegative terms; the entries of pi_lam(V) carry about eps
-        of absolute noise, so a tiny value is accurate only to about eps**2
-        times the largest weight r**wt, in absolute terms, not relative to
-        itself.
-        """
-        x = np.asarray(x, dtype=complex)
-        if self.d == 2:
-            return np.exp(_u2_log_diagonal(self.lam, x))
-        if _is_diagonal(x):
-            return _weight_powers(self.weights, np.diagonal(x).real)
-        r, v = np.linalg.eigh(x)
-        return (np.abs(self.unitary(v)) ** 2) @ _weight_powers(self.weights, r)
 
 
 def _is_diagonal(x: np.ndarray) -> bool:
@@ -920,12 +889,21 @@ def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
     ln(d_lam tr{Pi_f pi_lam(X)}) for a weight f of lam: ln d_lam
     (`log_hook_dimension`) plus a log-sum-exp of ln pi_lam(X)[T, T] over
     the Gelfand-Tsetlin rows T of weight f, so no mass underflows or
-    overflows. Every other cell, and a vanishing mass, reads -inf. At d = 2
-    row a, the one row of weight (lam_2 + a, lam_1 - a), fills cell
-    lam_2 + a from the closed form (`_u2_log_diagonal`), with no pattern
-    built. At d >= 3 the row logs are wt . ln x for a diagonal X, else the
-    log of the diagonal of pi_lam(X / r_max) plus n ln r_max, r_max the top
-    eigenvalue of X (pi_lam is homogeneous of degree n).
+    overflows. Every other cell, and a vanishing mass, reads -inf. This is
+    the one reader of the diagonal of pi_lam(X). At d = 2 row a, the one
+    row of weight (lam_2 + a, lam_1 - a), fills cell lam_2 + a from the
+    closed form (`_u2_log_diagonal`), with no pattern built; each mass is
+    accurate relative to itself. At d >= 3 the row logs are wt . ln x for
+    a diagonal X, with no eigh. Otherwise, from one eigh X = V diag(r) V^dag,
+    row T is ln sum_T' |pi_lam(V)[T, T']|**2 (r / r_max)**wt(T') plus
+    n ln r_max (pi_lam is homogeneous of degree n), a sum of nonnegative
+    terms; the entries of pi_lam(V) carry about eps of absolute noise, so a
+    tiny mass is accurate only to about eps**2 times the frame's largest,
+    in absolute terms.
+
+    A frame's total mass d_lam s_lam(spec X) does not depend on the basis,
+    so it is the sum of the table of diag(spec X), which takes the
+    diagonal branch.
     """
     x = np.frombuffer(key, dtype=complex).reshape(d, d)
     top = lam[0] if lam else 0
@@ -937,9 +915,11 @@ def _weight_masses(lam: tuple[int, ...], d: int, key: bytes) -> np.ndarray:
         if _is_diagonal(x):
             logs = _log_weight_powers(weights, np.diagonal(x).real)
         else:
-            r_max = float(np.linalg.eigvalsh(x)[-1])
+            r, v = np.linalg.eigh(x)
+            powers = _weight_powers(weights, r / r[-1])
+            scaled = (np.abs(_gt_irrep(lam, d).unitary(v)) ** 2) @ powers
             with np.errstate(divide="ignore"):
-                logs = np.log(_gt_irrep(lam, d).diagonal(x / r_max)) + sum(lam) * math.log(r_max)
+                logs = np.log(scaled) + sum(lam) * math.log(r[-1])
         # the C-order cell of f[:-1]; at d = 1 every row sits in the one cell
         cells = weights[:, :-1] @ (top + 1) ** np.arange(d - 2, -1, -1)
         peak = np.full(out.size, -np.inf)
@@ -1032,10 +1012,12 @@ def _gt_irrep(lam: tuple[int, ...], d: int) -> GTIrrep:
 def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     """(tr{P_lam rho^n}, (2n)**(d*d) * 2**(-n D(lam_norm || spec rho))).
 
-    The left side is d_lam s_lam(spec rho) (Keyl-Werner), summed over the
-    Gelfand-Tsetlin weights, so no d**n space is formed, and taken as
-    exp(ln d_lam + ln s_lam), so that it stays finite where d_lam is past
-    the float range; the right side uses the convention 2**(-inf) = 0.
+    The left side is d_lam s_lam(spec rho) (Keyl-Werner): the sum of the
+    weight-mass table of diag(spec rho) (`_weight_masses`), so no d**n space
+    is formed and no eigh beyond the spectrum's is run, and each mass is the
+    exp of its log, finite where d_lam is past the float range. The right
+    side uses the convention 2**(-inf) = 0. ValueError unless lam
+    partitions n in at most d rows.
     """
     from .quantum import assert_state, spectrum
 
@@ -1044,8 +1026,10 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     lam_p = _frame_parts(lam)
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
+    if len(lam_p) > d:
+        raise ValueError(f"frame {lam_p} has more than {d} rows")
     spec = spectrum(rho_m)
-    lhs = math.exp(log_hook_dimension(lam_p) + log_schur_polynomial(lam_p, spec))
+    lhs = float(np.exp(_weight_masses(lam_p, d, np.diag(spec).astype(complex).tobytes())).sum())
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
     div = relative_entropy(lam_norm, spec)
     rhs = (2.0 * n) ** (d * d) * 2.0 ** (-n * div)

@@ -43,14 +43,16 @@ def test_verify_exit_zero_and_deterministic(tmp_path):
 
 def test_verify_catches_a_nondeterministic_irrep_diagonal(monkeypatch, capsys):
     # a stand-in beneath the block_weight cache that drifts by 1e-15 per
-    # call: the label checks (1e-12) still pass, the fingerprint must not
-    real = schur_weyl.GTIrrep.diagonal
+    # call: pi_lam(V) of the d = 3 weight-mass table, read from the
+    # eigenbasis of a non-diagonal state; the label checks (1e-12) still
+    # pass, the fingerprint must not
+    real = schur_weyl.GTIrrep.unitary
     calls = itertools.count(1)
 
-    def drifting(self, x):
-        return real(self, x) * (1.0 + 1e-15 * next(calls))
+    def drifting(self, v):
+        return real(self, v) * (1.0 + 1e-15 * next(calls))
 
-    monkeypatch.setattr(schur_weyl.GTIrrep, "diagonal", drifting)
+    monkeypatch.setattr(schur_weyl.GTIrrep, "unitary", drifting)
     assert cli.main(["verify", "--n-max", "3"]) == 1
     assert "determinism" in capsys.readouterr().err
 

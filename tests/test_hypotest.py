@@ -1155,8 +1155,8 @@ def test_irrep_miss_stays_finite_past_the_float_range():
 def test_irrep_miss_is_the_plain_sum_below_the_float_range():
     # below the float range the miss is the int-times-float sum of the masses
     # of rho'^n on the rejected labels: d_lam s_lam(r) for a frame with no
-    # accepted weight, d_lam times the rejected rows of the GT diagonal for a
-    # partly accepted one; the log table gives it within 1e-12, relative
+    # accepted weight, d_lam times the rejected rows of the diagonal of the
+    # dense pi_lam(rho') for a partly accepted one; the log table gives it within 1e-12, relative
     rng = np.random.default_rng(67)
     for d, ns in ((2, (16, 40, 64)), (3, (6, 10))):
         for n in ns:
@@ -1175,7 +1175,7 @@ def test_irrep_miss_is_the_plain_sum_below_the_float_range():
                 else:
                     acc = accepted[fr.parts]
                     rows = [tuple(w) not in acc for w in gt_weights(fr.parts, d).tolist()]
-                    mass = float(gt_irrep(fr.parts, d).diagonal(rho_p)[rows].sum())
+                    mass = float(np.diagonal(gt_irrep(fr.parts, d).matrix(rho_p)).real[rows].sum())
                 want += hook_dimension(fr.parts) * mass
             got = label_errors(spec, frozenset(pairs), [rho]).misses[(n,)]
             assert abs(got / want - 1.0) <= 1e-12, (d, n)

@@ -30,7 +30,7 @@ from qsanov.schur_weyl import (
     word_codes,
     words_of_type,
 )
-from qsanov.hypotest import SIGMA_MIN_EIG, TestSpec, build_test
+from qsanov.hypotest import SIGMA_MIN_EIG, TestSpec, build_test, label_errors, run_sanov
 from qsanov.nogo import haar_unitary
 from qsanov.quantum import eigenbasis
 from qsanov.tableaux import (
@@ -770,7 +770,7 @@ def test_gt_iid_weights_match_word_block_weights():
             for n in range(1, top + 1):
                 for fr in enumerate_frames(d, n):
                     irrep = gt_irrep(fr.parts, d)
-                    diag = hook_dimension(fr.parts) * irrep.diagonal(rho_b)
+                    diag = hook_dimension(fr.parts) * np.diagonal(irrep.matrix(rho_b)).real
                     for f in enumerate_frequencies(d, n):
                         got = diag[np.all(irrep.weights == f.counts, axis=1)].sum()
                         want = block_weight(f.counts, fr.parts, [rho] * n, basis=basis)
@@ -778,17 +778,22 @@ def test_gt_iid_weights_match_word_block_weights():
 
 
 def test_keyl_werner_marginal_at_n20():
-    # sum_f tr{Pi_f pi_lam(rho)} = s_lam(spec rho), and the frames of n = 20
+    # sum_f tr{Pi_f pi_lam(rho)} = s_lam(spec rho), on the dense pi_lam(rho)
+    # and as the total of rho's weight-mass table, and the frames of n = 20
     # share the unit mass of rho^n
     n = 20
     rng = np.random.default_rng(140)
     for rho in (random_state(3, rng), random_state(3, rng, rank=2)):
         r = np.linalg.eigvalsh(rho)
+        key = np.ascontiguousarray(rho).tobytes()
         total = 0.0
         for fr in enumerate_frames(3, n):
             schur = schur_polynomial(fr.parts, r)
-            trace = float(gt_irrep(fr.parts, 3).diagonal(rho).sum())
+            trace = float(np.trace(gt_irrep(fr.parts, 3).matrix(rho)).real)
             assert abs(trace - schur) <= 1e-12 * schur + 1e-300, fr.parts
+            table = float(np.exp(schur_weyl._weight_masses(fr.parts, 3, key)).sum())
+            want = hook_dimension(fr.parts) * schur
+            assert abs(table - want) <= 1e-12 * want + 1e-300, fr.parts
             total += hook_dimension(fr.parts) * schur
         assert abs(total - 1.0) < 1e-12
 
@@ -801,7 +806,7 @@ def test_spectral_estimate_at_d3_n12():
     total = 0.0
     for fr in enumerate_frames(3, n):
         lhs, rhs = spectral_estimate_check(fr.parts, rho, n)
-        want = hook_dimension(fr.parts) * float(gt_irrep(fr.parts, 3).diagonal(rho).sum())
+        want = hook_dimension(fr.parts) * float(np.trace(gt_irrep(fr.parts, 3).matrix(rho)).real)
         assert abs(lhs - want) < 1e-12
         assert lhs <= rhs + 1e-12
         total += lhs
@@ -910,7 +915,7 @@ def test_u2_diagonal_is_relatively_exact_and_takes_no_eigh(monkeypatch):
         for n in (40, 512):
             for k in sorted({0, 1, n // 4, n // 2}):
                 lam = (n - k, k) if k else (n,)
-                got = gt_irrep(lam, 2).diagonal(x)
+                got = np.exp(schur_weyl._u2_log_diagonal(lam, x))
                 if name == "rank-1" and k:
                     assert np.abs(got).max() < 1e-15, (n, k)
                     continue
@@ -933,7 +938,7 @@ def test_u2_masses_match_mpmath_past_the_float_range():
         lam = (n - k, k)
         assert hook_dimension(lam).bit_length() > 1024
         # x**n underflows here; x / r_max does not
-        diag = gt_irrep(lam, 2).diagonal(x / np.linalg.eigvalsh(x)[-1])
+        diag = np.exp(schur_weyl._u2_log_diagonal(lam, x / np.linalg.eigvalsh(x)[-1]))
         top = int(diag.argmax())
         for a in (top, top - len(diag) // 8):
             f = (k + a, n - k - a)
@@ -999,7 +1004,7 @@ def test_weight_mass_tables_are_indexed_by_the_weight():
                 assert logs.shape == (fr.parts[0] + 1,) * (d - 1) and not logs.flags.writeable
                 weights = gt_weights(fr.parts, d)
                 classes, inverse = np.unique(weights, axis=0, return_inverse=True)
-                diag = gt_irrep(fr.parts, d).diagonal(x)
+                diag = np.diagonal(gt_irrep(fr.parts, d).matrix(x)).real
                 live = np.zeros(logs.shape, dtype=bool)
                 for i, f in enumerate(map(tuple, classes.tolist())):
                     assert kostka(f, fr.parts) > 0
@@ -1024,6 +1029,27 @@ def test_qubit_weight_masses_enumerate_no_patterns(monkeypatch):
             low = fr.parts[1] if len(fr.parts) > 1 else 0
             assert np.isfinite(logs[low:]).all() and (logs[:low] == -np.inf).all()
         assert block_weight((25, 15), (30, 10), x) > 0.0
+    # frame totals read the table of diag(spec rho): a whole run, a miss
+    # over frames with no accepted weight, and the spectral estimate
+    rng = np.random.default_rng(5)
+    rho, sigma = random_state(2, rng), random_state(2, rng)
+    report = run_sanov(sigma, [rho], [256], epsilon=0.1, np_baseline=False)[0]
+    assert 0.0 < report.type1_max < 1.0 and 0.0 < report.type2 < 1.0
+    rho = np.diag([0.7, 0.3])
+    spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.1, n=512)
+    assert abs(label_errors(spec, frozenset(), [rho]).misses[(512,)] - 1.0) < 1e-12
+    lhs, rhs = spectral_estimate_check((600, 500), rho, 1100)
+    assert 0.0 < lhs < rhs
+
+
+def test_spectral_estimate_names_the_rows_of_a_long_frame():
+    # the d = 2 table reads all -inf for a frame with more than 2 rows, so
+    # the check refuses such a frame before it reads one
+    for lam, d in (((2, 1, 1), 2), ((1, 1, 1, 1), 2), ((1, 1, 1, 1), 3)):
+        rho = np.eye(d) / d
+        rows = rf"frame \({', '.join(map(str, lam))}\) has more than {d} rows"
+        with pytest.raises(ValueError, match=rows):
+            spectral_estimate_check(lam, rho, 4)
 
 
 def test_single_state_masses_match_the_word_block_path():
@@ -1060,16 +1086,19 @@ def test_block_weight_and_spectral_estimate_past_the_float_range():
 
 
 def test_gt_diagonal_of_a_diagonal_state_takes_no_eigh(monkeypatch):
-    # x**wt, against pi(V) diag(r**wt) pi(V)^dag with V = eigh(X), on
-    # full-rank and singular diagonal states at d = 3 and 4
+    # the weight-mass table of a diagonal X is d_lam K_lam,f x**f per weight,
+    # with no eigh, against the rows of pi(V) diag(r**wt) pi(V)^dag with
+    # V = eigh(X), on full-rank and singular diagonal states at d = 3 and 4
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called")
 
+    schur_weyl._clear_irrep_caches()
     for d, n in ((3, 5), (4, 4)):
         full = np.diag(np.linspace(0.1, 1.0, d)[::-1])
         singular = np.diag([0.0] + [1.0 / (d - 1)] * (d - 1))
         for x in (full / np.trace(full), singular):
             x = x.astype(complex)
+            key = x.tobytes()
             r, v = np.linalg.eigh(x)
             wants = []
             for fr in enumerate_frames(d, n):
@@ -1080,10 +1109,18 @@ def test_gt_diagonal_of_a_diagonal_state_takes_no_eigh(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", no_eigh)
                 for fr, want in zip(enumerate_frames(d, n), wants):
-                    irrep = gt_irrep(fr.parts, d)
-                    got = irrep.diagonal(x)
-                    assert np.array_equal(got, np.prod(np.diagonal(x).real ** irrep.weights, axis=1))
-                    assert np.abs(got - want).max() <= 1e-14 * want.max(), (d, n, fr.parts)
+                    logs = schur_weyl._weight_masses(fr.parts, d, key)
+                    weights = gt_weights(fr.parts, d)
+                    dim = hook_dimension(fr.parts)
+                    for f in enumerate_frequencies(d, n):
+                        k = kostka(f.counts, fr.parts)
+                        if not k:
+                            continue
+                        got = math.exp(logs[f.counts[:-1]]) / dim
+                        power = k * float(np.prod(np.diagonal(x).real ** np.array(f.counts)))
+                        assert abs(got - power) <= 1e-14 * power, (d, n, fr.parts, f.counts)
+                        rows = np.all(weights == f.counts, axis=1)
+                        assert abs(got - want[rows].sum()) <= 1e-14 * want.max(), (d, n, fr.parts)
 
 
 def test_frequency_blocks_are_slices_of_one_read_only_stack():
