@@ -12,7 +12,6 @@ from .tableaux import (
     ALPHA,
     Frequency,
     YoungFrame,
-    dimension_bounds,
     dimension_log2_bounds,
     dominance,
     entropy,
@@ -25,7 +24,6 @@ from .tableaux import (
     majorizes,
     pinsker_bound,
     relative_entropy,
-    type_class_bounds,
     type_class_log2_bounds,
     type_class_size,
 )
@@ -66,7 +64,6 @@ from .hypotest import (
     TestSpec,
     build_test,
     epsilon_schedule,
-    feasibility_bound,
     feasibility_log2_bound,
     label_errors,
     lambda_set,
@@ -93,7 +90,6 @@ from .avqs import (
     smoothed_test,
     spectral_estimation_check,
     word_type_one,
-    worst_word_bound,
     worst_word_log2_bound,
 )
 from .nogo import (

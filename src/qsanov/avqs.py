@@ -39,7 +39,6 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
-    _check_exponent,
     _frame_parts,
     enumerate_frequencies,
     relative_entropy,
@@ -82,17 +81,6 @@ def word_type_one(p_n, word, alphabet) -> float:
 def worst_word_log2_bound(n: int, eps: float, d: int, s_size: int) -> float:
     """log2 of the worst-word ceiling: -n ALPHA eps^2 + (2 d*d + |S|) log2(2n)."""
     return -n * ALPHA * eps * eps + (2.0 * d * d + s_size) * math.log2(2 * n)
-
-
-def worst_word_bound(n: int, eps: float, d: int, s_size: int) -> float:
-    """Type-one ceiling 2**(-n ALPHA eps^2 + (2 d*d + |S|) log2(2n)).
-
-    SizeGuardError when the exponent reaches 1024, where the float
-    overflows (`worst_word_log2_bound` has no limit).
-    """
-    exp = worst_word_log2_bound(n, eps, d, s_size)
-    _check_exponent(exp)
-    return 2.0**exp
 
 
 def type_two_slack(n: int, eps: float, d: int, sigma, s_size: int) -> float:

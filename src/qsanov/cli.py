@@ -47,13 +47,13 @@ from .schur_weyl import (
 from .tableaux import (
     ALPHA,
     YoungFrame,
-    dimension_bounds,
+    dimension_log2_bounds,
     dominance,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
     kostka,
-    type_class_bounds,
+    type_class_log2_bounds,
     type_class_size,
 )
 
@@ -133,12 +133,13 @@ def _plain(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        # RFC 8259 has no NaN or infinity
+        return float(obj) if math.isfinite(obj) else None
     return obj
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _tabular(header, rows, keys, fmt):
@@ -203,10 +204,10 @@ def _mode_avqs(cfg: dict, seed: int, fmt: str) -> str:
     for n in _n_values(cfg):
         spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=eps, n=n, hull=True)
         errs = label_errors(spec, alphabet=alphabet)
-        worst, t2 = max(errs.misses.values()), errs.type_two
-        exponent = -math.log2(t2) / n if t2 > 0 else math.inf
+        worst = max(errs.misses.values())
+        exponent = -float(errs.log_type_two) / (n * math.log(2.0))
         gam = gamma(n, nu, d, sigma, s_size)
-        rows.append([n, s_size, eps, 0.0, worst, t2, exponent, min_d, gam])
+        rows.append([n, s_size, eps, 0.0, worst, errs.type_two, exponent, min_d, gam])
     return _tabular(AVQS_HEADER, rows, AVQS_HEADER, fmt)
 
 
@@ -406,15 +407,16 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
                         raise VerificationError("projector-algebra: block trace off")
     lines.append("ok projector-algebra")
 
+    slack = math.log2(1 + 1e-12)
     for dd in (2, 3):
         for n in range(1, 9):
             for f in enumerate_frequencies(dd, n):
-                lo, hi = type_class_bounds(f.counts)
-                if not lo <= type_class_size(f.counts) <= hi * (1 + 1e-12):
+                lo, hi = type_class_log2_bounds(f.counts)
+                if not lo <= math.log2(type_class_size(f.counts)) <= hi + slack:
                     raise VerificationError("entropy-bounds: type class sandwich off")
             for fr in enumerate_frames(dd, n):
-                lo, hi = dimension_bounds(fr.parts, dd)
-                if not lo <= hook_dimension(fr.parts) <= hi * (1 + 1e-12):
+                lo, hi = dimension_log2_bounds(fr.parts, dd)
+                if not lo <= math.log2(hook_dimension(fr.parts)) <= hi + slack:
                     raise VerificationError("entropy-bounds: dimension sandwich off")
     lines.append("ok entropy-bounds")
 

@@ -61,7 +61,6 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
-    _check_exponent,
     _dominates,
     enumerate_frames,
     enumerate_frequencies,
@@ -233,15 +232,22 @@ WORD_POLY_LIMIT = 1 << 22
 class LabelErrors:
     """Errors of a label test, computed from its labels alone.
 
-    `type_two` is tr{P sigma^n}. `misses` maps each letter-count type c of
-    the alphabet (c[s] letters s) to tr{(1 - P) rho_w}, which is the same
-    for every word w of that type because P is permutation invariant. A
-    one-state alphabet [rho] has the single type (n,), whose miss is the
-    type-one error of rho.
+    `log_type_two` is ln tr{P sigma^n}, -inf when no label is accepted, in
+    numpy's long double, so that its exp keeps the float precision of a
+    plain sum. `type_two` reads exp(log_type_two): it underflows to 0.0
+    once ln t2 is below about -745, where the log stays exact. `misses`
+    maps each letter-count type c of the alphabet (c[s] letters s) to
+    tr{(1 - P) rho_w}, which is the same for every word w of that type
+    because P is permutation invariant. A one-state alphabet [rho] has the
+    single type (n,), whose miss is the type-one error of rho.
     """
 
-    type_two: float
+    log_type_two: float
     misses: dict[tuple[int, ...], float]
+
+    @property
+    def type_two(self) -> float:
+        return float(np.exp(self.log_type_two))
 
 
 def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
@@ -254,22 +260,24 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     weight-mass table of (lam, X) (`schur_weyl._weight_masses`), and each
     frame keeps one boolean mask of its accepted cells. Since sigma^n is
     diagonal in its own eigenbasis, the type-two error sums the table of
-    sigma' = diag(t) under the masks, with no eigh. A miss is taken per
-    letter-count type c of the alphabet, with rho' = B^dag rho B (B the
-    sigma eigenbasis). The miss of a one-state alphabet [rho] is the mass
-    of rho'^n off the masks, with no 1 - sum term: per frame, the table of
-    rho' off its mask (none when the nonsingular sigma' has no finite entry
-    there: every weight is accepted), or, when no weight is, the whole
-    table of diag(spec rho), whose sum d_lam s_lam(spec rho) does not depend
-    on the basis (no further eigh, and no pattern at d = 2). For a larger
-    alphabet, at d = 2 it is the mass of X = sum_s y_s rho'_s off the
-    masks, read off per monomial y^c and divided by the multinomial
-    C(n; c) (see `_qubit_label_mass`); at d >= 3 it is one minus the
-    accepted `block_weight`s of the sorted word of type c, so only the
-    word blocks of accepted frequencies are built (word states are not of
-    the form X^(x n)). No d**n operator is formed. Raises
-    VerificationError when the type-two error or a miss is not finite,
-    which the [0, 1] clamp on the misses would otherwise pass through.
+    sigma' = diag(t) under the masks, with no eigh, as one log-sum-exp in
+    long double (`LabelErrors.log_type_two`), so it never underflows. A
+    miss is taken per letter-count type c of the alphabet, with
+    rho' = B^dag rho B (B the sigma eigenbasis). The miss of a one-state
+    alphabet [rho] is the mass of rho'^n off the masks, with no 1 - sum
+    term: per frame, the table of rho' off its mask (none when the
+    nonsingular sigma' has no finite entry there: every weight is
+    accepted), or, when no weight is, the whole table of diag(spec rho),
+    whose sum d_lam s_lam(spec rho) does not depend on the basis (no
+    further eigh, and no pattern at d = 2). For a larger alphabet, at
+    d = 2 it is the mass of X = sum_s y_s rho'_s off the masks, read off
+    per monomial y^c and divided by the multinomial C(n; c) (see
+    `_qubit_label_mass`); at d >= 3 it is one minus the accepted
+    `block_weight`s of the sorted word of type c, so only the word blocks
+    of accepted frequencies are built (word states are not of the form
+    X^(x n)). No d**n operator is formed. Raises VerificationError when the
+    type-two error is NaN or +inf, or a miss is not finite, which the
+    [0, 1] clamp on the misses would otherwise pass through.
     """
     if labels is None:
         labels = lambda_set(spec)
@@ -280,16 +288,19 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     for f, lam in labels:
         masks[lam][f[:-1]] = True
     sigma_key = np.diag(spec.t).astype(complex).tobytes()
-    type_two, full = 0.0, set()
+    accepted, full = [np.empty(0)], set()
     for lam, mask in sorted(masks.items()):
         logs = _weight_masses(lam, d, sigma_key)
-        type_two += float(np.exp(logs[mask]).sum())
+        accepted.append(logs[mask])
         if not np.isfinite(logs[~mask]).any():
             full.add(lam)
-    if not math.isfinite(type_two):
-        raise VerificationError(f"type-two error {type_two} is not finite at n={n}")
+    cells = np.concatenate(accepted).astype(np.longdouble)
+    top = cells.max(initial=-np.inf)
+    log_t2 = top + np.log(np.exp(cells - top).sum()) if np.isfinite(top) else top
+    if np.isnan(log_t2) or log_t2 == np.inf:
+        raise VerificationError(f"type-two error {np.exp(log_t2)} is not finite at n={n}")
     if not len(alphabet):
-        return LabelErrors(type_two=type_two, misses={})
+        return LabelErrors(log_type_two=log_t2, misses={})
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
     types = [c.counts for c in enumerate_frequencies(len(states), n)]
@@ -334,7 +345,7 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
             f"{len(bad)} of {len(types)} word-type misses are not finite at n={n}, first c={bad[0]}"
         )
     return LabelErrors(
-        type_two=type_two,
+        log_type_two=log_t2,
         misses={c: min(max(miss, 0.0), 1.0) for c, miss in zip(types, misses)},
     )
 
@@ -482,19 +493,17 @@ def feasibility_log2_bound(n: int, eps: float, d: int) -> float:
     return -n * (ALPHA * eps * eps - (2.0 * d * d / n) * math.log2(2 * n))
 
 
-def feasibility_bound(n: int, eps: float, d: int) -> float:
-    """Type-one ceiling 2**(-n (ALPHA eps^2 - (2 d*d / n) log2(2n))).
-
-    SizeGuardError when the exponent reaches 1024, where the float
-    overflows (`feasibility_log2_bound` has no limit).
-    """
-    exp = feasibility_log2_bound(n, eps, d)
-    _check_exponent(exp)
-    return 2.0**exp
-
-
 @dataclass
 class ExponentReport:
+    """One n of `run_sanov`.
+
+    `type2` is tr{P sigma^n}, which reads 0.0 once it is below the float
+    range (2**-1074); `empirical_exponent`, -log2(t2)/n, is read from ln t2
+    (`LabelErrors.log_type_two`) and stays exact and finite there, +inf
+    only when no label is accepted. The type-two bound is checked in log2
+    at every n.
+    """
+
     n: int
     eps: float
     type1_max: float
@@ -526,7 +535,10 @@ def run_sanov(
     (`avqs.min_relative_entropy_hull`), whose minimizing mixture is then
     the null state of the baseline; the type-one error stays the worst
     over the listed states. Raises VerificationError if a type-two error
-    exceeds its exponent bound.
+    exceeds its exponent bound 2**(-n(D - theta)), compared in log2 at
+    every n: ln t2 (`LabelErrors.log_type_two`) does not underflow, so the
+    check also runs where `type2` reads 0.0, and `empirical_exponent` is
+    -log2(t2)/n read from the same log.
 
     Both errors come from the labels (`label_errors`) on the U(d) irreps in
     the Gelfand-Tsetlin basis, at every d, so no d**n operator is formed;
@@ -551,16 +563,16 @@ def run_sanov(
         spec = TestSpec(sigma=sigma, null_set=null_states, epsilon=eps, n=n, hull=hull)
         labels = lambda_set(spec)
         errors = [label_errors(spec, labels, [s]) for s in null_states]
-        t2 = errors[0].type_two
+        log2_t2 = float(errors[0].log_type_two) / math.log(2.0)
         t1 = max(e.misses[(n,)] for e in errors)
         th = theta(n, eps, d, sigma)
         # in log2, since 2**(-n(D - theta)) overflows once n(theta - D) > 1024
+        # and t2 underflows once log2 t2 < -1074
         log2_bound = -n * (ref - th)
-        if t2 > 1e-300 and math.log2(t2) > log2_bound + math.log2(1.0 + 1e-9):
+        if log2_t2 > log2_bound + math.log2(1.0 + 1e-9):
             raise VerificationError(
-                f"type-two {t2} above 2**(-n(D - theta)) = 2**{log2_bound} at n={n}"
+                f"type-two 2**{log2_t2} above 2**(-n(D - theta)) = 2**{log2_bound} at n={n}"
             )
-        exponent = -math.log2(t2) / n if t2 > 0 else math.inf
         beta = (
             neyman_pearson(rho_star, sigma, n, t1) if np_baseline else math.nan
         )
@@ -569,8 +581,8 @@ def run_sanov(
                 n=n,
                 eps=eps,
                 type1_max=t1,
-                type2=t2,
-                empirical_exponent=exponent,
+                type2=errors[0].type_two,
+                empirical_exponent=-log2_t2 / n,
                 reference_d=ref,
                 theta=th,
                 np_beta=beta,

@@ -23,8 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import SizeGuardError
-
 # Pinsker constant for base-2 relative entropy: D(p||q) >= ALPHA * |p - q|_1^2.
 ALPHA = 1.0 / (2.0 * math.log(2.0))
 
@@ -304,22 +302,6 @@ def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:
     return upper_exp - 2.0 * d**6 * math.log2(2 * n), upper_exp
 
 
-def dimension_bounds(lam, d: int | None = None) -> tuple[float, float]:
-    """2 to the power of `dimension_log2_bounds`; the lower bound may underflow to 0.
-
-    SizeGuardError when the upper exponent reaches 1024, where the float
-    overflows.
-    """
-    lower_exp, upper_exp = dimension_log2_bounds(lam, d)
-    _check_exponent(upper_exp)
-    return 2.0**lower_exp, 2.0**upper_exp
-
-
-def _check_exponent(exp: float) -> None:
-    if exp >= 1024:
-        raise SizeGuardError(f"2**{exp:.6g} overflows a float; use the log2 form")
-
-
 def type_class_size(f) -> int:
     """Number of length-n words with letter counts f (exact multinomial)."""
     counts = _freq_counts(f)
@@ -338,19 +320,6 @@ def type_class_log2_bounds(f) -> tuple[float, float]:
         raise ValueError("empty word")
     upper_exp = n * entropy(np.asarray(counts, dtype=float) / n)
     return upper_exp - len(counts) * math.log2(n + 1), upper_exp
-
-
-def type_class_bounds(f) -> tuple[float, float]:
-    """Entropic sandwich ((n+1)**-d * 2**(nH), 2**(nH)) for type_class_size.
-
-    SizeGuardError when nH reaches 1024, where the float overflows
-    (`type_class_log2_bounds` has no limit).
-    """
-    counts = _freq_counts(f)
-    upper_exp = type_class_log2_bounds(counts)[1]
-    _check_exponent(upper_exp)
-    upper = 2.0**upper_exp
-    return upper / (sum(counts) + 1) ** len(counts), upper
 
 
 def dominance(f, lam) -> bool:

@@ -17,7 +17,7 @@ from qsanov.avqs import (
     enumerate_words,
     robustification_check,
     spectral_estimation_check,
-    worst_word_bound,
+    worst_word_log2_bound,
 )
 from qsanov.cli import main as cli_main
 from qsanov.hypotest import run_sanov, theta, type_two
@@ -40,12 +40,12 @@ from qsanov.schur_weyl import (
     spectral_estimate_check,
 )
 from qsanov.tableaux import (
-    dimension_bounds,
+    dimension_log2_bounds,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
     kostka,
-    type_class_bounds,
+    type_class_log2_bounds,
     type_class_size,
 )
 
@@ -126,14 +126,14 @@ def test_criterion_3_bound_sweeps():
     for d in (2, 3):
         for n in range(1, 13):
             for f in enumerate_frequencies(d, n):
-                lo, hi = type_class_bounds(f.counts)
-                size = type_class_size(f.counts)
-                ok &= lo <= size <= hi * (1 + 1e-12)
+                lo, hi = type_class_log2_bounds(f.counts)
+                size = math.log2(type_class_size(f.counts))
+                ok &= lo <= size <= hi + math.log2(1 + 1e-12)
                 labels += 1
             for fr in enumerate_frames(d, n):
-                lo, hi = dimension_bounds(fr.parts, d)
-                dim = hook_dimension(fr.parts)
-                ok &= lo <= dim <= hi * (1 + 1e-12)
+                lo, hi = dimension_log2_bounds(fr.parts, d)
+                dim = math.log2(hook_dimension(fr.parts))
+                ok &= lo <= dim <= hi + math.log2(1 + 1e-12)
                 labels += 1
     rng = np.random.default_rng(0)
     spectral = 0
@@ -263,7 +263,7 @@ def test_criterion_6_avqs():
             ok &= lhs <= rhs + 1e-9
             worst = max(worst, lhs)
         ok &= worst <= 1.0 + 1e-12
-        ceiling = worst_word_bound(n, eps, d, s)
+        ceiling = 2.0 ** worst_word_log2_bound(n, eps, d, s)
         if ceiling <= 1.0:
             applicable += 1
             ok &= worst <= ceiling + 1e-9

@@ -26,7 +26,6 @@ from qsanov.avqs import (
     spectral_estimation_check,
     type_two_slack,
     word_type_one,
-    worst_word_bound,
     worst_word_log2_bound,
 )
 from qsanov.errors import SizeGuardError
@@ -152,26 +151,22 @@ def test_label_word_misses_match_dense_word_type_one():
 def test_slack_formulas():
     n, eps, d, s = 8, 0.3, 2, 2
     want = 2.0 ** (-n * ALPHA * eps * eps + (2 * d * d + s) * math.log2(2 * n))
-    assert abs(worst_word_bound(n, eps, d, s) - want) < 1e-15
+    assert abs(2.0 ** worst_word_log2_bound(n, eps, d, s) - want) < 1e-15
     slack = type_two_slack(n, eps, d, SIGMA, s)
     assert abs(slack - theta(n, eps, d, SIGMA) - (s / n) * math.log2(2 * n)) < 1e-12
 
 
-def test_worst_word_bound_guards_the_float_range():
+def test_worst_word_log2_bound_spans_the_float_range():
     # (n, eps, d, |S|) = (117, 0.05, 8, 2) has exponent 1022.94 and
-    # (118, 0.05, 8, 2) 1024.53: below the limit the linear form is bit for
-    # bit the formula it replaced, past it the log2 form stays finite and
-    # the linear one raises SizeGuardError instead of OverflowError
+    # (118, 0.05, 8, 2) 1024.53: below the limit 2 to the log2 form is bit
+    # for bit the linear formula, past it the log2 form stays finite
     for n, eps, d, s in ((117, 0.05, 8, 2), (8, 0.3, 2, 2), (40, 0.2, 3, 4)):
         want = 2.0 ** (-n * ALPHA * eps * eps + (2.0 * d * d + s) * math.log2(2 * n))
-        assert worst_word_bound(n, eps, d, s) == want
         assert 2.0 ** worst_word_log2_bound(n, eps, d, s) == want
     assert 1022 < worst_word_log2_bound(117, 0.05, 8, 2) < 1024
     for n in (118, 256, 4096):
         exp = worst_word_log2_bound(n, 0.05, 8, 2)
         assert math.isfinite(exp) and exp >= 1024, n
-        with pytest.raises(SizeGuardError):
-            worst_word_bound(n, 0.05, 8, 2)
 
 
 def test_robustification_inequality_all_words():

@@ -126,13 +126,34 @@ def test_sanov_csv_matches_library(tmp_path):
         assert float(cells[7]) <= float(cells[3]) + 1e-12
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_sanov_json_mode(tmp_path):
     cfg = _write_cfg(tmp_path, "sanov.json", SANOV_CFG)
     out = tmp_path / "r.json"
     assert cli.main(["sanov", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())
+    rows = _strict_json(out.read_text())
     assert [r["n"] for r in rows] == [4, 5]
     assert set(rows[0]) == set(cli.SANOV_HEADER)
+    # no NP baseline (np_beta NaN) and no accepted label (exponent +inf):
+    # both are written as null
+    cfg = _write_cfg(tmp_path, "bare.json", {
+        "sigma": {"diag": [0.75, 0.25]},
+        "null_set": [{"diag": [0.3, 0.7]}],
+        "epsilon": 0.1,
+        "n_range": [4, 5],
+        "np_baseline": False,
+    })
+    assert cli.main(["sanov", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+    rows = _strict_json(out.read_text())
+    assert [r["n"] for r in rows] == [4, 5]
+    for r in rows:
+        assert r["np_beta"] is None and r["empirical_exponent"] is None and r["type2"] == 0.0, r
 
 
 def test_np_mode_row(tmp_path):

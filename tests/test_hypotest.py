@@ -20,7 +20,6 @@ from qsanov.hypotest import (
     _null_candidates,
     build_test,
     epsilon_schedule,
-    feasibility_bound,
     feasibility_log2_bound,
     label_errors,
     lambda_set,
@@ -279,25 +278,21 @@ def test_theta_prime_and_schedule():
     eps = epsilon_schedule(100, 0.05, 2)
     want = math.sqrt((math.log2(20) + 4 * math.log2(200)) / (ALPHA * 100))
     assert abs(eps - want) < 1e-12
-    fb = feasibility_bound(100, 0.3, 2)
+    fb = 2.0 ** feasibility_log2_bound(100, 0.3, 2)
     assert abs(fb - 2.0 ** (-100 * (ALPHA * 0.09 - 0.08 * math.log2(200)))) < 1e-12
 
 
-def test_feasibility_bound_guards_the_float_range():
+def test_feasibility_log2_bound_spans_the_float_range():
     # (n, eps, d) = (128, 0.05, 8) has exponent 1023.77 and (129, 0.05, 8)
-    # 1025.20: below the limit the linear form is bit for bit the formula
-    # it replaced, past it the log2 form stays finite and the linear one
-    # raises SizeGuardError instead of OverflowError
+    # 1025.20: below the limit 2 to the log2 form is bit for bit the linear
+    # formula, past it the log2 form stays finite
     for n, eps, d in ((128, 0.05, 8), (100, 0.3, 2), (6, 0.5, 3)):
         want = 2.0 ** (-n * (ALPHA * eps * eps - (2.0 * d * d / n) * math.log2(2 * n)))
-        assert feasibility_bound(n, eps, d) == want
         assert 2.0 ** feasibility_log2_bound(n, eps, d) == want
     assert 1023 < feasibility_log2_bound(128, 0.05, 8) < 1024
     for n in (129, 256, 4096):
         exp = feasibility_log2_bound(n, 0.05, 8)
         assert math.isfinite(exp) and exp >= 1024, n
-        with pytest.raises(SizeGuardError):
-            feasibility_bound(n, 0.05, 8)
 
 
 def test_run_sanov_reports():
@@ -331,22 +326,33 @@ def test_run_sanov_type_two_bound_is_compared_in_log2(monkeypatch):
     for value in (rep.eps, rep.type1_max, rep.type2, rep.empirical_exponent, rep.theta):
         assert math.isfinite(value)
     assert 0.0 < rep.type2 < 1.0
-    # a type-two error just above the bound still raises, and one just below passes
+    # at n = 256 the far pair's t2 = 2**-1599 underflows to 0.0, yet its
+    # exponent stays finite and the bound 2**-1389 is still checked
+    far_sigma, far_rho = np.diag([0.99, 0.01]), np.diag([0.01, 0.99])
+    rep, = run_sanov(far_sigma, [far_rho], [256], epsilon=0.05, np_baseline=False)
+    assert rep.type2 == 0.0
+    assert 1599.0 < 256 * rep.empirical_exponent < 1600.0
+    assert -256 * (rep.reference_d - rep.theta) < -1388.0
+    # a type-two error just above the bound still raises, and one just below
+    # passes, both where t2 is a float and where it underflows
     real = hypotest.label_errors
-    n = 16
-    bound = 2.0 ** (-n * (qrel_entropy(rho, sigma) - theta(n, 0.25, 2, sigma)))
-    for factor, raises in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
-        def doctored(spec, labels=None, alphabet=(), factor=factor):
-            misses = real(spec, labels, alphabet).misses
-            return hypotest.LabelErrors(type_two=bound * factor, misses=misses)
+    for s, r, n, eps in ((sigma, rho, 16, 0.25), (far_sigma, far_rho, 256, 0.05)):
+        log2_bound = -n * (qrel_entropy(r, s) - theta(n, eps, 2, s))
+        for factor, raises in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+            forged = (log2_bound + math.log2(factor)) * math.log(2.0)
 
-        monkeypatch.setattr(hypotest, "label_errors", doctored)
-        if raises:
-            with pytest.raises(VerificationError, match="above 2"):
-                run_sanov(sigma, [rho], [n], epsilon=0.25, np_baseline=False)
-        else:
-            rep, = run_sanov(sigma, [rho], [n], epsilon=0.25, np_baseline=False)
-            assert rep.type2 == bound * factor
+            def doctored(spec, labels=None, alphabet=(), forged=forged):
+                misses = real(spec, labels, alphabet).misses
+                return hypotest.LabelErrors(log_type_two=forged, misses=misses)
+
+            monkeypatch.setattr(hypotest, "label_errors", doctored)
+            if raises:
+                with pytest.raises(VerificationError, match="above 2"):
+                    run_sanov(s, [r], [n], epsilon=eps, np_baseline=False)
+            else:
+                rep, = run_sanov(s, [r], [n], epsilon=eps, np_baseline=False)
+                assert rep.type2 == pytest.approx(2.0**log2_bound * factor, rel=1e-12, abs=0.0)
+                assert rep.empirical_exponent == pytest.approx(-forged / math.log(2.0) / n)
 
 
 def test_label_errors_raise_on_non_finite_results(monkeypatch):
@@ -375,6 +381,13 @@ def test_label_errors_raise_on_non_finite_results(monkeypatch):
 
     monkeypatch.setattr(hypotest, "_weight_masses", overflowing)
     with pytest.raises(VerificationError, match="type-two error inf is not finite"):
+        label_errors(spec, labels)
+
+    def undefined(*key):
+        return np.full_like(real_table(*key), math.nan)
+
+    monkeypatch.setattr(hypotest, "_weight_masses", undefined)
+    with pytest.raises(VerificationError, match="type-two error nan is not finite"):
         label_errors(spec, labels)
 
 
@@ -891,6 +904,46 @@ def test_label_type_two_is_the_kostka_sum_past_the_dense_guard():
         got = label_errors(spec, labels).type_two
         assert 0.0 < want < 1.0
         assert abs(got - want) < 1e-12 * want, (d, n, got, want)
+
+
+def test_label_log_type_two_matches_mpmath_past_the_float_range():
+    # The default_rng(5) qubit pair at epsilon = 0.1: log2 t2 = -1208.565 at
+    # n = 2048 and -2408.986 at n = 4096, where the float t2 reads 0.0,
+    # against a 50-digit sum of d_lam t^f over the labels, d_lam =
+    # C(n, k) - C(n, k - 1). Up to n = 1024, exp(ln t2) is the plain float
+    # sum of the table cells within 1e-14.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    rho, sigma = random_state(2, rng), random_state(2, rng)
+    for n in (64, 256, 1024):
+        spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.1, n=n)
+        key = np.diag(spec.t).astype(complex).tobytes()
+        plain = sum(
+            math.exp(schur_weyl._weight_masses(lam, 2, key)[f[:-1]])
+            for f, lam in lambda_set(spec)
+        )
+        assert 0.0 < plain
+        got = label_errors(spec).type_two
+        assert abs(got - plain) <= 1e-14 * plain, (n, got, plain)
+    with mp.workdps(50):
+        for n, log2_t2 in ((2048, -1208.565), (4096, -2408.986)):
+            spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.1, n=n)
+            by_frame = {}
+            for f, lam in lambda_set(spec):
+                by_frame.setdefault(lam[1] if len(lam) > 1 else 0, []).append(f[0])
+            powers = [[mp.mpf(1)] for _ in spec.t]
+            for t, row in zip(spec.t, powers):
+                for _ in range(n):
+                    row.append(row[-1] * mp.mpf(float(t)))
+            total = mp.mpf(0)
+            for k, tops in by_frame.items():
+                dim = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+                total += dim * mp.fsum(powers[0][a] * powers[1][n - a] for a in tops)
+            want = float(mp.log(total))
+            errs = label_errors(spec)
+            assert errs.type_two == 0.0
+            assert abs(errs.log_type_two - want) <= 1e-12 * abs(want), (n, errs.log_type_two, want)
+            assert round(float(errs.log_type_two) / math.log(2.0), 3) == log2_t2
 
 
 def test_label_misses_match_dense_at_d3():

@@ -4,13 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qsanov.errors import SizeGuardError
 from qsanov.tableaux import (
     ALPHA,
     Frequency,
     YoungFrame,
     _kostka_rec,
-    dimension_bounds,
     dimension_log2_bounds,
     dominance,
     entropy,
@@ -24,7 +22,6 @@ from qsanov.tableaux import (
     majorizes,
     pinsker_bound,
     relative_entropy,
-    type_class_bounds,
     type_class_log2_bounds,
     type_class_size,
 )
@@ -186,34 +183,32 @@ def test_type_class_size_exact():
 
 
 def test_type_class_sandwich():
-    # (n+1)^-d 2^(n H(f/n)) <= |T_f| <= 2^(n H(f/n))
+    # n H(f/n) - d log2(n+1) <= log2 |T_f| <= n H(f/n)
     for d in (2, 3):
         for n in range(1, 13):
             for f in enumerate_frequencies(d, n):
-                lo, hi = type_class_bounds(f.counts)
+                lo, hi = type_class_log2_bounds(f.counts)
                 h = entropy(np.asarray(f.counts) / n)
-                assert abs(hi - 2.0 ** (n * h)) <= 1e-9 * max(1.0, hi)
-                assert abs(lo - hi / (n + 1) ** d) <= 1e-9 * max(1.0, lo)
-                size = type_class_size(f.counts)
-                assert lo <= size <= hi * (1 + 1e-12)
+                assert abs(hi - n * h) <= 1e-12 * max(1.0, hi)
+                assert abs(lo - (hi - d * math.log2(n + 1))) <= 1e-12 * max(1.0, abs(lo))
+                size = math.log2(type_class_size(f.counts))
+                assert lo <= size <= hi + math.log2(1 + 1e-12)
 
 
 def test_dimension_sandwich():
-    # 2^(n(H(lam/n) - (2 d^6/n) log2(2n))) <= dim F_lam <= 2^(n H(lam/n))
+    # n H(lam/n) - 2 d^6 log2(2n) <= log2 dim F_lam <= n H(lam/n)
     for d in (2, 3):
         for n in range(1, 13):
             for fr in enumerate_frames(d, n):
-                lo, hi = dimension_bounds(fr.parts, d)
+                lo, hi = dimension_log2_bounds(fr.parts, d)
                 h = entropy(np.asarray(fr.padded(d)) / n)
-                assert abs(hi - 2.0 ** (n * h)) <= 1e-9 * max(1.0, hi)
-                assert abs(lo - hi * 2.0 ** (-2.0 * d**6 * math.log2(2 * n))) <= 1e-9 * max(
-                    1.0, lo
-                )
-                assert lo <= hook_dimension(fr.parts) <= hi * (1 + 1e-12)
+                assert abs(hi - n * h) <= 1e-12 * max(1.0, hi)
+                assert abs(lo - (hi - 2.0 * d**6 * math.log2(2 * n))) <= 1e-12 * max(1.0, abs(lo))
+                assert lo <= math.log2(hook_dimension(fr.parts)) <= hi + math.log2(1 + 1e-12)
 
 
 def test_log2_sandwiches_at_n_2048():
-    # the linear forms overflow here; the log2 forms hold against exact logs
+    # 2**(nH) overflows a float here; the log2 forms hold against exact logs
     n = 2048
     for f in [(1024, 1024), (2047, 1), (2048, 0), (700, 700, 648), (1000, 600, 300, 148)]:
         lo, hi = type_class_log2_bounds(f)
@@ -222,27 +217,25 @@ def test_log2_sandwiches_at_n_2048():
     for lam, d in [((1024, 1024), 2), ((2047, 1), 2), ((2048,), 2), ((700, 700, 648), 3)]:
         lo, hi = dimension_log2_bounds(lam, d)
         assert lo <= math.log2(hook_dimension(lam)) <= hi + 1e-9 * hi, lam
-    with pytest.raises(SizeGuardError):
-        type_class_bounds((512, 512))
-    with pytest.raises(SizeGuardError):
-        dimension_bounds((600, 600))
 
 
 def test_linear_bounds_keep_their_values():
-    # 2 to the power of the log2 forms, bit for bit the formulas they replace,
-    # up to the top of the float range: (520, 504) has nH = 1023.82
+    # 2 to the power of the log2 forms is the linear sandwich, up to the top
+    # of the float range: (520, 504) has nH = 1023.82
     cases = [(d, n) for d in (2, 3, 4) for n in (1, 5, 12)]
     freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
     for counts in freqs + [(300, 0), (150, 150), (300, 200, 100), (520, 504)]:
         n, d = sum(counts), len(counts)
         upper = 2.0 ** (n * entropy(np.asarray(counts, dtype=float) / n))
-        assert type_class_bounds(counts) == (upper / (n + 1) ** d, upper)
+        lo, hi = type_class_log2_bounds(counts)
+        assert 2.0**hi == upper
+        assert 2.0**lo == pytest.approx(upper / (n + 1) ** d, rel=1e-12, abs=0.0)
     frames = [(fr.parts, d) for d, n in cases for fr in enumerate_frames(d, n)]
     for parts, d in frames + [((299, 1), 2), ((150, 150), 3), ((400, 100), 2), ((520, 504), 2)]:
         n = sum(parts)
         upper_exp = n * entropy(np.asarray(YoungFrame(parts).padded(d), dtype=float) / n)
         lower_exp = upper_exp - 2.0 * d**6 * math.log2(2 * n)
-        assert dimension_bounds(parts, d) == (2.0**lower_exp, 2.0**upper_exp)
+        assert dimension_log2_bounds(parts, d) == (lower_exp, upper_exp)
 
 
 # ---------------------------------------------------------------------------
