@@ -10,8 +10,6 @@ tests can and cannot resolve.
 from .errors import SizeGuardError, VerificationError
 from .tableaux import (
     ALPHA,
-    Frequency,
-    YoungFrame,
     dimension_log2_bounds,
     dominance,
     entropy,

@@ -124,7 +124,7 @@ def spectral_estimation_check(lam, word, alphabet) -> tuple[float, float]:
     stacked = np.stack(states)
     lhs = 0.0
     for f in enumerate_frequencies(d, n):
-        lhs += block_weight(f.counts, lam_p, stacked)
+        lhs += block_weight(f, lam_p, stacked)
     mix = empirical_mixture(word, alphabet)
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
     div = relative_entropy(lam_norm, spectrum(mix))

@@ -46,7 +46,7 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
-    YoungFrame,
+    _frame_parts,
     dimension_log2_bounds,
     dominance,
     enumerate_frames,
@@ -224,13 +224,13 @@ def _mode_tableaux(cfg: dict, seed: int, fmt: str) -> str:
     n = int(cfg["n"])
     rows = []
     freqs = enumerate_frequencies(d, n)
-    for fr in enumerate_frames(d, n):
-        ksum = sum(kostka(f.counts, fr.parts) for f in freqs)
+    for lam in enumerate_frames(d, n):
+        ksum = sum(kostka(f, lam) for f in freqs)
         rows.append(
             [
-                "+".join(str(p) for p in fr.parts),
-                hook_dimension(fr.parts),
-                type_class_size(fr.padded(d)),
+                "+".join(str(p) for p in lam),
+                hook_dimension(lam),
+                type_class_size(lam + (0,) * (d - len(lam))),
                 ksum,
             ]
         )
@@ -247,7 +247,7 @@ def _mode_project(cfg: dict, seed: int, fmt: str) -> str:
 
         _, basis = eigenbasis(_parse_state(cfg["sigma"]))
     mat = block_projector(f, lam, basis=basis)
-    parts = YoungFrame(lam).parts
+    parts = _frame_parts(lam)
     block = frequency_blocks(f).get(parts)
     return _json_text({
         "d": len(f),
@@ -388,11 +388,11 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
         for n in range(1, min(n_max, 6) + 1):
             frames = enumerate_frames(dd, n)
             for f in enumerate_frequencies(dd, n):
-                total = sum(kostka(f.counts, fr.parts) * hook_dimension(fr.parts) for fr in frames)
-                if total != type_class_size(f.counts):
-                    raise VerificationError(f"combinatorics: kostka sum off at {f.counts}")
-                for fr in frames:
-                    if (kostka(f.counts, fr.parts) > 0) != dominance(f.counts, fr.parts):
+                total = sum(kostka(f, lam) * hook_dimension(lam) for lam in frames)
+                if total != type_class_size(f):
+                    raise VerificationError(f"combinatorics: kostka sum off at {f}")
+                for lam in frames:
+                    if (kostka(f, lam) > 0) != dominance(f, lam):
                         raise VerificationError("combinatorics: dominance mismatch")
     lines.append("ok combinatorics")
 
@@ -401,8 +401,8 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
             if completeness_check(dd, n) > 1e-9:
                 raise VerificationError(f"projector-algebra: completeness off at d={dd} n={n}")
             for f in enumerate_frequencies(dd, n):
-                for lam, block in frequency_blocks(f.counts).items():
-                    want = kostka(f.counts, lam) * hook_dimension(lam)
+                for lam, block in frequency_blocks(f).items():
+                    want = kostka(f, lam) * hook_dimension(lam)
                     if abs(float(np.trace(block)) - want) > 1e-6:
                         raise VerificationError("projector-algebra: block trace off")
     lines.append("ok projector-algebra")
@@ -411,12 +411,12 @@ def verify_suite(n_max: int = 5, seed: int = 0) -> list[str]:
     for dd in (2, 3):
         for n in range(1, 9):
             for f in enumerate_frequencies(dd, n):
-                lo, hi = type_class_log2_bounds(f.counts)
-                if not lo <= math.log2(type_class_size(f.counts)) <= hi + slack:
+                lo, hi = type_class_log2_bounds(f)
+                if not lo <= math.log2(type_class_size(f)) <= hi + slack:
                     raise VerificationError("entropy-bounds: type class sandwich off")
-            for fr in enumerate_frames(dd, n):
-                lo, hi = dimension_log2_bounds(fr.parts, dd)
-                if not lo <= math.log2(hook_dimension(fr.parts)) <= hi + slack:
+            for lam in enumerate_frames(dd, n):
+                lo, hi = dimension_log2_bounds(lam, dd)
+                if not lo <= math.log2(hook_dimension(lam)) <= hi + slack:
                     raise VerificationError("entropy-bounds: dimension sandwich off")
     lines.append("ok entropy-bounds")
 

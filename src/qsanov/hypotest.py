@@ -71,6 +71,7 @@ from .tableaux import (
 
 SIGMA_MIN_EIG = 1e-12
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -131,7 +132,7 @@ def _null_candidates(spec: TestSpec) -> np.ndarray:
         raise SizeGuardError(
             f"|S| = {size}: a hull grid of {count} mixtures exceeds the guard of {GUARD_LIMIT}"
         )
-    weights = np.array([g.counts for g in enumerate_frequencies(size, steps)], float) / steps
+    weights = np.array(enumerate_frequencies(size, steps), float) / steps
     return sum(weights[:, s, None, None] * nulls[s] for s in range(size))
 
 
@@ -147,7 +148,7 @@ def _label_band(states, basis, epsilon: float, d: int, n: int):
     pinched and diagonalised together: one batched `eigvalsh` (the
     validator's, `assert_states`) and one `einsum`.
     """
-    freqs = [f.counts for f in enumerate_frequencies(d, n)]
+    freqs = enumerate_frequencies(d, n)
     frames = enumerate_frames(d, n)
 
     def within(points, centres):
@@ -157,9 +158,9 @@ def _label_band(states, basis, epsilon: float, d: int, n: int):
     freq_ok = within(_pinched(m, assert_basis(basis)), np.array(freqs, float) / n)
     frame_ok = within(
         _spectra(evals),
-        np.array([fr.padded(d) for fr in frames], dtype=float) / n,
+        np.array([lam + (0,) * (d - len(lam)) for lam in frames], dtype=float) / n,
     )
-    return freqs, [fr.parts for fr in frames], freq_ok, frame_ok
+    return freqs, frames, freq_ok, frame_ok
 
 
 def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -275,7 +276,9 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     `_qubit_label_mass`); at d >= 3 it is one minus the accepted
     `block_weight`s of the sorted word of type c, so only the word blocks
     of accepted frequencies are built (word states are not of the form
-    X^(x n)). No d**n operator is formed. Raises VerificationError when the
+    X^(x n)). No d**n operator is formed. With no label left the test is
+    empty, and the errors are exact: ln t2 = -inf and every miss 1, with
+    no table, form or word block built. Raises VerificationError when the
     type-two error is NaN or +inf, or a miss is not finite, which the
     [0, 1] clamp on the misses would otherwise pass through.
     """
@@ -283,6 +286,11 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
         labels = lambda_set(spec)
     labels = sorted((f, lam) for f, lam in labels if _dominates(f, lam))
     d, n = spec.d, spec.n
+    b = spec.basis
+    states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
+    types = enumerate_frequencies(len(states), n) if states else []
+    if not labels:
+        return LabelErrors(log_type_two=np.longdouble(-np.inf), misses=dict.fromkeys(types, 1.0))
     frames = {lam for _, lam in labels}
     masks = {lam: np.zeros((lam[0] + 1,) * (d - 1), dtype=bool) for lam in frames}
     for f, lam in labels:
@@ -299,21 +307,18 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     log_t2 = top + np.log(np.exp(cells - top).sum()) if np.isfinite(top) else top
     if np.isnan(log_t2) or log_t2 == np.inf:
         raise VerificationError(f"type-two error {np.exp(log_t2)} is not finite at n={n}")
-    if not len(alphabet):
+    if not states:
         return LabelErrors(log_type_two=log_t2, misses={})
-    b = spec.basis
-    states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
-    types = [c.counts for c in enumerate_frequencies(len(states), n)]
     if len(states) == 1:
         key = np.ascontiguousarray(states[0]).tobytes()
         spectrum_key = np.diag(np.linalg.eigvalsh(states[0])).astype(complex).tobytes()
         miss = 0.0
-        for fr in enumerate_frames(d, n):
-            mask = masks.get(fr.parts)
+        for lam in enumerate_frames(d, n):
+            mask = masks.get(lam)
             if mask is None:
-                miss += float(np.exp(_weight_masses(fr.parts, d, spectrum_key)).sum())
-            elif fr.parts not in full:
-                miss += float(np.exp(_weight_masses(fr.parts, d, key)[~mask]).sum())
+                miss += float(np.exp(_weight_masses(lam, d, spectrum_key)).sum())
+            elif lam not in full:
+                miss += float(np.exp(_weight_masses(lam, d, key)[~mask]).sum())
         misses = [miss]
     elif d == 2:
         # cell lam_2 + a of the tables of lam = (n - k, k) is weight (k + a, n - k - a)
@@ -633,10 +638,10 @@ def _irrep_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarra
     """
     d = rho.shape[0]
     blocks = []
-    for fr in enumerate_frames(d, n):
-        irrep = gt_irrep(fr.parts, d)
+    for lam in enumerate_frames(d, n):
+        irrep = gt_irrep(lam, d)
         blocks.append((
-            float(hook_dimension(fr.parts)),
+            float(hook_dimension(lam)),
             _hermitian(irrep.matrix(rho)),
             _hermitian(irrep.matrix(sigma)),
         ))
@@ -676,9 +681,11 @@ def _np_sweep(blocks, traces, log_t: float):
     Returns (r, s, level) over the eigenvectors v of all blocks (mult, R,
     S): r_v = mult v^dag R v, s_v = mult v^dag S v, and v's eigenvalue in
     units of its block's rounding scale, eps (w_r tr R + w_s tr S) (the
-    traces bound the norms). An eigenvalue within _TIE_ULPS such units of
-    zero has a sign that rounding can flip, as at a likelihood-ratio tie
-    at t. The 1/(1 + t) scaling keeps every t finite.
+    traces bound the norms), floored at the least normal float so that a
+    block whose traces underflow gets finite levels. An eigenvalue within
+    _TIE_ULPS such units of zero has a sign that rounding can flip, as at
+    a likelihood-ratio tie at t. The 1/(1 + t) scaling keeps every t
+    finite.
     """
     shift = float(np.logaddexp(0.0, log_t))
     w_r, w_s = math.exp(-shift), math.exp(log_t - shift)
@@ -687,7 +694,7 @@ def _np_sweep(blocks, traces, log_t: float):
         vals, vecs = np.linalg.eigh(w_r * r - w_s * s)
         masses_r.append(mult * _diag_in(vecs, r))
         masses_s.append(mult * _diag_in(vecs, s))
-        levels.append(vals / (_EPS * (w_r * tr_r + w_s * tr_s)))
+        levels.append(vals / max(_EPS * (w_r * tr_r + w_s * tr_s), _TINY))
     return np.concatenate(masses_r), np.concatenate(masses_s), np.concatenate(levels)
 
 

@@ -46,7 +46,7 @@ def unitary_twirl_invariant(a, d: int, n: int) -> np.ndarray:
     mat = require_invariant(np.asarray(a, dtype=complex), d, n)
     out = np.zeros(mat.shape, dtype=complex)
     for lam in enumerate_frames(d, n):
-        p_lam = isotypical_projector(lam.parts, d, n)
+        p_lam = isotypical_projector(lam, d, n)
         weight = np.einsum("ij,ji->", mat, p_lam).real
         tr = np.trace(p_lam).real
         if tr > 0:

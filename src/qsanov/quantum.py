@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .tableaux import entropy
+from .tableaux import CHECK_TOL, entropy
 
 RHO_SUPPORT_TOL = 1e-9
 SIGMA_NULL_TOL = 1e-12
@@ -23,7 +23,7 @@ def _name(flags: np.ndarray) -> tuple[tuple[int, ...], str]:
     return idx, f"state {idx[0] if len(idx) == 1 else idx}"
 
 
-def assert_states(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def assert_states(states) -> tuple[np.ndarray, np.ndarray]:
     """Validate a stack of density matrices: square, Hermitian, unit trace, PSD.
 
     `states` has shape (..., d, d), or is a sequence of d x d states; a
@@ -35,26 +35,26 @@ def assert_states(states, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"state must be square, got shape {m.shape}")
     skew = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (skew > tol).any():
-        raise ValueError(f"{_name(skew > tol)[1]} is not Hermitian")
+    if (skew > CHECK_TOL).any():
+        raise ValueError(f"{_name(skew > CHECK_TOL)[1]} is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    if (np.abs(tr - 1.0) > tol).any():
-        i, name = _name(np.abs(tr - 1.0) > tol)
+    if (np.abs(tr - 1.0) > CHECK_TOL).any():
+        i, name = _name(np.abs(tr - 1.0) > CHECK_TOL)
         raise ValueError(f"{name} trace is {tr[i]}, expected 1")
     evals = np.linalg.eigvalsh(m)
     low = evals.min(axis=-1)
-    if (low < -tol).any():
-        i, name = _name(low < -tol)
+    if (low < -CHECK_TOL).any():
+        i, name = _name(low < -CHECK_TOL)
         raise ValueError(f"{name} has negative eigenvalue {low[i]}")
     return m, evals
 
 
-def assert_state(rho, tol: float = 1e-9) -> np.ndarray:
+def assert_state(rho) -> np.ndarray:
     """Validate a density matrix: square, Hermitian, PSD, unit trace."""
     m = np.asarray(rho, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"state must be square, got shape {m.shape}")
-    return assert_states(m, tol)[0]
+    return assert_states(m)[0]
 
 
 def _spectra(evals: np.ndarray) -> np.ndarray:
@@ -87,11 +87,11 @@ def eigenbasis(sigma) -> tuple[np.ndarray, np.ndarray]:
     return vals[order].copy(), vecs[:, order].copy()
 
 
-def assert_basis(basis, tol: float = 1e-9) -> np.ndarray:
+def assert_basis(basis) -> np.ndarray:
     b = np.asarray(basis, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("basis must be a square matrix of column vectors")
-    if np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() > tol:
+    if np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() > CHECK_TOL:
         raise ValueError("basis columns are not orthonormal")
     return b
 
@@ -100,17 +100,16 @@ def _pinched(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Diagonals of the validated stack m in the orthonormal basis b.
 
     Each row is checked, clipped at 0 and renormalized at the tolerance
-    of `tableaux.as_prob_vec`.
+    of `tableaux.as_prob_vec` (CHECK_TOL).
     """
-    tol = 1e-9
     diag = np.einsum("ji,...jk,ki->...i", b.conj(), m, b).real.copy()
     low = diag.min(axis=-1)
-    if (low < -tol).any():
-        i, name = _name(low < -tol)
+    if (low < -CHECK_TOL).any():
+        i, name = _name(low < -CHECK_TOL)
         raise ValueError(f"negative entry {low[i]} in the pinching of {name}")
     np.clip(diag, 0.0, None, out=diag)
     s = diag.sum(axis=-1, keepdims=True)
-    off = np.abs(s[..., 0] - 1.0) > tol
+    off = np.abs(s[..., 0] - 1.0) > CHECK_TOL
     if off.any():
         i, name = _name(off)
         raise ValueError(f"the pinching of {name} sums to {s[i][0]}, expected 1")

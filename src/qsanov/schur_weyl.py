@@ -361,9 +361,7 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
     if (canon := tuple(sorted(counts, reverse=True))) != counts:
         return _frequency_blocks(canon)
     words = words_of_type(counts)
-    candidates = [
-        fr.parts for fr in enumerate_frames(d, n) if _dominates(counts, fr.parts)
-    ]
+    candidates = [lam for lam in enumerate_frames(d, n) if _dominates(counts, lam)]
     chars = [()] * len(candidates)
     k = 1
     while len(set(chars)) < len(candidates):
@@ -460,9 +458,9 @@ def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
     if sum(lam_p) != n:
         raise ValueError("frame must partition n")
     pieces = (
-        (f.counts, block)
+        (f, block)
         for f in enumerate_frequencies(d, n)
-        if (block := frequency_blocks(f.counts).get(lam_p)) is not None
+        if (block := frequency_blocks(f).get(lam_p)) is not None
     )
     return dense_from_blocks(pieces, d, n)
 
@@ -477,8 +475,8 @@ def completeness_check(d: int, n: int) -> float:
     guard_dimension(d, n)
     worst = 0.0
     for f in enumerate_frequencies(d, n):
-        blocks = frequency_blocks(f.counts)
-        m = words_of_type(f.counts).shape[0]
+        blocks = frequency_blocks(f)
+        m = words_of_type(f).shape[0]
         total = np.zeros((m, m))
         for block in blocks.values():
             total += block

@@ -6,6 +6,9 @@ Conventions used throughout the package:
 * ``0 * log(0) = 0`` and ``2**(-inf) = 0``,
 * a partition ("frame") is a weakly decreasing tuple of positive ints,
 * a frequency is a tuple of nonnegative ints of fixed length ``d``,
+* labels are plain tuples: `enumerate_frames` and `enumerate_frequencies`
+  return lists of them, and each public function checks the frames and
+  frequencies it is given (`_frame_parts`, `_freq_counts`),
 * normalized vectors are numpy arrays summing to one.
 
 Counting functions (`hook_dimension`, `type_class_size`, `kostka`) work in
@@ -19,128 +22,51 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
 # Pinsker constant for base-2 relative entropy: D(p||q) >= ALPHA * |p - q|_1^2.
 ALPHA = 1.0 / (2.0 * math.log(2.0))
-
-
-class YoungFrame:
-    """Partition of n into at most d weakly decreasing positive parts."""
-
-    __slots__ = ("parts", "d")
-
-    def __init__(self, parts: Iterable[int], d: int | None = None):
-        ps = tuple(int(p) for p in parts)
-        while ps and ps[-1] == 0:
-            ps = ps[:-1]
-        if any(p <= 0 for p in ps):
-            raise ValueError(f"frame parts must be positive: {ps!r}")
-        if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
-            raise ValueError(f"frame parts must be weakly decreasing: {ps!r}")
-        self.d = len(ps) if d is None else int(d)
-        if len(ps) > self.d:
-            raise ValueError(f"frame {ps!r} has more than {self.d} rows")
-        self.parts = ps
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def padded(self, d: int | None = None) -> tuple[int, ...]:
-        d = self.d if d is None else d
-        return self.parts + (0,) * (d - len(self.parts))
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, YoungFrame):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"YoungFrame{self.parts!r}"
-
-
-class Frequency:
-    """Letter counts over a d-letter alphabet; order is basis-tied."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: Iterable[int]):
-        cs = tuple(int(c) for c in counts)
-        if not cs:
-            raise ValueError("frequency needs at least one letter")
-        if any(c < 0 for c in cs):
-            raise ValueError(f"counts must be nonnegative: {cs!r}")
-        self.counts = cs
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Frequency):
-            return self.counts == other.counts
-        if isinstance(other, tuple):
-            return self.counts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return f"Frequency{self.counts!r}"
+# Tolerance of the input checks on probability vectors, states and bases.
+CHECK_TOL = 1e-9
+# Slack of the partial-sum comparisons in `majorizes`.
+MAJORIZE_TOL = 1e-12
 
 
 def _frame_parts(lam) -> tuple[int, ...]:
-    if isinstance(lam, YoungFrame):
-        return lam.parts
-    return YoungFrame(lam).parts
+    """lam as a frame: weakly decreasing positive int parts, trailing zeros dropped."""
+    ps = tuple(int(p) for p in lam)
+    while ps and ps[-1] == 0:
+        ps = ps[:-1]
+    if any(p <= 0 for p in ps):
+        raise ValueError(f"frame parts must be positive: {ps!r}")
+    if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
+        raise ValueError(f"frame parts must be weakly decreasing: {ps!r}")
+    return ps
 
 
 def _freq_counts(f) -> tuple[int, ...]:
-    if isinstance(f, Frequency):
-        return f.counts
-    return Frequency(f).counts
+    """f as letter counts: a nonempty tuple of nonnegative ints."""
+    cs = tuple(int(c) for c in f)
+    if not cs:
+        raise ValueError("frequency needs at least one letter")
+    if any(c < 0 for c in cs):
+        raise ValueError(f"counts must be nonnegative: {cs!r}")
+    return cs
 
 
-def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
-    """All partitions of n into at most d parts, descending lexicographic."""
+def enumerate_frames(d: int, n: int) -> list[tuple[int, ...]]:
+    """All partitions of n into at most d parts, as tuples of positive parts.
+
+    Descending lexicographic: (n,) first.
+    """
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    out: list[YoungFrame] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, prefix: list[int]):
         if remaining == 0:
-            out.append(YoungFrame(tuple(prefix), d=d))
+            out.append(tuple(prefix))
             return
         if len(prefix) == d:
             return
@@ -155,15 +81,15 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
     return out
 
 
-def enumerate_frequencies(d: int, n: int) -> list[Frequency]:
-    """All length-d frequency vectors summing to n, lexicographic."""
+def enumerate_frequencies(d: int, n: int) -> list[tuple[int, ...]]:
+    """All length-d count tuples summing to n, lexicographic: (0, ..., 0, n) first."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
-    out: list[Frequency] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(pos: int, remaining: int, prefix: list[int]):
         if pos == d - 1:
-            out.append(Frequency(tuple(prefix) + (remaining,)))
+            out.append((*prefix, remaining))
             return
         for c in range(remaining + 1):
             prefix.append(c)
@@ -174,16 +100,16 @@ def enumerate_frequencies(d: int, n: int) -> list[Frequency]:
     return out
 
 
-def as_prob_vec(p, tol: float = 1e-9) -> np.ndarray:
+def as_prob_vec(p) -> np.ndarray:
     """Validate and return p as a probability vector (clipping tiny negatives)."""
     v = np.asarray(p, dtype=float).copy()
     if v.ndim != 1:
         raise ValueError("probability vector must be one dimensional")
-    if v.min() < -tol:
+    if v.min() < -CHECK_TOL:
         raise ValueError(f"negative entry {v.min()} in probability vector")
     np.clip(v, 0.0, None, out=v)
     s = v.sum()
-    if abs(s - 1.0) > max(tol, 1e-12):
+    if abs(s - 1.0) > CHECK_TOL:
         raise ValueError(f"probability vector sums to {s}, expected 1")
     return v / s
 
@@ -285,19 +211,17 @@ def _log_factorial_table(size: int) -> np.ndarray:
     return out
 
 
-def dimension_log2_bounds(lam, d: int | None = None) -> tuple[float, float]:
-    """Entropic sandwich for log2 hook_dimension.
+def dimension_log2_bounds(lam, d: int) -> tuple[float, float]:
+    """Entropic sandwich for log2 hook_dimension of a frame in at most d rows.
 
     Returns (n*H(norm) - 2*d**6*log2(2n), n*H(norm)), finite at every n;
     the lower bound is extremely loose at small n.
     """
-    frame = lam if isinstance(lam, YoungFrame) else YoungFrame(lam)
-    if d is None:
-        d = frame.d
-    if len(frame.parts) > d:
-        raise ValueError(f"frame {frame.parts!r} does not fit in {d} rows")
-    n = frame.n
-    h = entropy(np.asarray(frame.padded(d), dtype=float) / n)
+    parts = _frame_parts(lam)
+    if len(parts) > d:
+        raise ValueError(f"frame {parts!r} does not fit in {d} rows")
+    n = sum(parts)
+    h = entropy(np.asarray(parts + (0,) * (d - len(parts)), dtype=float) / n)
     upper_exp = n * h
     return upper_exp - 2.0 * d**6 * math.log2(2 * n), upper_exp
 
@@ -387,12 +311,12 @@ def kostka(f, lam) -> int:
     return _kostka_rec(parts, counts)
 
 
-def majorizes(a, b, tol: float = 1e-12) -> bool:
+def majorizes(a, b) -> bool:
     """True when the decreasing rearrangement of a majorizes that of b."""
     va = np.sort(np.asarray(a, dtype=float))[::-1]
     vb = np.sort(np.asarray(b, dtype=float))[::-1]
     if va.shape != vb.shape:
         raise ValueError("majorization needs equal lengths")
-    if abs(va.sum() - vb.sum()) > max(tol, 1e-9):
+    if abs(va.sum() - vb.sum()) > CHECK_TOL:
         return False
-    return bool(np.all(np.cumsum(va) >= np.cumsum(vb) - tol))
+    return bool(np.all(np.cumsum(va) >= np.cumsum(vb) - MAJORIZE_TOL))

@@ -69,12 +69,12 @@ def test_criterion_1_combinatorics():
     ok = True
     for d in (2, 3):
         for n in range(1, 9):
-            frames = [fr.parts for fr in enumerate_frames(d, n)]
+            frames = enumerate_frames(d, n)
             for f in enumerate_frequencies(d, n):
-                total = sum(kostka(f.counts, lam) * hook_dimension(lam) for lam in frames)
-                ok &= total == type_class_size(f.counts)
+                total = sum(kostka(f, lam) * hook_dimension(lam) for lam in frames)
+                ok &= total == type_class_size(f)
                 for lam in frames:
-                    ok &= (kostka(f.counts, lam) > 0) == dominance_oracle(f.counts, lam)
+                    ok &= (kostka(f, lam) > 0) == dominance_oracle(f, lam)
                     checked += 1
     elapsed = time.monotonic() - t0
     ok &= elapsed < 10.0
@@ -94,12 +94,12 @@ def test_criterion_2_projector_algebra():
         for n in range(1, n_top + 1):
             worst_alg = max(worst_alg, completeness_check(d, n))
             for f in enumerate_frequencies(d, n):
-                blocks = frequency_blocks(f.counts)
+                blocks = frequency_blocks(f)
                 items = list(blocks.items())
                 for i, (lam, b) in enumerate(items):
                     worst_alg = max(worst_alg, float(np.abs(b - b.conj().T).max()))
                     worst_alg = max(worst_alg, float(np.abs(b @ b - b).max()))
-                    want = kostka(f.counts, lam) * hook_dimension(lam)
+                    want = kostka(f, lam) * hook_dimension(lam)
                     worst_trace = max(worst_trace, abs(float(np.trace(b).real) - want))
                     # blocks of different frequencies act on disjoint word
                     # sets, so orthogonality only needs checking within f
@@ -126,13 +126,13 @@ def test_criterion_3_bound_sweeps():
     for d in (2, 3):
         for n in range(1, 13):
             for f in enumerate_frequencies(d, n):
-                lo, hi = type_class_log2_bounds(f.counts)
-                size = math.log2(type_class_size(f.counts))
+                lo, hi = type_class_log2_bounds(f)
+                size = math.log2(type_class_size(f))
                 ok &= lo <= size <= hi + math.log2(1 + 1e-12)
                 labels += 1
             for fr in enumerate_frames(d, n):
-                lo, hi = dimension_log2_bounds(fr.parts, d)
-                dim = math.log2(hook_dimension(fr.parts))
+                lo, hi = dimension_log2_bounds(fr, d)
+                dim = math.log2(hook_dimension(fr))
                 ok &= lo <= dim <= hi + math.log2(1 + 1e-12)
                 labels += 1
     rng = np.random.default_rng(0)
@@ -141,7 +141,7 @@ def test_criterion_3_bound_sweeps():
         n = 2 + (i % 7)
         rho = random_state(2, rng)
         for fr in enumerate_frames(2, n):
-            lhs, rhs = spectral_estimate_check(fr.parts, rho, n)
+            lhs, rhs = spectral_estimate_check(fr, rho, n)
             ok &= lhs <= rhs + 1e-9
             spectral += 1
     rng = np.random.default_rng(1)
@@ -151,7 +151,7 @@ def test_criterion_3_bound_sweeps():
         alphabet = [random_state(2, rng), random_state(2, rng)]
         word = tuple(int(x) for x in rng.integers(0, 2, size=n))
         for fr in enumerate_frames(2, n):
-            lhs, rhs = spectral_estimation_check(fr.parts, word, alphabet)
+            lhs, rhs = spectral_estimation_check(fr, word, alphabet)
             ok &= lhs <= rhs + 1e-9
             words += 1
     _report(
@@ -298,11 +298,11 @@ def test_criterion_7_state_construction():
     for dd in (2, 3):
         for n in range(1, 9):
             for fr in enumerate_frames(dd, n):
-                lam_bar = np.array(fr.padded(dd), dtype=float) / n
+                lam_bar = np.array(fr + (0,) * (dd - len(fr)), dtype=float) / n
                 for f in enumerate_frequencies(dd, n):
-                    if kostka(f.counts, fr.parts) == 0:
+                    if kostka(f, fr) == 0:
                         continue
-                    f_bar = np.array(f.counts, dtype=float) / n
+                    f_bar = np.array(f, dtype=float) / n
                     state = state_with_spectrum_and_diagonal(lam_bar, f_bar)
                     worst = max(worst, float(np.abs(spectrum(state) - lam_bar).max()))
                     worst = max(worst, float(np.abs(np.diag(state).real - f_bar).max()))
@@ -330,7 +330,7 @@ def test_criterion_8_nogo_ingredients():
     for d in (2, 3):
         for n in range(1, 13):
             for fr in enumerate_frames(d, n):
-                ratio, floor = dim_ratio_bound(fr.parts, d, n)
+                ratio, floor = dim_ratio_bound(fr, d, n)
                 ok &= ratio >= floor
                 ratios += 1
     worst_rel = 0.0

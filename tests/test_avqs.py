@@ -132,7 +132,7 @@ def test_label_word_misses_match_block_weights():
             spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.3, n=n, hull=True)
             labels = lambda_set(spec)
             misses = label_errors(spec, labels, alphabet).misses
-            assert sorted(misses) == sorted(f.counts for f in enumerate_frequencies(s_size, n))
+            assert sorted(misses) == sorted(enumerate_frequencies(s_size, n))
             for c, miss in misses.items():
                 sites = np.stack([alphabet[s] for s, k in enumerate(c) for _ in range(k)])
                 accept = sum(block_weight(f, lam, sites, basis=spec.basis) for f, lam in labels)
@@ -421,6 +421,29 @@ def test_delta_net_properties_on_random_qubit_alphabets(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(avqs, "_trace_dists", eigvalsh_trace_dists)
                 assert np.array_equal(np.stack(delta_net(gens, delta).points), pts), (seed, delta)
+
+
+def test_delta_net_at_d3_covers_with_the_cholesky_pool():
+    # d = 3 runs the Cholesky-angle pool and the eigvalsh distances
+    rng = np.random.default_rng(3)
+    gens = [random_state(3, rng), random_state(3, rng)]
+    delta = 1.0
+    net = delta_net(gens, delta, rng=np.random.default_rng(0))
+    pts = np.stack(net.points)
+    assert net.cover_radius <= delta / 2
+    assert net.hull_contains_smoothed
+    for g in gens:
+        dists = eigvalsh_trace_dists(pts, depolarize(g, delta))
+        assert dists.min() <= delta / 2, dists.min()
+
+
+def test_trace_dists_match_trace_distance_on_the_pools():
+    for d, picks in [(2, (0, 777, 2000)), (3, (0, 1, 4321))]:
+        pool = _state_pool(d, np.random.default_rng(0))
+        for i in picks:
+            got = _trace_dists(pool, pool[i])
+            want = np.array([trace_distance(s, pool[i]) for s in pool])
+            assert np.abs(got - want).max() <= 1e-12, (d, i)
 
 
 def test_in_hull_residual_stops_inside_and_measures_outside():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,7 +106,7 @@ def test_lambda_set_extremes():
     labels = lambda_set(spec)
     # every (f, lam) with K_{f,lam} > 0: 5 frequencies, 3 frames, 6 empty pairs
     everything = itertools.product(enumerate_frequencies(2, 4), enumerate_frames(2, 4))
-    assert labels == {(f.counts, fr.parts) for f, fr in everything if kostka(f, fr) > 0}
+    assert labels == {(f, fr) for f, fr in everything if kostka(f, fr) > 0}
     assert len(labels) == 5 * 3 - 6
     # at a tiny radius only exact matches survive: f/n = (0.75, 0.25)
     spec = TestSpec(sigma=np.eye(2) / 2, null_set=[np.diag([0.75, 0.25])], epsilon=1e-6, n=4)
@@ -130,15 +131,15 @@ def lambda_set_loop(spec):
     spectra = [spectrum(s) for s in cands]
     pairs = set()
     for f in enumerate_frequencies(d, n):
-        f_norm = np.asarray(f.counts, dtype=float) / n
+        f_norm = np.asarray(f, dtype=float) / n
         freq_ok = [l1_distance(f_norm, p) <= spec.epsilon for p in pinches]
         for fr in enumerate_frames(d, n):
-            lam_norm = np.asarray(fr.padded(d), dtype=float) / n
+            lam_norm = np.asarray(fr + (0,) * (d - len(fr)), dtype=float) / n
             if kostka(f, fr) > 0 and any(
                 ok and l1_distance(lam_norm, r) <= spec.epsilon
                 for ok, r in zip(freq_ok, spectra)
             ):
-                pairs.add((f.counts, fr.parts))
+                pairs.add((f, fr))
     return frozenset(pairs)
 
 
@@ -196,6 +197,32 @@ def test_lambda_set_drops_empty_labels_and_label_errors_keep_their_values():
         assert all(kostka(f, lam) > 0 for f, lam in labels)
         assert all(kostka(f, lam) == 0 for f, lam in band - labels)
         assert label_errors(spec, band, [rho]) == label_errors(spec, labels, [rho])
+
+
+def test_label_errors_of_the_empty_test_are_exact(monkeypatch):
+    # no label left after the K = 0 filter: t2 = 0 and every miss is exactly
+    # 1, with no weight-mass table, word-type form or word block built
+    def built(*args, **kwargs):
+        raise AssertionError("the empty test builds nothing")
+
+    for name in ("_weight_masses", "_qubit_label_mass", "word_block_state", "frequency_blocks"):
+        monkeypatch.setattr(hypotest, name, built)
+    sigma, rho = np.diag([0.75, 0.25]), np.diag([0.3, 0.7])
+    word_letters = [rho, np.diag([0.6, 0.4])]
+    for n in (4, 64, 512, 2048):
+        spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.1, n=n)
+        for labels in (frozenset(), {((n, 0), (n - 1, 1))}):
+            errs = label_errors(spec, labels, [rho])
+            assert errs.log_type_two == -np.inf and errs.type_two == 0.0
+            assert errs.misses == {(n,): 1.0}
+        if n <= 64:
+            errs = label_errors(spec, frozenset(), word_letters)
+            assert errs.misses == dict.fromkeys(enumerate_frequencies(2, n), 1.0)
+    rng = np.random.default_rng(3)
+    sigma3, rho3 = random_state(3, rng), random_state(3, rng)
+    spec = TestSpec(sigma=sigma3, null_set=[rho3], epsilon=0.1, n=6)
+    errs = label_errors(spec, frozenset(), [rho3, sigma3])
+    assert errs.misses == dict.fromkeys(enumerate_frequencies(2, 6), 1.0)
 
 
 def test_lambda_set_runs_one_eigvalsh_whatever_the_grid(monkeypatch):
@@ -552,6 +579,22 @@ def test_neyman_pearson_at_level_zero_accepts_the_support():
             got = neyman_pearson(rho, sigma, n, 0.0)
             assert abs(got - want) <= 1e-12 * want, (rank, n, got, want)
             assert got >= neyman_pearson(rho, sigma, n, 1e-6), (rank, n)
+
+
+def test_neyman_pearson_blocks_that_underflow_raise_no_warning():
+    # rho = |0><0| against sigma = diag(1 - 1e-6, 1e-6): at n = 120 the traces
+    # of the frames far below the top underflow, and beta is the closed form
+    # (1 - nu) <0|sigma|0>^n, also with both states rotated by one unitary
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.diag([1.0 - 1e-6, 1e-6]).astype(complex)
+    n, nu = 120, 0.05
+    want = (1.0 - nu) * (1.0 - 1e-6) ** n
+    u = haar_unitary(2, np.random.default_rng(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, s in ((rho, sigma), (u @ rho @ u.conj().T, u @ sigma @ u.conj().T)):
+            got = neyman_pearson(r, s, n, nu)
+            assert abs(got - want) <= 1e-12 * want, (got, want)
 
 
 def test_neyman_pearson_noncommuting_sane():
@@ -1009,10 +1052,10 @@ def test_run_sanov_at_d3_n20_takes_type_one_from_irreps():
     spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.5, n=n)
     labels = lambda_set(spec)
     every = frozenset(
-        (f.counts, fr.parts)
+        (f, fr)
         for f in enumerate_frequencies(3, n)
         for fr in enumerate_frames(3, n)
-        if dominance(f.counts, fr.parts)
+        if dominance(f, fr)
     )
     accepted = label_errors(spec, every - labels, [rho]).misses[(n,)]
     assert 0.0 < rep.type1_max < 1.0
@@ -1044,10 +1087,10 @@ def test_label_errors_at_n_128_are_probabilities():
     spec = TestSpec(sigma=sigma, null_set=alphabet, epsilon=0.3, n=n, hull=True)
     labels = lambda_set(spec)
     every = frozenset(
-        (f.counts, fr.parts)
+        (f, fr)
         for f in enumerate_frequencies(2, n)
         for fr in enumerate_frames(2, n)
-        if dominance(f.counts, fr.parts)
+        if dominance(f, fr)
     )
     for letters in (alphabet[:1], alphabet):
         misses = label_errors(spec, labels, letters).misses
@@ -1060,7 +1103,7 @@ def test_label_errors_at_n_128_are_probabilities():
     letters = alphabet + [sigma]
     big = TestSpec(sigma=sigma, null_set=letters, epsilon=0.3, n=200, hull=True)
     with pytest.raises(SizeGuardError, match=r"\|S\| = 3, n = 200"):
-        label_errors(big, frozenset(), letters)
+        label_errors(big, {((200, 0), (200,))}, letters)
 
 
 def test_label_word_forms_match_irreps_on_a_repeated_letter():
@@ -1118,10 +1161,10 @@ def test_hull_grid_enlarges_label_set():
 
 def _dominance_pairs(d: int, n: int) -> list:
     return [
-        (f.counts, lam.parts)
+        (f, lam)
         for lam in enumerate_frames(d, n)
         for f in enumerate_frequencies(d, n)
-        if dominance(f.counts, lam.parts)
+        if dominance(f, lam)
     ]
 
 
@@ -1223,12 +1266,12 @@ def test_irrep_miss_is_the_plain_sum_below_the_float_range():
                 accepted.setdefault(lam, set()).add(f)
             want = 0.0
             for fr in enumerate_frames(d, n):
-                if fr.parts not in accepted:
-                    mass = schur_polynomial(fr.parts, r)
+                if fr not in accepted:
+                    mass = schur_polynomial(fr, r)
                 else:
-                    acc = accepted[fr.parts]
-                    rows = [tuple(w) not in acc for w in gt_weights(fr.parts, d).tolist()]
-                    mass = float(np.diagonal(gt_irrep(fr.parts, d).matrix(rho_p)).real[rows].sum())
-                want += hook_dimension(fr.parts) * mass
+                    acc = accepted[fr]
+                    rows = [tuple(w) not in acc for w in gt_weights(fr, d).tolist()]
+                    mass = float(np.diagonal(gt_irrep(fr, d).matrix(rho_p)).real[rows].sum())
+                want += hook_dimension(fr) * mass
             got = label_errors(spec, frozenset(pairs), [rho]).misses[(n,)]
             assert abs(got / want - 1.0) <= 1e-12, (d, n)

@@ -163,12 +163,12 @@ def test_dim_ratio_frozen_and_sweep():
     for d in (2, 3):
         for n in range(2, 9):
             for lam in enumerate_frames(d, n):
-                got_ratio, got_floor = dim_ratio_bound(lam.parts, d, n)
-                want = syt_count(lam.parts) / multiset_perm_count(
-                    lam.parts + (0,) * (d - len(lam.parts))
+                got_ratio, got_floor = dim_ratio_bound(lam, d, n)
+                want = syt_count(lam) / multiset_perm_count(
+                    lam + (0,) * (d - len(lam))
                 )
                 assert abs(got_ratio - want) < 1e-12
-                assert got_ratio >= got_floor, (d, n, lam.parts)
+                assert got_ratio >= got_floor, (d, n, lam)
     with pytest.raises(ValueError):
         dim_ratio_bound((2, 1), 2, 4)
     with pytest.raises(ValueError):

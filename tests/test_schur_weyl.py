@@ -188,10 +188,10 @@ def test_central_characters_are_ratios():
         for fr in enumerate_frames(3, n):
             for k in range(2, n + 1):
                 mu = (k,) + (1,) * (n - k)
-                num = kcycle_class_size(n, k) * character(fr.parts, mu)
-                dim = hook_dimension(fr.parts)
+                num = kcycle_class_size(n, k) * character(fr, mu)
+                dim = hook_dimension(fr)
                 assert num % dim == 0
-                assert central_character(fr.parts, n, k) == num // dim
+                assert central_character(fr, n, k) == num // dim
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_central_characters_are_ratios():
 
 def test_blocks_match_brute_central_idempotent():
     cases = [(2, n) for n in range(2, 6)] + [(3, n) for n in range(2, 5)]
-    freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
+    freqs = [f for d, n in cases for f in enumerate_frequencies(d, n)]
     # at d = 3, n = 6 the 2-cycle class sum alone does not separate the frames
     freqs += [(2, 2, 2), (3, 2, 1)]
     for f in freqs:
@@ -221,7 +221,7 @@ def direct_blocks(counts):
         [w for w in itertools.product(range(d), repeat=n)
          if tuple(np.bincount(w, minlength=d)) == counts]
     )
-    cands = [fr.parts for fr in enumerate_frames(d, n) if kostka(counts, fr.parts)]
+    cands = [fr for fr in enumerate_frames(d, n) if kostka(counts, fr)]
     ks = []  # the fewest cycle lengths 2..K that tell the frames apart
     while len({tuple(central_character(lam, n, k) for k in ks) for lam in cands}) < len(cands):
         ks.append(len(ks) + 2)
@@ -245,12 +245,12 @@ def test_relabelled_blocks_match_direct_class_sums():
     cases += [(4, n) for n in range(1, 6)]
     for d, n in cases:
         for f in enumerate_frequencies(d, n):
-            words, want = direct_blocks(f.counts)
+            words, want = direct_blocks(f)
             # row i of a block is word words_of_type(f)[i]
             idx = np.searchsorted(word_codes(words, d), word_codes(words_of_type(f), d))
             assert np.array_equal(words[idx], words_of_type(f))
             got = frequency_blocks(f)
-            assert sorted(got) == sorted(want), f.counts
+            assert sorted(got) == sorted(want), f
             for lam, block in got.items():
                 assert np.abs(block - want[lam][np.ix_(idx, idx)]).max() <= 1e-12, (f, lam)
 
@@ -262,10 +262,10 @@ def test_build_test_in_complex_basis_matches_direct_blocks():
     spec = TestSpec(u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T, [np.eye(d) / d], 0.3, n)
     assert np.abs(spec.basis.imag).max() > 0.1
     labels = {
-        (f.counts, fr.parts)
+        (f, fr)
         for f in enumerate_frequencies(d, n)
         for fr in enumerate_frames(d, n)
-        if kostka(f.counts, fr.parts) and rng.uniform() < 0.5
+        if kostka(f, fr) and rng.uniform() < 0.5
     }
     assert any(list(f) != sorted(f, reverse=True) for f, _ in labels)
     # the oracle placed on its own word codes, then rotated by basis^(x n)
@@ -285,7 +285,7 @@ def test_sweep_builds_sorted_frequencies_only(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     schur_weyl._frequency_blocks.cache_clear()
     try:
-        freqs = [f.counts for f in enumerate_frequencies(3, 8)]
+        freqs = enumerate_frequencies(3, 8)
         blocks = {f: frequency_blocks(f) for f in freqs}
         assert len(freqs) == 45 and len(calls) == 10
         for f in freqs:
@@ -326,8 +326,7 @@ def test_blocks_reject_owner_counts_off_kostka_squares(monkeypatch):
 
 
 def _sorted_frequencies(d, n):
-    freqs = (f.counts for f in enumerate_frequencies(d, n))
-    return [f for f in freqs if list(f) == sorted(f, reverse=True)]
+    return [f for f in enumerate_frequencies(d, n) if list(f) == sorted(f, reverse=True)]
 
 
 def test_orbit_blocks_match_the_dense_class_sum_oracle():
@@ -375,13 +374,13 @@ def test_block_algebra():
     for d, n in [(2, 6), (2, 8), (3, 5)]:
         assert completeness_check(d, n) <= 1e-9
         for f in enumerate_frequencies(d, n):
-            blocks = frequency_blocks(f.counts)
+            blocks = frequency_blocks(f)
             lams = sorted(blocks)
             for lam in lams:
                 b = blocks[lam]
                 assert np.abs(b - b.T).max() < 1e-9
                 assert np.abs(b @ b - b).max() < 1e-9
-                want = kostka(f.counts, lam) * hook_dimension(lam)
+                want = kostka(f, lam) * hook_dimension(lam)
                 assert abs(np.trace(b) - want) < 1e-6
             for i in range(len(lams)):
                 for j in range(i + 1, len(lams)):
@@ -425,10 +424,10 @@ def test_invariance_defect_on_non_invariant_operators():
 
 def test_frequency_and_isotypical_partitions():
     d, n = 2, 4
-    total_l = sum(isotypical_projector(fr.parts, d, n) for fr in enumerate_frames(d, n))
+    total_l = sum(isotypical_projector(fr, d, n) for fr in enumerate_frames(d, n))
     assert np.abs(total_l - np.eye(d**n)).max() < 1e-10
     for fr in enumerate_frames(d, n):
-        p = isotypical_projector(fr.parts, d, n)
+        p = isotypical_projector(fr, d, n)
         assert np.abs(p @ p - p).max() < 1e-10
         assert invariance_defect(p, d, n) < 1e-10
 
@@ -449,16 +448,16 @@ def test_block_weight_against_dense_trace():
     d, n = 2, 4
     for f in enumerate_frequencies(d, n):
         for fr in enumerate_frames(d, n):
-            p = block_projector(f.counts, fr.parts)
+            p = block_projector(f, fr)
             rho = random_state(d, rng)
             dense = np.einsum("ij,ji->", p, tensor_power(rho, n)).real
-            assert abs(block_weight(f.counts, fr.parts, rho) - dense) < 1e-10
+            assert abs(block_weight(f, fr, rho) - dense) < 1e-10
             sites = np.stack([random_state(d, rng) for _ in range(n)])
             big = sites[0]
             for k in range(1, n):
                 big = np.kron(big, sites[k])
             dense = np.einsum("ij,ji->", p, big).real
-            assert abs(block_weight(f.counts, fr.parts, sites) - dense) < 1e-10
+            assert abs(block_weight(f, fr, sites) - dense) < 1e-10
     # one state at d = 3 in a complex basis, on the Gelfand-Tsetlin irreps
     rng = np.random.default_rng(24)
     rho, basis = random_state(3, rng), haar_unitary(3, rng)
@@ -466,9 +465,9 @@ def test_block_weight_against_dense_trace():
     big = tensor_power(rho, n)
     for f in enumerate_frequencies(d, n):
         for fr in enumerate_frames(d, n):
-            p = block_projector(f.counts, fr.parts, basis=basis)
+            p = block_projector(f, fr, basis=basis)
             dense = np.einsum("ij,ji->", p, big).real
-            assert abs(block_weight(f.counts, fr.parts, rho, basis=basis) - dense) < 1e-10
+            assert abs(block_weight(f, fr, rho, basis=basis) - dense) < 1e-10
     # more rows than letters, |f| != |lam|, and no weight equal to f
     assert block_weight((2, 2), (2, 1, 1), np.eye(2) / 2) == 0.0
     assert block_weight((2, 1, 1), (2, 2, 1), rho) == 0.0
@@ -491,26 +490,26 @@ def test_block_weight_past_the_word_block_guard():
     p, q = 0.7, 0.3
     rho = basis @ np.diag([p, q]) @ basis.conj().T
     for fr in frames:
-        d_lam = hook_dimension(fr.parts)
-        lam = fr.padded(2)
+        d_lam = hook_dimension(fr)
+        lam = fr + (0,) * (2 - len(fr))
         mass = d_lam * sum(p**k * q ** (n - k) for k in range(lam[1], lam[0] + 1))
         for f in freqs:
             unit = d_lam * p ** f[0] * q ** f[1]
-            want = kostka(f.counts, fr.parts) * unit
-            got = block_weight(f.counts, fr.parts, rho, basis=basis)
+            want = kostka(f, fr) * unit
+            got = block_weight(f, fr, rho, basis=basis)
             assert abs(got - want) <= 1e-12 * mass, (f, fr, got, want)
-            assert round(got / unit) == kostka(f.counts, fr.parts), (f, fr, got, want)
+            assert round(got / unit) == kostka(f, fr), (f, fr, got, want)
     # generic rho: the weights of a frame sum to d_lam s_lam(x, y), with
     # s_lam(x, y) = (xy)^lam_2 sum_{k <= m} x^k y^(m - k), m = lam_1 - lam_2
     rho = random_state(2, rng)
     x, y = np.linalg.eigvalsh(rho)
     for fr in frames:
-        lam = fr.padded(2)
+        lam = fr + (0,) * (2 - len(fr))
         m = lam[0] - lam[1]
-        want = hook_dimension(fr.parts) * (x * y) ** lam[1] * sum(
+        want = hook_dimension(fr) * (x * y) ** lam[1] * sum(
             x**k * y ** (m - k) for k in range(m + 1)
         )
-        got = sum(block_weight(f.counts, fr.parts, rho, basis=basis) for f in freqs)
+        got = sum(block_weight(f, fr, rho, basis=basis) for f in freqs)
         assert abs(got - want) <= 1e-12 * want, (fr, got, want)
     assert schur_weyl._frequency_blocks.cache_info().currsize == 0
 
@@ -532,7 +531,7 @@ def test_spectral_estimate_inequality():
     for n in range(2, 7):
         rho = random_state(2, rng)
         for fr in enumerate_frames(2, n):
-            lhs, rhs = spectral_estimate_check(fr.parts, rho, n)
+            lhs, rhs = spectral_estimate_check(fr, rho, n)
             assert lhs <= rhs + 1e-12
 
 
@@ -654,21 +653,21 @@ def test_gt_irreps_satisfy_the_gl_d_relations():
     for d, top in ((2, 6), (3, 5), (4, 4)):
         for n in range(1, top + 1):
             for fr in enumerate_frames(d, n):
-                irrep = gt_irrep(fr.parts, d)
-                kostka_sum = sum(kostka(f.counts, fr.parts) for f in enumerate_frequencies(d, n))
-                assert irrep.dim == kostka_sum == weyl_dimension(fr.parts, d)
+                irrep = gt_irrep(fr, d)
+                kostka_sum = sum(kostka(f, fr) for f in enumerate_frequencies(d, n))
+                assert irrep.dim == kostka_sum == weyl_dimension(fr, d)
                 e = _all_generators(irrep)
                 for (i, j), a in e.items():
                     for (k, l), b in e.items():
                         want = (j == k) * e[(i, l)] - (i == l) * e[(k, j)]
-                        assert np.abs(a @ b - b @ a - want).max() < 1e-12, (fr.parts, i, j, k, l)
+                        assert np.abs(a @ b - b @ a - want).max() < 1e-12, (fr, i, j, k, l)
                 u, w = haar_unitary(d, rng), haar_unitary(d, rng)
                 pu, pw = irrep.unitary(u), irrep.unitary(w)
                 assert np.abs(pu @ pu.conj().T - np.eye(irrep.dim)).max() < 1e-12
                 assert np.abs(irrep.unitary(u @ w) - pu @ pw).max() < 1e-12
                 h = _hermitian_log(u)
                 dpi = sum(h[i, j] * e[(i, j)] for i in range(d) for j in range(d))
-                assert np.abs(_exp_i(dpi) - pu).max() < 1e-12, fr.parts
+                assert np.abs(_exp_i(dpi) - pu).max() < 1e-12, fr
 
 
 def _hermitian_log(u):
@@ -732,12 +731,12 @@ def test_gt_irrep_of_a_diagonal_state_is_its_weight_powers():
         singular = np.diag([0.0] + [1.0 / (d - 1)] * (d - 1))
         for x in (full / np.trace(full), singular):
             for fr in enumerate_frames(d, n):
-                irrep = gt_irrep(fr.parts, d)
+                irrep = gt_irrep(fr, d)
                 r, v = np.linalg.eigh(x.astype(complex))
                 p = irrep.unitary(v)
                 want = (p * np.prod(r[None, :] ** irrep.weights, axis=1)) @ p.conj().T
                 got = irrep.matrix(x)
-                assert np.abs(got - want).max() < 1e-14, (d, n, fr.parts)
+                assert np.abs(got - want).max() < 1e-14, (d, n, fr)
                 assert np.count_nonzero(got - np.diag(np.diagonal(got))) == 0
 
 
@@ -769,12 +768,12 @@ def test_gt_iid_weights_match_word_block_weights():
             rho_b = basis.conj().T @ rho @ basis
             for n in range(1, top + 1):
                 for fr in enumerate_frames(d, n):
-                    irrep = gt_irrep(fr.parts, d)
-                    diag = hook_dimension(fr.parts) * np.diagonal(irrep.matrix(rho_b)).real
+                    irrep = gt_irrep(fr, d)
+                    diag = hook_dimension(fr) * np.diagonal(irrep.matrix(rho_b)).real
                     for f in enumerate_frequencies(d, n):
-                        got = diag[np.all(irrep.weights == f.counts, axis=1)].sum()
-                        want = block_weight(f.counts, fr.parts, [rho] * n, basis=basis)
-                        assert abs(got - want) < 1e-12, (d, i, n, fr.parts, f.counts)
+                        got = diag[np.all(irrep.weights == f, axis=1)].sum()
+                        want = block_weight(f, fr, [rho] * n, basis=basis)
+                        assert abs(got - want) < 1e-12, (d, i, n, fr, f)
 
 
 def test_keyl_werner_marginal_at_n20():
@@ -788,13 +787,13 @@ def test_keyl_werner_marginal_at_n20():
         key = np.ascontiguousarray(rho).tobytes()
         total = 0.0
         for fr in enumerate_frames(3, n):
-            schur = schur_polynomial(fr.parts, r)
-            trace = float(np.trace(gt_irrep(fr.parts, 3).matrix(rho)).real)
-            assert abs(trace - schur) <= 1e-12 * schur + 1e-300, fr.parts
-            table = float(np.exp(schur_weyl._weight_masses(fr.parts, 3, key)).sum())
-            want = hook_dimension(fr.parts) * schur
-            assert abs(table - want) <= 1e-12 * want + 1e-300, fr.parts
-            total += hook_dimension(fr.parts) * schur
+            schur = schur_polynomial(fr, r)
+            trace = float(np.trace(gt_irrep(fr, 3).matrix(rho)).real)
+            assert abs(trace - schur) <= 1e-12 * schur + 1e-300, fr
+            table = float(np.exp(schur_weyl._weight_masses(fr, 3, key)).sum())
+            want = hook_dimension(fr) * schur
+            assert abs(table - want) <= 1e-12 * want + 1e-300, fr
+            total += hook_dimension(fr) * schur
         assert abs(total - 1.0) < 1e-12
 
 
@@ -805,8 +804,8 @@ def test_spectral_estimate_at_d3_n12():
     rho = random_state(3, rng)
     total = 0.0
     for fr in enumerate_frames(3, n):
-        lhs, rhs = spectral_estimate_check(fr.parts, rho, n)
-        want = hook_dimension(fr.parts) * float(np.trace(gt_irrep(fr.parts, 3).matrix(rho)).real)
+        lhs, rhs = spectral_estimate_check(fr, rho, n)
+        want = hook_dimension(fr) * float(np.trace(gt_irrep(fr, 3).matrix(rho)).real)
         assert abs(lhs - want) < 1e-12
         assert lhs <= rhs + 1e-12
         total += lhs
@@ -974,7 +973,7 @@ def test_u2_masses_sum_to_the_trace_power():
     key = np.ascontiguousarray(x).tobytes()
     total = 0.0
     for fr in enumerate_frames(2, 512):
-        total += np.exp(schur_weyl._weight_masses(fr.parts, 2, key)).sum()
+        total += np.exp(schur_weyl._weight_masses(fr, 2, key)).sum()
     assert abs(total - 1.0) < 1e-12
     n = 4096
     x = np.array([[0.5, -0.5j], [0.5j, 0.5]])
@@ -1000,19 +999,19 @@ def test_weight_mass_tables_are_indexed_by_the_weight():
         key = np.ascontiguousarray(x).tobytes()
         for n in range(1, top + 1):
             for fr in enumerate_frames(d, n):
-                logs = schur_weyl._weight_masses(fr.parts, d, key)
-                assert logs.shape == (fr.parts[0] + 1,) * (d - 1) and not logs.flags.writeable
-                weights = gt_weights(fr.parts, d)
+                logs = schur_weyl._weight_masses(fr, d, key)
+                assert logs.shape == (fr[0] + 1,) * (d - 1) and not logs.flags.writeable
+                weights = gt_weights(fr, d)
                 classes, inverse = np.unique(weights, axis=0, return_inverse=True)
-                diag = np.diagonal(gt_irrep(fr.parts, d).matrix(x)).real
+                diag = np.diagonal(gt_irrep(fr, d).matrix(x)).real
                 live = np.zeros(logs.shape, dtype=bool)
                 for i, f in enumerate(map(tuple, classes.tolist())):
-                    assert kostka(f, fr.parts) > 0
-                    want = hook_dimension(fr.parts) * diag[inverse.ravel() == i].sum()
-                    assert abs(math.exp(logs[f[:-1]]) / want - 1.0) < 1e-12, (fr.parts, f)
+                    assert kostka(f, fr) > 0
+                    want = hook_dimension(fr) * diag[inverse.ravel() == i].sum()
+                    assert abs(math.exp(logs[f[:-1]]) / want - 1.0) < 1e-12, (fr, f)
                     live[f[:-1]] = True
-                assert (logs[~live] == -np.inf).all(), fr.parts
-                k_live = sum(kostka(f.counts, fr.parts) > 0 for f in enumerate_frequencies(d, n))
+                assert (logs[~live] == -np.inf).all(), fr
+                k_live = sum(kostka(f, fr) > 0 for f in enumerate_frequencies(d, n))
                 assert live.sum() == k_live
 
 
@@ -1025,8 +1024,8 @@ def test_qubit_weight_masses_enumerate_no_patterns(monkeypatch):
     for x in (random_state(2, np.random.default_rng(155)), np.diag([0.7, 0.3]).astype(complex)):
         key = np.ascontiguousarray(x).tobytes()
         for fr in enumerate_frames(2, 40):
-            logs = schur_weyl._weight_masses(fr.parts, 2, key)
-            low = fr.parts[1] if len(fr.parts) > 1 else 0
+            logs = schur_weyl._weight_masses(fr, 2, key)
+            low = fr[1] if len(fr) > 1 else 0
             assert np.isfinite(logs[low:]).all() and (logs[:low] == -np.inf).all()
         assert block_weight((25, 15), (30, 10), x) > 0.0
     # frame totals read the table of diag(spec rho): a whole run, a miss
@@ -1037,7 +1036,8 @@ def test_qubit_weight_masses_enumerate_no_patterns(monkeypatch):
     assert 0.0 < report.type1_max < 1.0 and 0.0 < report.type2 < 1.0
     rho = np.diag([0.7, 0.3])
     spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.1, n=512)
-    assert abs(label_errors(spec, frozenset(), [rho]).misses[(512,)] - 1.0) < 1e-12
+    one_label = {((512, 0), (512,))}
+    assert abs(label_errors(spec, one_label, [rho]).misses[(512,)] - 1.0) < 1e-12
     lhs, rhs = spectral_estimate_check((600, 500), rho, 1100)
     assert 0.0 < lhs < rhs
 
@@ -1060,9 +1060,9 @@ def test_single_state_masses_match_the_word_block_path():
         for n in range(1, 8):
             for fr in enumerate_frames(3, n):
                 for f in enumerate_frequencies(3, n):
-                    got = block_weight(f.counts, fr.parts, rho, basis=basis)
-                    want = block_weight(f.counts, fr.parts, [rho] * n, basis=basis)
-                    assert abs(got - want) < 1e-12, (n, fr.parts, f.counts)
+                    got = block_weight(f, fr, rho, basis=basis)
+                    want = block_weight(f, fr, [rho] * n, basis=basis)
+                    assert abs(got - want) < 1e-12, (n, fr, f)
 
 
 def test_block_weight_and_spectral_estimate_past_the_float_range():
@@ -1102,25 +1102,25 @@ def test_gt_diagonal_of_a_diagonal_state_takes_no_eigh(monkeypatch):
             r, v = np.linalg.eigh(x)
             wants = []
             for fr in enumerate_frames(d, n):
-                irrep = gt_irrep(fr.parts, d)
+                irrep = gt_irrep(fr, d)
                 wants.append(
                     (np.abs(irrep.unitary(v)) ** 2) @ np.prod(np.clip(r, 0, None) ** irrep.weights, axis=1)
                 )
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", no_eigh)
                 for fr, want in zip(enumerate_frames(d, n), wants):
-                    logs = schur_weyl._weight_masses(fr.parts, d, key)
-                    weights = gt_weights(fr.parts, d)
-                    dim = hook_dimension(fr.parts)
+                    logs = schur_weyl._weight_masses(fr, d, key)
+                    weights = gt_weights(fr, d)
+                    dim = hook_dimension(fr)
                     for f in enumerate_frequencies(d, n):
-                        k = kostka(f.counts, fr.parts)
+                        k = kostka(f, fr)
                         if not k:
                             continue
-                        got = math.exp(logs[f.counts[:-1]]) / dim
-                        power = k * float(np.prod(np.diagonal(x).real ** np.array(f.counts)))
-                        assert abs(got - power) <= 1e-14 * power, (d, n, fr.parts, f.counts)
-                        rows = np.all(weights == f.counts, axis=1)
-                        assert abs(got - want[rows].sum()) <= 1e-14 * want.max(), (d, n, fr.parts)
+                        got = math.exp(logs[f[:-1]]) / dim
+                        power = k * float(np.prod(np.diagonal(x).real ** np.array(f)))
+                        assert abs(got - power) <= 1e-14 * power, (d, n, fr, f)
+                        rows = np.all(weights == f, axis=1)
+                        assert abs(got - want[rows].sum()) <= 1e-14 * want.max(), (d, n, fr)
 
 
 def test_frequency_blocks_are_slices_of_one_read_only_stack():

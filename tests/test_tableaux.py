@@ -6,8 +6,6 @@ import pytest
 
 from qsanov.tableaux import (
     ALPHA,
-    Frequency,
-    YoungFrame,
     _kostka_rec,
     dimension_log2_bounds,
     dominance,
@@ -109,15 +107,15 @@ def test_frame_enumeration_counts():
     # partitions of n into at most d parts
     assert len(enumerate_frames(2, 6)) == 4
     assert len(enumerate_frames(3, 6)) == 7
-    assert [fr.parts for fr in enumerate_frames(2, 4)] == [(4,), (3, 1), (2, 2)]
+    assert enumerate_frames(2, 4) == [(4,), (3, 1), (2, 2)]
     for d in (1, 2, 3):
         for n in range(1, 13):
             frames = enumerate_frames(d, n)
             assert len(set(frames)) == len(frames)
             for fr in frames:
-                assert sum(fr.parts) == n
-                assert len(fr.parts) <= d
-                assert all(a >= b for a, b in zip(fr.parts, fr.parts[1:]))
+                assert sum(fr) == n
+                assert len(fr) <= d
+                assert all(a >= b for a, b in zip(fr, fr[1:]))
 
 
 def test_frequency_enumeration_counts():
@@ -125,18 +123,45 @@ def test_frequency_enumeration_counts():
         for n in range(1, 13):
             freqs = enumerate_frequencies(d, n)
             assert len(freqs) == math.comb(n + d - 1, d - 1)
-            assert all(sum(f.counts) == n and len(f.counts) == d for f in freqs)
-    assert [f.counts for f in enumerate_frequencies(2, 2)] == [(0, 2), (1, 1), (2, 0)]
+            assert all(sum(f) == n and len(f) == d for f in freqs)
+    assert enumerate_frequencies(2, 2) == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_enumerations_are_int_tuples_in_order():
+    # an independent enumeration: counts in itertools.product order, and
+    # their sorted, zero-stripped forms in descending lexicographic order
+    for d in range(1, 5):
+        for n in range(13):
+            want_f = [c for c in itertools.product(range(n + 1), repeat=d) if sum(c) == n]
+            want_fr = sorted(
+                {tuple(x for x in sorted(c, reverse=True) if x) for c in want_f}, reverse=True
+            )
+            got_f, got_fr = enumerate_frequencies(d, n), enumerate_frames(d, n)
+            assert got_f == want_f and got_fr == want_fr, (d, n)
+            for label in got_f + got_fr:
+                assert type(label) is tuple and all(type(x) is int for x in label)
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
-        YoungFrame((1, 2))
-    with pytest.raises(ValueError):
-        YoungFrame((2, -1))
-    with pytest.raises(ValueError):
-        Frequency((2, -1))
-    assert YoungFrame((3, 1)).padded(4) == (3, 1, 0, 0)
+    # public functions reject a bad frame or frequency with ValueError
+    for bad, why in [((1, 2), "weakly decreasing"), ((2, -1), "positive")]:
+        for check in (
+            hook_dimension,
+            log_hook_dimension,
+            lambda lam: dimension_log2_bounds(lam, 3),
+            lambda lam: kostka((1, 1, 1), lam),
+        ):
+            with pytest.raises(ValueError, match=why):
+                check(bad)
+    for bad, why in [((2, -1), "nonnegative"), ((), "at least one letter")]:
+        for check in (type_class_size, type_class_log2_bounds, lambda f: dominance(f, (1,))):
+            with pytest.raises(ValueError, match=why):
+                check(bad)
+    # trailing zeros are dropped; a frame with more rows than d is refused
+    assert hook_dimension((3, 1, 0, 0)) == hook_dimension((3, 1)) == 3
+    assert dimension_log2_bounds((3, 1, 0), 2) == dimension_log2_bounds((3, 1), 2)
+    with pytest.raises(ValueError, match="does not fit"):
+        dimension_log2_bounds((2, 1, 1), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +171,12 @@ def test_frame_validation():
 def test_hook_dimension_matches_corner_recursion():
     for n in range(1, 9):
         for fr in enumerate_frames(n, n):
-            assert hook_dimension(fr.parts) == syt_count(fr.parts)
+            assert hook_dimension(fr) == syt_count(fr)
 
 
 def test_dimension_squares_sum_to_factorial():
     for n in range(1, 9):
-        total = sum(hook_dimension(fr.parts) ** 2 for fr in enumerate_frames(n, n))
+        total = sum(hook_dimension(fr) ** 2 for fr in enumerate_frames(n, n))
         assert total == math.factorial(n)
 
 
@@ -161,9 +186,9 @@ def test_log_hook_dimension_is_the_log_of_the_exact_integer():
     # 50 digits where d_lam is far past the float range
     for n in range(61):
         for fr in enumerate_frames(4, n):
-            want = math.log(hook_dimension(fr.parts))
-            got = log_hook_dimension(fr.parts)
-            assert abs(got - want) <= max(math.ulp(want), 1e-18), (fr.parts, got, want)
+            want = math.log(hook_dimension(fr))
+            got = log_hook_dimension(fr)
+            assert abs(got - want) <= max(math.ulp(want), 1e-18), (fr, got, want)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         for lam in ((4096,), (4095, 1), (3000, 1096), (2048, 2048), (300, 200, 100), (200, 200, 200)):
@@ -176,7 +201,7 @@ def test_type_class_size_exact():
     for d in (2, 3):
         for n in range(1, 13):
             for f in enumerate_frequencies(d, n):
-                assert type_class_size(f.counts) == multiset_perm_count(f.counts)
+                assert type_class_size(f) == multiset_perm_count(f)
     # brute cross-check by direct multiset enumeration
     word = (0, 0, 1, 1, 2)
     assert type_class_size((2, 2, 1)) == len(set(itertools.permutations(word)))
@@ -187,11 +212,11 @@ def test_type_class_sandwich():
     for d in (2, 3):
         for n in range(1, 13):
             for f in enumerate_frequencies(d, n):
-                lo, hi = type_class_log2_bounds(f.counts)
-                h = entropy(np.asarray(f.counts) / n)
+                lo, hi = type_class_log2_bounds(f)
+                h = entropy(np.asarray(f) / n)
                 assert abs(hi - n * h) <= 1e-12 * max(1.0, hi)
                 assert abs(lo - (hi - d * math.log2(n + 1))) <= 1e-12 * max(1.0, abs(lo))
-                size = math.log2(type_class_size(f.counts))
+                size = math.log2(type_class_size(f))
                 assert lo <= size <= hi + math.log2(1 + 1e-12)
 
 
@@ -200,11 +225,11 @@ def test_dimension_sandwich():
     for d in (2, 3):
         for n in range(1, 13):
             for fr in enumerate_frames(d, n):
-                lo, hi = dimension_log2_bounds(fr.parts, d)
-                h = entropy(np.asarray(fr.padded(d)) / n)
+                lo, hi = dimension_log2_bounds(fr, d)
+                h = entropy(np.asarray(fr + (0,) * (d - len(fr))) / n)
                 assert abs(hi - n * h) <= 1e-12 * max(1.0, hi)
                 assert abs(lo - (hi - 2.0 * d**6 * math.log2(2 * n))) <= 1e-12 * max(1.0, abs(lo))
-                assert lo <= math.log2(hook_dimension(fr.parts)) <= hi + math.log2(1 + 1e-12)
+                assert lo <= math.log2(hook_dimension(fr)) <= hi + math.log2(1 + 1e-12)
 
 
 def test_log2_sandwiches_at_n_2048():
@@ -223,17 +248,17 @@ def test_linear_bounds_keep_their_values():
     # 2 to the power of the log2 forms is the linear sandwich, up to the top
     # of the float range: (520, 504) has nH = 1023.82
     cases = [(d, n) for d in (2, 3, 4) for n in (1, 5, 12)]
-    freqs = [f.counts for d, n in cases for f in enumerate_frequencies(d, n)]
+    freqs = [f for d, n in cases for f in enumerate_frequencies(d, n)]
     for counts in freqs + [(300, 0), (150, 150), (300, 200, 100), (520, 504)]:
         n, d = sum(counts), len(counts)
         upper = 2.0 ** (n * entropy(np.asarray(counts, dtype=float) / n))
         lo, hi = type_class_log2_bounds(counts)
         assert 2.0**hi == upper
         assert 2.0**lo == pytest.approx(upper / (n + 1) ** d, rel=1e-12, abs=0.0)
-    frames = [(fr.parts, d) for d, n in cases for fr in enumerate_frames(d, n)]
+    frames = [(fr, d) for d, n in cases for fr in enumerate_frames(d, n)]
     for parts, d in frames + [((299, 1), 2), ((150, 150), 3), ((400, 100), 2), ((520, 504), 2)]:
         n = sum(parts)
-        upper_exp = n * entropy(np.asarray(YoungFrame(parts).padded(d), dtype=float) / n)
+        upper_exp = n * entropy(np.asarray(parts + (0,) * (d - len(parts)), dtype=float) / n)
         lower_exp = upper_exp - 2.0 * d**6 * math.log2(2 * n)
         assert dimension_log2_bounds(parts, d) == (lower_exp, upper_exp)
 
@@ -247,11 +272,11 @@ def test_kostka_matches_brute_ssyt():
         for n in range(1, 7):
             for f in enumerate_frequencies(d, n):
                 for fr in enumerate_frames(d, n):
-                    assert kostka(f.counts, fr.parts) == ssyt_count(fr.parts, f.counts)
+                    assert kostka(f, fr) == ssyt_count(fr, f)
                 # frames with more rows than letters have no filling
                 for fr in enumerate_frames(n, n):
-                    if len(fr.parts) > d:
-                        assert kostka(f.counts, fr.parts) == ssyt_count(fr.parts, f.counts) == 0
+                    if len(fr) > d:
+                        assert kostka(f, fr) == ssyt_count(fr, f) == 0
     # a d=4 spot check with multiplicity above one
     assert kostka((2, 1, 1, 0), (2, 1, 1)) == ssyt_count((2, 1, 1), (2, 1, 1, 0))
     assert kostka((1, 1, 1, 1), (2, 2)) == ssyt_count((2, 2), (1, 1, 1, 1)) == 2
@@ -262,10 +287,10 @@ def test_kostka_two_letter_rule_matches_strip_recursion():
     checked = 0
     for n in range(1, 9):
         for f in enumerate_frequencies(3, n):
-            if sum(c > 0 for c in f.counts) > 2:
+            if sum(c > 0 for c in f) > 2:
                 continue
             for fr in enumerate_frames(3, n):
-                assert kostka(f.counts, fr.parts) == _kostka_rec(fr.parts, f.counts)
+                assert kostka(f, fr) == _kostka_rec(fr, f)
                 checked += 1
     assert checked == 699
 
@@ -284,9 +309,9 @@ def test_kostka_positive_iff_dominated():
         for n in range(1, 8):
             for f in enumerate_frequencies(d, n):
                 for fr in enumerate_frames(d, n):
-                    dom = dominance(f.counts, fr.parts)
-                    assert dom == dominance_oracle(f.counts, fr.parts)
-                    assert (kostka(f.counts, fr.parts) > 0) == dom
+                    dom = dominance(f, fr)
+                    assert dom == dominance_oracle(f, fr)
+                    assert (kostka(f, fr) > 0) == dom
 
 
 def test_kostka_sum_counts_type_class():
@@ -295,9 +320,9 @@ def test_kostka_sum_counts_type_class():
             frames = enumerate_frames(d, n)
             for f in enumerate_frequencies(d, n):
                 total = sum(
-                    kostka(f.counts, fr.parts) * hook_dimension(fr.parts) for fr in frames
+                    kostka(f, fr) * hook_dimension(fr) for fr in frames
                 )
-                assert total == type_class_size(f.counts)
+                assert total == type_class_size(f)
 
 
 # ---------------------------------------------------------------------------
