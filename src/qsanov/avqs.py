@@ -114,12 +114,10 @@ def spectral_estimation_check(lam, word, alphabet) -> tuple[float, float]:
 
     Returns (tr{P_lam rho_word}, (2n)**(|S| + d*d) 2**(-n D(lam_norm || spec mix))).
     """
-    lam_p = _frame_parts(lam)
     n = len(word)
-    if sum(lam_p) != n:
-        raise ValueError("frame must partition the word length")
     states = [assert_state(alphabet[s]) for s in word]
     d = states[0].shape[0]
+    lam_p = _frame_parts(lam, n, d)
     guard_dimension(d, n)
     stacked = np.stack(states)
     lhs = 0.0

@@ -62,6 +62,8 @@ from .schur_weyl import (
 from .tableaux import (
     ALPHA,
     _dominates,
+    _frame_parts,
+    _freq_counts,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -181,18 +183,19 @@ def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ..
 def build_test(spec: TestSpec, labels=None) -> np.ndarray:
     """Acceptance projector, dense in computational coordinates.
 
-    Sums the (f, lam) blocks of `lambda_set` in the sigma eigenbasis and
-    rotates the result back to computational coordinates. Hermitian and
+    Sums the (f, lam) blocks of `lambda_set`, or of the given labels, each
+    checked against spec.n and spec.d, in the sigma eigenbasis and rotates
+    the result back to computational coordinates. Hermitian and
     idempotent; real whenever the eigenbasis is real.
     """
     if labels is None:
         labels = lambda_set(spec)
+    d, n = spec.d, spec.n
+    checked = ((_freq_counts(f, n, d), _frame_parts(lam, n, d)) for f, lam in sorted(labels))
     pieces = (
-        (f, block)
-        for f, lam in sorted(labels)
-        if (block := frequency_blocks(f).get(lam)) is not None
+        (f, block) for f, lam in checked if (block := frequency_blocks(f).get(lam)) is not None
     )
-    return dense_from_blocks(pieces, spec.d, spec.n, spec.basis)
+    return dense_from_blocks(pieces, d, n, spec.basis)
 
 
 def _infer_sites(op_dim: int, d: int) -> int:
@@ -280,12 +283,14 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     empty, and the errors are exact: ln t2 = -inf and every miss 1, with
     no table, form or word block built. Raises VerificationError when the
     type-two error is NaN or +inf, or a miss is not finite, which the
-    [0, 1] clamp on the misses would otherwise pass through.
+    [0, 1] clamp on the misses would otherwise pass through, and ValueError
+    when a label does not fit spec.n and spec.d.
     """
     if labels is None:
         labels = lambda_set(spec)
-    labels = sorted((f, lam) for f, lam in labels if _dominates(f, lam))
     d, n = spec.d, spec.n
+    checked = ((_freq_counts(f, n, d), _frame_parts(lam, n, d)) for f, lam in labels)
+    labels = sorted(label for label in checked if _dominates(*label))
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
     types = enumerate_frequencies(len(states), n) if states else []
@@ -648,16 +653,15 @@ def _irrep_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarra
     return blocks
 
 
-def _log_threshold_bracket(rho, sigma, n: int) -> tuple[float, float]:
+def _log_threshold_bracket(r: np.ndarray, s: np.ndarray, n: int) -> tuple[float, float]:
     """(lo, hi) in log t around the Neyman-Pearson threshold of rho^n vs sigma^n.
 
-    Above hi, rho^n - t sigma^n <= 0. Below lo it is positive definite when
-    rho is nonsingular; otherwise lo sits a factor of machine epsilon under
+    r and s are the ascending eigenvalues of rho and sigma. Above hi,
+    rho^n - t sigma^n <= 0. Below lo it is positive definite when rho is
+    nonsingular; otherwise lo sits a factor of machine epsilon under
     (r_low / s_max)**n, r_low the least eigenvalue of rho above
     SIGMA_MIN_EIG, where the positive part misses O(eps^2) of rho^n.
     """
-    r = np.linalg.eigvalsh(rho)
-    s = np.linalg.eigvalsh(sigma)
     if s[0] <= 0:
         raise ValueError("sigma must be nonsingular")
     r_low = float(r[r > SIGMA_MIN_EIG].min())
@@ -854,8 +858,10 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
     to the rounding of a singular rho^n. At nu = 1 the empty test is
     optimal, and 0.0 is returned with no eigh.
     """
-    rho_m = assert_state(rho)
-    s_m = assert_state(sigma)
+    rho_m, r = assert_states(rho)
+    s_m, s = assert_states(sigma)
+    if rho_m.ndim != 2 or s_m.shape != rho_m.shape:
+        raise ValueError(f"rho and sigma must be d x d states, got {rho_m.shape} and {s_m.shape}")
     if not 0.0 <= nu <= 1.0:
         raise ValueError("nu must be in [0, 1]")
     if nu == 1.0:
@@ -865,6 +871,6 @@ def neyman_pearson(rho, sigma, n: int, nu: float, tol: float = 1e-10) -> float:
         support = vecs[:, vals > SIGMA_MIN_EIG]
         beta = float(_diag_in(support, s_m).sum()) ** n
     else:
-        bracket = _log_threshold_bracket(rho_m, s_m, n)
+        bracket = _log_threshold_bracket(r, s, n)
         beta = _np_over_blocks(_irrep_blocks(rho_m, s_m, n), bracket, 1.0 - nu, tol)
     return min(max(beta, 0.0), 1.0)

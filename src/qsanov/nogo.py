@@ -122,11 +122,7 @@ def random_invariant_operator(d: int, n: int, rng=None) -> np.ndarray:
 
 def dim_ratio_bound(lam, d: int, n: int) -> tuple[float, float]:
     """(dim F_lam / |T_lam|, (n+d+1)**(-d*d)) for lam read as a frequency."""
-    parts = _frame_parts(lam)
-    if sum(parts) != n:
-        raise ValueError("frame must partition n")
-    if len(parts) > d:
-        raise ValueError(f"frame has more than {d} rows")
+    parts = _frame_parts(lam, n, d)
     ratio = hook_dimension(parts) / type_class_size(parts + (0,) * (d - len(parts)))
     return float(ratio), float((n + d + 1.0) ** (-d * d))
 

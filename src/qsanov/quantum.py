@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .tableaux import CHECK_TOL, entropy
+from .tableaux import CHECK_TOL, entropy, majorizes
 
 RHO_SUPPORT_TOL = 1e-9
 SIGMA_NULL_TOL = 1e-12
@@ -272,19 +272,18 @@ def state_with_spectrum_and_diagonal(spec, diag) -> np.ndarray:
     """Real symmetric state with the given spectrum and diagonal.
 
     Applies a chain of two-coordinate rotations to diag(spec), fixing one
-    diagonal entry at a time; requires the decreasing rearrangement of
-    `diag` to be majorized by `spec`, otherwise ValueError.
+    diagonal entry at a time; requires `spec` to majorize `diag`
+    (`tableaux.majorizes`: equal sums, dominating partial sums), otherwise
+    ValueError.
     """
     s = np.sort(np.asarray(spec, dtype=float))[::-1]
     m_target = np.asarray(diag, dtype=float)
     if s.ndim != 1 or s.shape != m_target.shape:
         raise ValueError("spectrum and diagonal must be equal-length vectors")
     d = s.shape[0]
-    if abs(s.sum() - m_target.sum()) > 1e-9:
-        raise ValueError("spectrum and diagonal must have equal sums")
-    sorted_targets = np.sort(m_target)[::-1]
-    if not np.all(np.cumsum(s) >= np.cumsum(sorted_targets) - 1e-12):
+    if not majorizes(s, m_target):
         raise ValueError("diagonal is not majorized by spectrum")
+    sorted_targets = np.sort(m_target)[::-1]
 
     mat = np.diag(s.astype(float))
     free = list(range(d))

@@ -64,7 +64,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import SizeGuardError
-from .quantum import assert_basis
+from .quantum import assert_basis, assert_state, spectrum
 from .tableaux import (
     _dominates,
     _frame_parts,
@@ -220,10 +220,8 @@ def _mn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 def character(lam, mu) -> int:
     """Irreducible S_n character chi_lam at cycle type mu (exact integer)."""
-    lam_p = _frame_parts(lam)
     mu_p = _frame_parts(mu)
-    if sum(lam_p) != sum(mu_p):
-        raise ValueError("frame and cycle type must partition the same n")
+    lam_p = _frame_parts(lam, sum(mu_p))
     return _mn_character(lam_p, tuple(sorted(mu_p, reverse=True)))
 
 
@@ -233,8 +231,8 @@ def kcycle_class_size(n: int, k: int) -> int:
 
 
 def central_character(lam, n: int, k: int) -> int:
-    """Scalar by which the k-cycle class sum acts on the lam component."""
-    lam_p = _frame_parts(lam)
+    """Scalar by which the k-cycle class sum acts on the lam component; lam partitions n."""
+    lam_p = _frame_parts(lam, n)
     mu = tuple([k] + [1] * (n - k))
     value = Fraction(
         kcycle_class_size(n, k) * _mn_character(lam_p, mu), hook_dimension(lam_p)
@@ -438,25 +436,19 @@ def block_projector(f, lam, basis=None) -> np.ndarray:
     Vanishing Kostka number gives the zero matrix.
     """
     counts = _freq_counts(f)
-    lam_p = _frame_parts(lam)
-    if sum(counts) != sum(lam_p):
-        raise ValueError("frequency and frame must count the same n")
-    if len(lam_p) > len(counts):
-        raise ValueError("frame has more rows than the alphabet has letters")
+    lam_p = _frame_parts(lam, sum(counts), len(counts))
     block = frequency_blocks(counts).get(lam_p)
     pieces = [] if block is None else [(counts, block)]
     return dense_from_blocks(pieces, len(counts), sum(counts), basis)
 
 
 def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
-    """Central projector onto the frame-lam component of the tensor power.
+    """Central projector onto the frame-lam component, lam partitioning n in at most d rows.
 
     Independent of any basis choice; assembled from the word blocks of the
     computational basis.
     """
-    lam_p = _frame_parts(lam)
-    if sum(lam_p) != n:
-        raise ValueError("frame must partition n")
+    lam_p = _frame_parts(lam, n, d)
     pieces = (
         (f, block)
         for f in enumerate_frequencies(d, n)
@@ -491,7 +483,8 @@ def block_weight(f, lam, states, basis=None) -> float:
     taken in `basis` when one is given. One state gives the nonnegative sum
     d_lam sum_{wt T = f} pi_lam(rho)[T, T] on the Gelfand-Tsetlin irrep, with
     no word block or d**n guard; a sequence is restricted to the word block
-    of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f.
+    of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f;
+    ValueError unless f has d letters, d that of the states.
 
     One state reads cell f[:-1] of the log weight-mass table of (lam, rho')
     (`_weight_masses`), shared by every f of the frame, as the exp of
@@ -501,11 +494,11 @@ def block_weight(f, lam, states, basis=None) -> float:
     frame's largest weight, in absolute terms (see `_weight_masses`); at
     d = 2 each weight is accurate relative to itself.
     """
-    counts = _freq_counts(f)
+    rho = np.asarray(states, dtype=complex)
+    counts = _freq_counts(f, d=rho.shape[-1])
     lam_p = _frame_parts(lam)
     if sum(counts) != sum(lam_p) or not _dominates(counts, lam_p):
         return 0.0
-    rho = np.asarray(states, dtype=complex)
     if rho.ndim == 2:
         d = len(counts)
         if basis is not None:
@@ -522,12 +515,13 @@ def word_block_state(f, states, basis=None) -> np.ndarray:
 
     Entry [a, b] is prod_i states[i][w_a[i], w_b[i]] over the words
     w = words_of_type(f), with the states taken in `basis` when one is
-    given. `states` is a length-n sequence of d x d states.
+    given. `states` is a length-n sequence of d x d states; ValueError
+    unless f has d letters summing to n.
     """
-    counts = _freq_counts(f)
     sts = np.asarray(states, dtype=complex)
-    if sts.ndim != 3 or sts.shape[0] != sum(counts):
+    if sts.ndim != 3:
         raise ValueError("states must be a length-n sequence")
+    counts = _freq_counts(f, len(sts), sts.shape[-1])
     if basis is not None:
         b = assert_basis(basis)
         sts = [b.conj().T @ s @ b for s in sts]
@@ -613,14 +607,12 @@ def gt_weights(lam, d: int) -> np.ndarray:
     Read-only and cached per (lam, d); SizeGuardError above GUARD_LIMIT
     patterns.
     """
-    return _gt_table(_frame_parts(lam), int(d))[1]
+    return _gt_table(_frame_parts(lam, d=d), int(d))[1]
 
 
 @lru_cache(maxsize=512)
 def _gt_table(lam: tuple[int, ...], d: int) -> tuple[np.ndarray, np.ndarray]:
     """(patterns, weights) of pi_lam, read-only: the one enumeration per (lam, d)."""
-    if len(lam) > d:
-        raise ValueError(f"frame {lam} has more than {d} rows")
     dim = weyl_dimension(lam, d)
     if dim > GUARD_LIMIT:
         raise SizeGuardError(
@@ -942,7 +934,7 @@ def gt_irrep(lam, d: int) -> GTIrrep:
     Raises SizeGuardError when its dimension is above DENSE_LIMIT, since
     pi_lam(V) is dense.
     """
-    return _gt_irrep(_frame_parts(lam), int(d))
+    return _gt_irrep(_frame_parts(lam, d=d), int(d))
 
 
 @lru_cache(maxsize=256)
@@ -1017,15 +1009,9 @@ def spectral_estimate_check(lam, rho, n: int) -> tuple[float, float]:
     side uses the convention 2**(-inf) = 0. ValueError unless lam
     partitions n in at most d rows.
     """
-    from .quantum import assert_state, spectrum
-
     rho_m = assert_state(rho)
     d = rho_m.shape[0]
-    lam_p = _frame_parts(lam)
-    if sum(lam_p) != n:
-        raise ValueError("frame must partition n")
-    if len(lam_p) > d:
-        raise ValueError(f"frame {lam_p} has more than {d} rows")
+    lam_p = _frame_parts(lam, n, d)
     spec = spectrum(rho_m)
     lhs = float(np.exp(_weight_masses(lam_p, d, np.diag(spec).astype(complex).tobytes())).sum())
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n

@@ -6,9 +6,13 @@ Conventions used throughout the package:
 * ``0 * log(0) = 0`` and ``2**(-inf) = 0``,
 * a partition ("frame") is a weakly decreasing tuple of positive ints,
 * a frequency is a tuple of nonnegative ints of fixed length ``d``,
-* labels are plain tuples: `enumerate_frames` and `enumerate_frequencies`
-  return lists of them, and each public function checks the frames and
-  frequencies it is given (`_frame_parts`, `_freq_counts`),
+* labels are plain tuples (`enumerate_frames`, `enumerate_frequencies`),
+  checked in one place against the n and d they are used with
+  (`_frame_parts`, `_freq_counts`): a frame partitions n in at most d
+  rows, a frequency has d letters summing to n. Counts and masses over an
+  empty block read 0 (`kostka`, `schur_weyl.weyl_dimension`,
+  `schur_weyl.block_weight`); every other mismatch raises ValueError
+  naming the label and the n or d it fails,
 * normalized vectors are numpy arrays summing to one.
 
 Counting functions (`hook_dimension`, `type_class_size`, `kostka`) work in
@@ -33,8 +37,11 @@ CHECK_TOL = 1e-9
 MAJORIZE_TOL = 1e-12
 
 
-def _frame_parts(lam) -> tuple[int, ...]:
-    """lam as a frame: weakly decreasing positive int parts, trailing zeros dropped."""
+def _frame_parts(lam, n: int | None = None, d: int | None = None) -> tuple[int, ...]:
+    """lam as a frame: weakly decreasing positive int parts, trailing zeros dropped.
+
+    ValueError unless the parts sum to n and number at most d, where given.
+    """
     ps = tuple(int(p) for p in lam)
     while ps and ps[-1] == 0:
         ps = ps[:-1]
@@ -42,16 +49,27 @@ def _frame_parts(lam) -> tuple[int, ...]:
         raise ValueError(f"frame parts must be positive: {ps!r}")
     if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
         raise ValueError(f"frame parts must be weakly decreasing: {ps!r}")
+    if n is not None and sum(ps) != n:
+        raise ValueError(f"frame {ps} does not partition n = {n}")
+    if d is not None and len(ps) > d:
+        raise ValueError(f"frame {ps} has more than {d} rows: it does not fit d = {d}")
     return ps
 
 
-def _freq_counts(f) -> tuple[int, ...]:
-    """f as letter counts: a nonempty tuple of nonnegative ints."""
+def _freq_counts(f, n: int | None = None, d: int | None = None) -> tuple[int, ...]:
+    """f as letter counts: a nonempty tuple of nonnegative ints.
+
+    ValueError unless there are d counts summing to n, where given.
+    """
     cs = tuple(int(c) for c in f)
     if not cs:
         raise ValueError("frequency needs at least one letter")
     if any(c < 0 for c in cs):
         raise ValueError(f"counts must be nonnegative: {cs!r}")
+    if d is not None and len(cs) != d:
+        raise ValueError(f"frequency {cs} has {len(cs)} letters, not d = {d}")
+    if n is not None and sum(cs) != n:
+        raise ValueError(f"frequency {cs} does not sum to n = {n}")
     return cs
 
 
@@ -217,9 +235,7 @@ def dimension_log2_bounds(lam, d: int) -> tuple[float, float]:
     Returns (n*H(norm) - 2*d**6*log2(2n), n*H(norm)), finite at every n;
     the lower bound is extremely loose at small n.
     """
-    parts = _frame_parts(lam)
-    if len(parts) > d:
-        raise ValueError(f"frame {parts!r} does not fit in {d} rows")
+    parts = _frame_parts(lam, d=d)
     n = sum(parts)
     h = entropy(np.asarray(parts + (0,) * (d - len(parts)), dtype=float) / n)
     upper_exp = n * h
@@ -252,9 +268,7 @@ def dominance(f, lam) -> bool:
     Equivalent to kostka(f, lam) > 0.
     """
     counts = _freq_counts(f)
-    parts = _frame_parts(lam)
-    if sum(counts) != sum(parts):
-        raise ValueError("frequency and frame must count the same n")
+    parts = _frame_parts(lam, sum(counts))
     return _dominates(counts, parts)
 
 
@@ -303,11 +317,9 @@ def kostka(f, lam) -> int:
     that interlaces the one above it and is f[-1] smaller.
     """
     counts = _freq_counts(f)
-    parts = _frame_parts(lam)
-    if sum(counts) != sum(parts):
-        raise ValueError("frequency and frame must count the same n")
+    parts = _frame_parts(lam, sum(counts))
     if sum(c > 0 for c in counts) <= 2:
-        return int(dominance(counts, parts))
+        return int(_dominates(counts, parts))
     return _kostka_rec(parts, counts)
 
 

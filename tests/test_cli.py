@@ -71,7 +71,7 @@ def test_verify_recomputes_the_closed_form_u2_diagonal(monkeypatch, capsys):
     assert "determinism" in capsys.readouterr().err
 
 
-def test_parse_errors_exit_two(tmp_path):
+def test_parse_errors_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("not json {")
     assert cli.main(["sanov", "--config", str(broken)]) == 2
@@ -85,6 +85,30 @@ def test_parse_errors_exit_two(tmp_path):
     assert cli.main(["sanov", "--config", bad_state]) == 2
     assert cli.main(["np", "--config", _write_cfg(tmp_path, "no_n.json", {
         "rho": {"diag": [0.7, 0.3]}, "sigma": {"diag": [0.5, 0.5]}})]) == 2
+    # each config rejection exits 2 and names its cause on stderr
+    capsys.readouterr()
+    for name, payload, message in [
+        ("root.json", [SANOV_CFG], "config root must be a JSON object"),
+        ("entry.json", {**SANOV_CFG, "sigma": [[0.5, "x"], [0, 0.5]]},
+         "matrix entry 'x' is neither a number nor [re, im]"),
+        ("wide.json", {**SANOV_CFG, "sigma": [[0.5, 0, 0], [0, 0.5, 0]]},
+         "state matrix must be square"),
+        ("text.json", {**SANOV_CFG, "sigma": "identity"}, "cannot read a state from str"),
+    ]:
+        assert cli.main(["sanov", "--config", _write_cfg(tmp_path, name, payload)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n", name
+
+
+def test_plain_number_matrix_entries_read_as_real(tmp_path):
+    plain = {**SANOV_CFG, "sigma": [[0.5, 0.1], [0.1, 0.5]]}
+    pairs = {**SANOV_CFG, "sigma": [[[0.5, 0], [0.1, 0]], [[0.1, 0], [0.5, 0]]]}
+    outs = []
+    for name, payload in (("plain", plain), ("pairs", pairs)):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["sanov", "--config", _write_cfg(tmp_path, f"{name}.json", payload),
+                         "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_guard_exit_three(tmp_path):

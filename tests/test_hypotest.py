@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsanov.avqs import word_type_one
+from qsanov.avqs import spectral_estimation_check, word_type_one
 from qsanov import hypotest, schur_weyl, tableaux
 from qsanov.errors import SizeGuardError, VerificationError
 from qsanov.hypotest import (
@@ -42,11 +42,14 @@ from qsanov.quantum import (
 )
 from qsanov.schur_weyl import (
     block_weight,
+    central_character,
     gt_irrep,
     gt_weights,
+    isotypical_projector,
     schur_polynomial,
     spectral_estimate_check,
     tensor_power,
+    word_block_state,
 )
 from qsanov.tableaux import (
     ALPHA,
@@ -223,6 +226,39 @@ def test_label_errors_of_the_empty_test_are_exact(monkeypatch):
     spec = TestSpec(sigma=sigma3, null_set=[rho3], epsilon=0.1, n=6)
     errs = label_errors(spec, frozenset(), [rho3, sigma3])
     assert errs.misses == dict.fromkeys(enumerate_frequencies(2, 6), 1.0)
+
+
+def test_labels_are_checked_against_their_n_and_d():
+    # a frame partitions n in at most d rows and a frequency has d letters
+    # summing to n; every other mismatch names the label and the n or d
+    rng = np.random.default_rng(5)
+    sigma, rho = random_state(2, rng), random_state(2, rng)
+    spec = TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=4)
+    for label, message in [
+        (((3, 1), (4, 1)), r"frame \(4, 1\) does not partition n = 4"),
+        (((1, 4), (4, 1)), r"frequency \(1, 4\) does not sum to n = 4"),
+        (((2, 1, 1), (3, 1)), r"frequency \(2, 1, 1\) has 3 letters, not d = 2"),
+        (((2, 2), (2, 1, 1)), r"frame \(2, 1, 1\) has more than 2 rows"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            label_errors(spec, {label}, [rho])
+        with pytest.raises(ValueError, match=message):
+            build_test(spec, {label})
+    qutrits = [random_state(3, rng) for _ in range(4)]
+    two_letters = r"frequency \(2, 2\) has 2 letters, not d = 3"
+    for states in (qutrits[0], qutrits):
+        with pytest.raises(ValueError, match=two_letters):
+            block_weight((2, 2), (3, 1), states)
+    with pytest.raises(ValueError, match=two_letters):
+        word_block_state((2, 2), qutrits)
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=rf"frame \(3, 1\) does not partition n = {n}"):
+            central_character((3, 1), n, 2)
+    rows = r"frame \(2, 1, 1\) has more than 2 rows"
+    with pytest.raises(ValueError, match=rows):
+        isotypical_projector((2, 1, 1), 2, 4)
+    with pytest.raises(ValueError, match=rows):
+        spectral_estimation_check((2, 1, 1), (0, 1, 0, 1), [np.diag([0.8, 0.2]), np.eye(2) / 2])
 
 
 def test_lambda_set_runs_one_eigvalsh_whatever_the_grid(monkeypatch):
@@ -630,7 +666,7 @@ def test_neyman_pearson_qubit_blocks_match_dense_core():
     for i, (rho, sigma) in enumerate(pairs):
         for n in range(2, 9):
             dense = dense_core_block(rho, sigma, n)
-            bracket = _log_threshold_bracket(rho, sigma, n)
+            bracket = _log_threshold_bracket(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), n)
             for nu in (0.05, 0.3):
                 want = _np_over_blocks(dense, bracket, 1.0 - nu, 1e-10)
                 got = neyman_pearson(rho, sigma, n, nu)
@@ -658,7 +694,7 @@ def test_neyman_pearson_gt_blocks_match_dense_core_at_d3():
             if n == 6 and i != 2:
                 continue
             dense = dense_core_block(rho, sigma, n)
-            bracket = _log_threshold_bracket(rho, sigma, n)
+            bracket = _log_threshold_bracket(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), n)
             for nu in ((0.3,) if n == 6 else (0.05, 0.3)):
                 want = _np_over_blocks(dense, bracket, 1.0 - nu, 1e-10)
                 got = neyman_pearson(rho, sigma, n, nu)
@@ -810,7 +846,7 @@ def test_np_search_matches_the_bisection_oracle():
     # 1e-17 absolute, hence that floor next to the 1e-9 relative part.
     for i, (rho, sigma, n) in enumerate(np_search_cases()):
         blocks = _irrep_blocks(rho, sigma, n)
-        bracket = _log_threshold_bracket(rho, sigma, n)
+        bracket = _log_threshold_bracket(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), n)
         for nu in (0.05, 0.3):
             got = _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-15)
             want = bisection_np(blocks, bracket, 1.0 - nu, 1e-15)
@@ -821,7 +857,7 @@ def test_np_search_sweeps_no_more_than_bisection(monkeypatch):
     calls = count_eigh(monkeypatch)
     for i, (rho, sigma, n) in enumerate(np_search_cases()):
         blocks = _irrep_blocks(rho, sigma, n)
-        bracket = _log_threshold_bracket(rho, sigma, n)
+        bracket = _log_threshold_bracket(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), n)
         for nu in (0.05, 0.3):
             calls.clear()
             _np_over_blocks(blocks, bracket, 1.0 - nu, 1e-10)
@@ -856,7 +892,7 @@ def test_np_search_on_commuting_pairs_takes_two_sweeps(monkeypatch):
         q_vec = np.diag(sigma).real
         for n in range(4, 11):
             blocks = _irrep_blocks(rho, sigma, n)
-            bracket = _log_threshold_bracket(rho, sigma, n)
+            bracket = _log_threshold_bracket(np.linalg.eigvalsh(rho), np.linalg.eigvalsh(sigma), n)
             p, q = type_masses(p_vec, n), type_masses(q_vec, n)
             for nu in (0.05, 0.3):
                 calls.clear()
