@@ -340,23 +340,28 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
 
     Applies (1-delta) A + (delta/d) tr_site{A} x I on every site; the
     result of testing with it equals testing the original operator on
-    sitewise-depolarized states.
+    sitewise-depolarized states. The operator is copied once; each site's
+    partial trace is taken into one d**(2n-2) buffer, shared by all sites,
+    over the (a, d, b, a, d, b) view of the copy, a = d**site, so no
+    other full-size or partial-size array is allocated.
     """
     p = dense_operator(p_n, d, n)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta={delta} outside [0, 1]")
-    work = np.array(p, dtype=np.result_type(p, 1.0)).reshape((d,) * (2 * n))
+    work = np.array(p, dtype=np.result_type(p, 1.0))
+    partial = np.empty(work.size // (d * d), dtype=work.dtype)
     for site in range(n):
-        partial = (delta / d) * np.trace(work, axis1=site, axis2=n + site)
+        a, b = d**site, d ** (n - 1 - site)
+        view = work.reshape(a, d, b, a, d, b)
+        buf = partial.reshape(a, b, a, b)
+        np.trace(view, axis1=1, axis2=4, out=buf)
+        buf *= delta / d
         work *= 1.0 - delta
-        at = [slice(None)] * (2 * n)
         for i in range(d):
-            at[site] = at[n + site] = i
-            work[tuple(at)] += partial
-    out = work.reshape(p.shape)
-    if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
-        return out.real
-    return out
+            view[:, i, :, :, i, :] += buf
+    if np.iscomplexobj(work) and np.abs(work.imag).max() < 1e-15:
+        return work.real
+    return work
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,14 @@ K_lam,f**2 orbits are keyed by letter-pair count tables. One r x r
 eigendecomposition per block yields all of its projectors, each eigenvalue
 is checked against the exact target sum_k (pi/7)**(k-2) chi_k(lam), and
 every block entry is read off the orbit of its word pair. The blocks are
-real in the word basis. `class_sum_on_words` keeps the dense m x m class
-sum as an oracle. `dense_from_blocks` is the one path from blocks to
-d**n operators (`block_projector`, `isotypical_projector`), and
-`word_block_state` restricts a product of site states to a block.
+real in the word basis. Per sorted f, the cached frame table keeps one row
+of orbit entries per frame and the pair-orbit index of the block
+(`_frame_table`); a sum of accepted frames is one gather of the summed
+rows (`_frame_sum`), so the label readers form no per-frame block.
+`class_sum_on_words` keeps the dense m x m class sum as an oracle.
+`dense_from_blocks` is the one path from blocks to d**n operators
+(`block_projector`, `isotypical_projector`), and `word_block_state`
+restricts a product of site states to a block.
 Full-space work is guarded: index-level work allows d**n up to 60000,
 dense d**n x d**n matrices up to 4096 (`dense_operator`), whose S_n
 invariance is certified on the two generators of S_n (`invariance_defect`).
@@ -307,10 +311,25 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     Returns a dict mapping frame parts to the projector matrix in the
     word basis of `words_of_type(f)` (real symmetric, size |T_f|,
     read-only). Only non-increasing f are built; any reordering returns the
-    same dict. Results are cached per f in a bounded cache; the dict is
-    shared between callers and must not be modified.
+    same dict. Per sorted f, two bounded caches hold the result: the frame
+    table (`_frame_table`: each frame's r orbit entries and the m x m
+    pair-orbit index in the smallest unsigned dtype) and this dict of dense
+    blocks, gathered from it. The dict is shared between callers and must
+    not be modified. The label readers (`hypotest.build_test`,
+    `hypotest.label_errors`, `isotypical_projector`, word-state
+    `block_weight`) read the table alone (`_frame_sum`): they build no
+    per-frame block and cache no dense dict.
     """
     return _frequency_blocks(_freq_counts(f))
+
+
+_CHUNK = 1 << 16  # entries of an m x m temporary per step of the word-block gathers
+
+
+def _row_chunks(rows: int, width: int):
+    """Slices of about _CHUNK // width rows covering range(rows)."""
+    step = max(1, _CHUNK // width)
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
@@ -324,8 +343,10 @@ def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
 
     Returns (orbit_of, pair_orbit, reps, sizes), orbits numbered in key
     order: orbit_of(v) is the orbit of words v of shape (..., n),
-    pair_orbit[w, w'] the orbit whose key is that of (w, w'), reps one word
-    per orbit and sizes the orbit sizes. Both search the r sorted orbit keys.
+    pair_orbit[w, w'] the orbit whose key is that of (w, w'), in the
+    smallest unsigned dtype that holds r - 1, reps one word per orbit and
+    sizes the orbit sizes. Both search the r sorted orbit keys; the m x m
+    keys are taken _CHUNK entries at a time, so none is held whole.
     """
     m, n = words.shape
     inner = sum(c > 0 for c in counts) - 1
@@ -335,9 +356,14 @@ def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
     place[:inner, :inner] = places[:-1].reshape(inner, inner)
     a = place[words[:, :, None], np.arange(inner)].reshape(m, -1)
     b = (words[:, :, None] == np.arange(inner)).reshape(m, -1).astype(float)
-    codes = (a @ b.T).astype(np.intp)  # exact: keys are below places[-1] <= 2**25 here
-    keys, first, sizes = np.unique(codes[0], return_index=True, return_counts=True)
-    pair_orbit = np.searchsorted(keys, codes)
+
+    def codes(rows: slice) -> np.ndarray:
+        return (a[rows] @ b.T).astype(np.intp)  # exact: keys are below places[-1] <= 2**25 here
+
+    keys, first, sizes = np.unique(codes(slice(0, 1))[0], return_index=True, return_counts=True)
+    pair_orbit = np.empty((m, m), dtype=np.min_scalar_type(len(keys) - 1))
+    for rows in _row_chunks(m, m):
+        pair_orbit[rows] = np.searchsorted(keys, codes(rows))
     row = place[words[0]]
 
     def orbit_of(v: np.ndarray) -> np.ndarray:
@@ -346,8 +372,24 @@ def _word_orbits(words: np.ndarray, counts: tuple[int, ...]):
     return orbit_of, pair_orbit, words[first], sizes
 
 
+@dataclass(frozen=True, eq=False)
+class _FrameTable:
+    """Every frame projector of one sorted word block, kept on its S_f-orbits.
+
+    `row_of` maps each frame lam dominating f to its row of `table`, whose
+    entry [i, o] is the (w0, v) entry of the projector of frame i for v in
+    orbit o; `pair_orbit[w, w']` is the orbit of the word pair (w, w'), in
+    the smallest unsigned dtype that holds it. The projector of frame lam is
+    table[row_of[lam]][pair_orbit]. All arrays are read-only.
+    """
+
+    row_of: dict[tuple[int, ...], int]
+    table: np.ndarray
+    pair_orbit: np.ndarray
+
+
 @lru_cache(maxsize=256)
-def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
+def _frame_table(counts: tuple[int, ...]) -> _FrameTable:
     d = len(counts)
     n = sum(counts)
     guard_dimension(d, n)
@@ -357,7 +399,7 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
             f"word block of f = {counts} has {m} words, above the dense guard of {DENSE_LIMIT}"
         )
     if (canon := tuple(sorted(counts, reverse=True))) != counts:
-        return _frequency_blocks(canon)
+        return _frame_table(canon)
     words = words_of_type(counts)
     candidates = [lam for lam in enumerate_frames(d, n) if _dominates(counts, lam)]
     chars = [()] * len(candidates)
@@ -390,24 +432,60 @@ def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarr
     if owned.tolist() != [kostka(counts, lam) ** 2 for lam in candidates]:
         raise ArithmeticError("frames do not own K_lam,f**2 orbit eigenvalues each")
     o0 = orbit_of(words[0])
-    # row i: the (w0, v) entries of frame i's projector, one per orbit of v;
-    # one gather reads every block, and the dict values are its slices
+    # row i: the (w0, v) entries of frame i's projector, one per orbit of v
     table = np.empty((len(candidates), r))
     for i in range(len(candidates)):
         sel = vecs[:, owner == i]
         table[i] = (sel @ sel[o0]) / root
-    stack = np.take(table, pair_orbit, axis=1)
+    table.flags.writeable = pair_orbit.flags.writeable = False
+    return _FrameTable({lam: i for i, lam in enumerate(candidates)}, table, pair_orbit)
+
+
+@lru_cache(maxsize=256)
+def _frequency_blocks(counts: tuple[int, ...]) -> dict[tuple[int, ...], np.ndarray]:
+    frames = _frame_table(counts)
+    if (canon := tuple(sorted(counts, reverse=True))) != counts:
+        return _frequency_blocks(canon)
+    # one gather reads every block, and the dict values are its slices; it
+    # runs in row chunks because np.take widens its index to intp first
+    m = len(frames.pair_orbit)
+    stack = np.empty((len(frames.row_of), m, m))
+    for rows in _row_chunks(m, m * len(frames.row_of)):
+        stack[:, rows] = np.take(frames.table, frames.pair_orbit[rows], axis=1)
     stack.flags.writeable = False
-    return dict(zip(candidates, stack))
+    return dict(zip(frames.row_of, stack))
+
+
+def _frame_sum(f: tuple[int, ...], lams) -> np.ndarray:
+    """sum_{lam in lams} P_{f,lam} on the word block of f, as one m x m gather.
+
+    f is checked counts and each lam a frame dominating f. The table rows
+    are added in the order of lams, from zero, before the one gather, so
+    the sum is bit for bit that of the blocks added one by one in that
+    order; no per-frame block is built or cached.
+    """
+    frames = _frame_table(f)
+    acc = np.zeros(frames.table.shape[1])
+    for lam in lams:
+        acc += frames.table[frames.row_of[lam]]
+    return acc[frames.pair_orbit]
+
+
+def _clear_block_caches() -> None:
+    """Empty the frame-table and word-block caches, so that every block is rebuilt."""
+    _frame_table.cache_clear()
+    _frequency_blocks.cache_clear()
 
 
 def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
     """Dense d**n operator assembled from (f, block) word-block pieces.
 
     Each block lands on the rows and columns of the words with letter
-    counts f; pieces sharing an f add up. With a basis, the sum is rotated
-    out of it by basis^(x n), and the result is returned real when its
-    imaginary part is below 1e-15. Only the columns of basis^(x n) at the
+    counts f; pieces sharing an f add up. The label readers pass one piece
+    per f, the sum of its accepted frames (`_frame_sum`), and
+    `block_projector` a `frequency_blocks` block. With a basis, the sum is
+    rotated out of it by basis^(x n), and the result is returned real when
+    its imaginary part is below 1e-15. Only the columns of basis^(x n) at the
     placed words enter the rotation.
     """
     dim = guard_dimension(d, n, DENSE_LIMIT)
@@ -446,13 +524,12 @@ def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
     """Central projector onto the frame-lam component, lam partitioning n in at most d rows.
 
     Independent of any basis choice; assembled from the word blocks of the
-    computational basis.
+    computational basis, each the gather of frame lam's row of the block's
+    frame table (`_frame_sum`), with no dict of dense blocks cached.
     """
     lam_p = _frame_parts(lam, n, d)
     pieces = (
-        (f, block)
-        for f in enumerate_frequencies(d, n)
-        if (block := frequency_blocks(f).get(lam_p)) is not None
+        (f, _frame_sum(f, [lam_p])) for f in enumerate_frequencies(d, n) if _dominates(f, lam_p)
     )
     return dense_from_blocks(pieces, d, n)
 
@@ -483,7 +560,8 @@ def block_weight(f, lam, states, basis=None) -> float:
     taken in `basis` when one is given. One state gives the nonnegative sum
     d_lam sum_{wt T = f} pi_lam(rho)[T, T] on the Gelfand-Tsetlin irrep, with
     no word block or d**n guard; a sequence is restricted to the word block
-    of f (`word_block_state`). Zero unless |f| = |lam| and lam dominates f;
+    of f (`word_block_state`) and read against the one block of lam
+    (`_frame_sum`), with no other frame's block built. Zero unless |f| = |lam| and lam dominates f;
     ValueError unless f has d letters, d that of the states.
 
     One state reads cell f[:-1] of the log weight-mass table of (lam, rho')
@@ -507,7 +585,7 @@ def block_weight(f, lam, states, basis=None) -> float:
         logs = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
         return math.exp(logs[counts[:-1]])
     prod = word_block_state(counts, states, basis)
-    return float(np.einsum("ab,ba->", frequency_blocks(counts)[lam_p], prod).real)
+    return float(np.einsum("ab,ba->", _frame_sum(counts, [lam_p]), prod).real)
 
 
 def word_block_state(f, states, basis=None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -503,6 +504,52 @@ def test_smoothed_test_in_place_matches_the_broadcast():
                 want = smoothed_test_broadcast(p, delta, d, n)
                 assert got.dtype == want.dtype == p.dtype, (d, delta)
                 assert np.array_equal(got, want), (d, delta)  # -0.0 == 0.0
+
+
+def smoothed_test_2n_axes(p, delta, d, n):
+    """Sitewise smoothing on the (d,) * 2n view, one fresh partial trace per site."""
+    work = np.array(p, dtype=np.result_type(p, 1.0)).reshape((d,) * (2 * n))
+    for site in range(n):
+        partial = (delta / d) * np.trace(work, axis1=site, axis2=n + site)
+        work *= 1.0 - delta
+        at = [slice(None)] * (2 * n)
+        for i in range(d):
+            at[site] = at[n + site] = i
+            work[tuple(at)] += partial
+    out = work.reshape(np.shape(p))
+    if np.iscomplexobj(out) and np.abs(out.imag).max() < 1e-15:
+        return out.real
+    return out
+
+
+def test_smoothed_test_holds_one_partial_trace_buffer():
+    # d = 2, n = 10: the 8 MiB output plus one 2 MiB partial-trace buffer,
+    # with 0.5 MiB of slack; a fresh partial per site (and its scaled copy)
+    # would hold 2 MiB more
+    d, n = 2, 10
+    rng = np.random.default_rng(43)
+    p = rng.standard_normal((d**n, d**n))
+    mib = 1 << 20
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = smoothed_test(p, 0.2, d, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * mib
+    assert peak <= 8 * mib + 2 * mib + mib // 2, peak / mib
+    # bit for bit the 2n-axis loop, real and complex, at d = 2, 3, 4
+    for d, n in ((2, 1), (2, 5), (3, 2), (3, 4), (4, 3)):
+        dim = d**n
+        real = rng.standard_normal((dim, dim))
+        for p in (real, real + 1j * rng.standard_normal((dim, dim)), real + 0j):
+            for delta in (0.0, 0.2, 1.0):
+                got = smoothed_test(p, delta, d, n)
+                want = smoothed_test_2n_axes(p, delta, d, n)
+                assert got.dtype == want.dtype and got.shape == want.shape, (d, n, delta)
+                assert got.tobytes() == want.tobytes(), (d, n, delta)
 
 
 def test_smoothed_test_endpoints_and_errors():

@@ -202,13 +202,73 @@ def test_lambda_set_drops_empty_labels_and_label_errors_keep_their_values():
         assert label_errors(spec, band, [rho]) == label_errors(spec, labels, [rho])
 
 
+def test_label_readers_build_no_frame_block():
+    # build_test, the d >= 3 word misses of label_errors,
+    # isotypical_projector and word-state block_weight sum the accepted rows
+    # of the S_f-orbit table and gather once per f: no per-frame block is
+    # built or cached, and the result is bit for bit the per-label sum of
+    # `frequency_blocks` blocks
+    frequency_blocks = schur_weyl.frequency_blocks
+    rng = np.random.default_rng(31)
+    specs = []
+    for d, n in ((2, 10), (3, 3), (3, 4), (3, 5), (3, 6)):
+        sigma, rho, rho2 = (random_state(d, rng) for _ in range(3))
+        specs.append(TestSpec(sigma=sigma, null_set=[rho, rho2], epsilon=0.4, n=n, hull=True))
+    schur_weyl._clear_block_caches()
+    try:
+        tests = [build_test(spec) for spec in specs]
+        errs = [label_errors(spec, alphabet=spec.null_set) for spec in specs if spec.d == 3]
+        frames = [(lam, d, n) for d, n in ((2, 6), (3, 4)) for lam in enumerate_frames(d, n)]
+        projectors = [isotypical_projector(*frame) for frame in frames]
+        word = np.stack([random_state(3, rng) for _ in range(5)])
+        words = [(f, lam) for f in ((2, 2, 1), (1, 3, 1)) for lam in enumerate_frames(3, 5)]
+        weights = [block_weight(f, lam, word, specs[3].basis) for f, lam in words]
+        assert schur_weyl._frequency_blocks.cache_info().currsize == 0
+        for spec, got in zip(specs, tests):
+            labels = sorted(lambda_set(spec))
+            assert labels and np.iscomplexobj(got), spec.n
+            pieces = [(f, frequency_blocks(f)[lam]) for f, lam in labels]
+            want = schur_weyl.dense_from_blocks(pieces, spec.d, spec.n, spec.basis)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec.n
+        for spec, got in zip([spec for spec in specs if spec.d == 3], errs):
+            blocks = {}
+            for f, lam in sorted(lambda_set(spec)):
+                blocks[f] = blocks.get(f, 0.0) + frequency_blocks(f)[lam]
+            b = spec.basis
+            states = [b.conj().T @ s @ b for s in spec.null_set]
+            want = {}
+            for c in enumerate_frequencies(2, spec.n):
+                sites = [states[s] for s, k in enumerate(c) for _ in range(k)]
+                miss = 1.0 - sum(
+                    float(np.einsum("ab,ba->", block, word_block_state(f, sites)).real)
+                    for f, block in blocks.items()
+                )
+                want[c] = min(max(miss, 0.0), 1.0)
+            assert got.misses == want, spec.n
+        for (lam, d, n), got in zip(frames, projectors):
+            pieces = [
+                (f, frequency_blocks(f)[lam])
+                for f in enumerate_frequencies(d, n)
+                if lam in frequency_blocks(f)
+            ]
+            want = schur_weyl.dense_from_blocks(pieces, d, n)
+            assert got.tobytes() == want.tobytes(), (lam, d, n)
+        for (f, lam), got in zip(words, weights):
+            block = frequency_blocks(f).get(lam)
+            prod = word_block_state(f, word, specs[3].basis)
+            want = 0.0 if block is None else np.einsum("ab,ba->", block, prod).real
+            assert got.hex() == float(want).hex(), (f, lam)
+    finally:
+        schur_weyl._clear_block_caches()
+
+
 def test_label_errors_of_the_empty_test_are_exact(monkeypatch):
     # no label left after the K = 0 filter: t2 = 0 and every miss is exactly
     # 1, with no weight-mass table, word-type form or word block built
     def built(*args, **kwargs):
         raise AssertionError("the empty test builds nothing")
 
-    for name in ("_weight_masses", "_qubit_label_mass", "word_block_state", "frequency_blocks"):
+    for name in ("_weight_masses", "_qubit_label_mass", "word_block_state", "_frame_sum"):
         monkeypatch.setattr(hypotest, name, built)
     sigma, rho = np.diag([0.75, 0.25]), np.diag([0.3, 0.7])
     word_letters = [rho, np.diag([0.6, 0.4])]
@@ -631,6 +691,53 @@ def test_neyman_pearson_blocks_that_underflow_raise_no_warning():
         for r, s in ((rho, sigma), (u @ rho @ u.conj().T, u @ sigma @ u.conj().T)):
             got = neyman_pearson(r, s, n, nu)
             assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def classical_np_over_types(p, q, n, nu):
+    """Neyman-Pearson over the types of (p, q)**n in 60-digit mpmath.
+
+    rho = U diag(p) U^dag and sigma = U diag(q) U^dag commute, and the words
+    of one type share a likelihood ratio: the optimal test takes whole
+    types in decreasing ratio order and a fraction of the last one.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        types = []
+        for k in range(n + 1):
+            c = mp.binomial(n, k)
+            r = c * mp.mpf(p[0]) ** k * mp.mpf(p[1]) ** (n - k)
+            s = c * mp.mpf(q[0]) ** k * mp.mpf(q[1]) ** (n - k)
+            types.append((r / s, r, s))
+        target, caught, beta = 1 - mp.mpf(nu), mp.mpf(0), mp.mpf(0)
+        for _, r, s in sorted(types, key=lambda x: -x[0]):
+            if caught + r <= target:
+                caught, beta = caught + r, beta + s
+            else:
+                return float(beta + s * (target - caught) / r)
+        return float(beta)
+
+
+def test_neyman_pearson_keeps_the_phase_of_small_blocks():
+    # A rotated qubit pair: at n = 48 the irrep blocks of rho**n have every
+    # entry far below 1e-15, so an absolute cut on their imaginary part
+    # would drop the whole phase (6.8e-2, 10 and 1.2e3 relative off here)
+    u = haar_unitary(2, np.random.default_rng(3))
+    nu = 0.05
+    for p, q, n in (
+        ((0.4, 0.6), (0.6, 0.4), 48),
+        ((0.4, 0.6), (0.6, 0.4), 64),
+        ((0.3, 0.7), (0.75, 0.25), 48),
+    ):
+        rho = u @ np.diag(p) @ u.conj().T
+        sigma = u @ np.diag(q) @ u.conj().T
+        want = classical_np_over_types(p, q, n, nu)
+        got = neyman_pearson(rho, sigma, n, nu)
+        assert abs(got - want) <= 1e-9 * want, (p, q, n, got, want)
+    # the cut is relative: a block of tiny entries keeps its phase, and
+    # rounding noise on a block of order one is still dropped
+    tiny = 1e-20 * np.array([[1.0, 0.3j], [-0.3j, 2.0]])
+    assert np.iscomplexobj(_hermitian(tiny))
+    assert not np.iscomplexobj(_hermitian(np.array([[1.0, 1e-17j], [-1e-17j, 2.0]])))
 
 
 def test_neyman_pearson_noncommuting_sane():

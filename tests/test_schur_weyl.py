@@ -283,7 +283,7 @@ def test_sweep_builds_sorted_frequencies_only(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    schur_weyl._frequency_blocks.cache_clear()
+    schur_weyl._clear_block_caches()
     try:
         freqs = enumerate_frequencies(3, 8)
         blocks = {f: frequency_blocks(f) for f in freqs}
@@ -291,7 +291,7 @@ def test_sweep_builds_sorted_frequencies_only(monkeypatch):
         for f in freqs:
             assert blocks[f] is blocks[tuple(sorted(f, reverse=True))]
     finally:
-        schur_weyl._frequency_blocks.cache_clear()
+        schur_weyl._clear_block_caches()
 
 
 def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
@@ -299,12 +299,12 @@ def test_blocks_reject_eigenvalues_off_their_targets(monkeypatch):
     # The only eigh in frequency_blocks is the one of the restricted orbit operator.
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh(a + np.eye(len(a))))
-    schur_weyl._frequency_blocks.cache_clear()
+    schur_weyl._clear_block_caches()
     try:
         with pytest.raises(ArithmeticError, match="targets"):
             frequency_blocks((2, 2))
     finally:
-        schur_weyl._frequency_blocks.cache_clear()
+        schur_weyl._clear_block_caches()
 
 
 def test_blocks_reject_owner_counts_off_kostka_squares(monkeypatch):
@@ -317,12 +317,12 @@ def test_blocks_reject_owner_counts_off_kostka_squares(monkeypatch):
         return np.r_[vals[-1], vals[1:]], vecs
 
     monkeypatch.setattr(np.linalg, "eigh", moved)
-    schur_weyl._frequency_blocks.cache_clear()
+    schur_weyl._clear_block_caches()
     try:
         with pytest.raises(ArithmeticError, match="own"):
             frequency_blocks((2, 2))
     finally:
-        schur_weyl._frequency_blocks.cache_clear()
+        schur_weyl._clear_block_caches()
 
 
 def _sorted_frequencies(d, n):
@@ -356,7 +356,7 @@ def test_blocks_diagonalise_on_the_orbits_only(monkeypatch):
     eigh = np.linalg.eigh
     monkeypatch.setattr(schur_weyl, "class_sum_on_words", dense)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape) or eigh(a))
-    schur_weyl._frequency_blocks.cache_clear()
+    schur_weyl._clear_block_caches()
     try:
         orbits = {}
         for d, n in [(2, 10), (3, 8), (4, 5), (5, 5)]:
@@ -367,7 +367,7 @@ def test_blocks_diagonalise_on_the_orbits_only(monkeypatch):
         assert len(words_of_type((3, 3, 2))) == 560 and orbits[(3, 3, 2)] == 35
         assert len(words_of_type((5, 5))) == 252 and orbits[(5, 5)] == 6
     finally:
-        schur_weyl._frequency_blocks.cache_clear()
+        schur_weyl._clear_block_caches()
 
 
 def test_block_algebra():
