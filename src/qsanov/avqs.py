@@ -19,6 +19,7 @@ import numpy as np
 from .errors import SizeGuardError
 from .hypotest import TestSpec, build_test, theta
 from .quantum import (
+    _drop_imag,
     _qrel_entropy,
     _support_log2,
     assert_state,
@@ -31,7 +32,7 @@ from .quantum import (
 )
 from .schur_weyl import (
     DENSE_LIMIT,
-    block_weight,
+    _accepted_traces,
     dense_operator,
     guard_dimension,
     product_trace,
@@ -39,6 +40,7 @@ from .schur_weyl import (
 )
 from .tableaux import (
     ALPHA,
+    _accepted_labels,
     _frame_parts,
     enumerate_frequencies,
     relative_entropy,
@@ -113,16 +115,14 @@ def spectral_estimation_check(lam, word, alphabet) -> tuple[float, float]:
     """Frame weight of a word state against its mixed-spectrum exponent bound.
 
     Returns (tr{P_lam rho_word}, (2n)**(|S| + d*d) 2**(-n D(lam_norm || spec mix))).
+    The left side is the word state's trace on the labels (f, lam), every f.
     """
     n = len(word)
-    states = [assert_state(alphabet[s]) for s in word]
-    d = states[0].shape[0]
+    states = np.stack([assert_state(alphabet[s]) for s in word])
+    d = states.shape[-1]
     lam_p = _frame_parts(lam, n, d)
-    guard_dimension(d, n)
-    stacked = np.stack(states)
-    lhs = 0.0
-    for f in enumerate_frequencies(d, n):
-        lhs += block_weight(f, lam_p, stacked)
+    accepted = _accepted_labels(((f, lam_p) for f in enumerate_frequencies(d, n)), n, d)
+    lhs = _accepted_traces(accepted, [states])[0]
     mix = empirical_mixture(word, alphabet)
     lam_norm = np.asarray(lam_p + (0,) * (d - len(lam_p)), dtype=float) / n
     div = relative_entropy(lam_norm, spectrum(mix))
@@ -343,7 +343,8 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
     sitewise-depolarized states. The operator is copied once; each site's
     partial trace is taken into one d**(2n-2) buffer, shared by all sites,
     over the (a, d, b, a, d, b) view of the copy, a = d**site, so no
-    other full-size or partial-size array is allocated.
+    other full-size or partial-size array is allocated. The result is
+    real when its imaginary part is negligible (`quantum._drop_imag`).
     """
     p = dense_operator(p_n, d, n)
     if not 0.0 <= delta <= 1.0:
@@ -359,9 +360,7 @@ def smoothed_test(p_n, delta: float, d: int, n: int) -> np.ndarray:
         work *= 1.0 - delta
         for i in range(d):
             view[:, i, :, :, i, :] += buf
-    if np.iscomplexobj(work) and np.abs(work.imag).max() < 1e-15:
-        return work.real
-    return work
+    return _drop_imag(work)
 
 
 # ---------------------------------------------------------------------------

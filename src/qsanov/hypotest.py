@@ -3,8 +3,9 @@
 A test against a null family of states and an alternative sigma keeps the
 label pairs (f, lam) whose normalized frequency and frame both sit within
 epsilon (in l1) of the pinched diagonal and the spectrum of some null
-state. The acceptance operator is the sum of the corresponding projector
-blocks, built in the eigenbasis of sigma.
+state. The acceptance operator is the projector onto those labels, built
+in the eigenbasis of sigma. A label set is read once
+(`tableaux._accepted_labels`), so a label listed twice counts once.
 
 Its errors are sums over the labels (`label_errors`), taken at every d on
 the U(d) irreps pi_lam in the Gelfand-Tsetlin basis (`schur_weyl.gt_irrep`),
@@ -14,9 +15,9 @@ type-two error sums the accepted entries of sigma's table, and the
 type-one error of a state the rejected entries of its own, or, on a frame
 with no accepted weight, the whole table of its spectrum. The miss of
 every word state of a larger alphabet is taken per letter-count type: at
-d = 2 from forms in the letter weights, at d >= 3 as one minus
-the accepted word-block weights (`block_weight`) of the sorted word of
-that type. No d**n operator is formed. The dense functions (`build_test`,
+d = 2 from forms in the letter weights, at d >= 3 as one minus the
+accepted word-block traces of the sorted word of that type
+(`schur_weyl._accepted_traces`). No d**n operator is formed. The dense functions (`build_test`,
 `type_one`, `type_two`) remain as the oracles of the label path and
 behind the dense AVQS checks; the latter two contract P against the
 state one site at a time (`schur_weyl.product_trace`), so rho^n is never
@@ -41,6 +42,7 @@ import numpy as np
 
 from .errors import SizeGuardError, VerificationError
 from .quantum import (
+    _drop_imag,
     _pinched,
     _spectra,
     assert_basis,
@@ -52,18 +54,16 @@ from .quantum import (
 )
 from .schur_weyl import (
     GUARD_LIMIT,
-    _frame_sum,
+    _accepted_operator,
+    _accepted_traces,
     _weight_masses,
-    dense_from_blocks,
     gt_irrep,
     product_trace,
-    word_block_state,
 )
 from .tableaux import (
     ALPHA,
+    _accepted_labels,
     _dominates,
-    _frame_parts,
-    _freq_counts,
     enumerate_frames,
     enumerate_frequencies,
     hook_dimension,
@@ -183,23 +183,15 @@ def lambda_set(spec: TestSpec) -> frozenset[tuple[tuple[int, ...], tuple[int, ..
 def build_test(spec: TestSpec, labels=None) -> np.ndarray:
     """Acceptance projector, dense in computational coordinates.
 
-    Sums the (f, lam) blocks of `lambda_set`, or of the given labels, each
-    checked against spec.n and spec.d, in the sigma eigenbasis and rotates
-    the result back to computational coordinates. Each frequency is one
-    piece, the gather of its accepted frames' summed table rows
-    (`schur_weyl._frame_sum`), so no per-frame block is built. Hermitian
-    and idempotent; real whenever the eigenbasis is real.
+    The projector onto the labels of `lambda_set`, or the given ones, read
+    once (`tableaux._accepted_labels`: checked against spec.n and spec.d, a
+    repeat counted once), built in the sigma eigenbasis and rotated back
+    (`schur_weyl._accepted_operator`). Hermitian and idempotent; real
+    whenever the eigenbasis is real.
     """
     if labels is None:
         labels = lambda_set(spec)
-    d, n = spec.d, spec.n
-    accepted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for f, lam in sorted(labels):
-        f, lam = _freq_counts(f, n, d), _frame_parts(lam, n, d)
-        if _dominates(f, lam):
-            accepted.setdefault(f, []).append(lam)
-    pieces = ((f, _frame_sum(f, lams)) for f, lams in accepted.items())
-    return dense_from_blocks(pieces, d, n, spec.basis)
+    return _accepted_operator(_accepted_labels(labels, spec.n, spec.d), spec.d, spec.n, spec.basis)
 
 
 def _infer_sites(op_dim: int, d: int) -> int:
@@ -261,9 +253,10 @@ class LabelErrors:
 def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     """Type-two error and word-state misses of a label test, at every d.
 
-    Both come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
-    whose weights are the frequencies f of the labels (f, lam); labels with
-    K_{f,lam} = 0 (empty blocks) are dropped first. The mass of X^n on
+    The labels are read once (`tableaux._accepted_labels`: checked against
+    spec.n and spec.d, a repeat counted once, empty blocks dropped). Both
+    errors come from the U(d) irreps pi_lam in the Gelfand-Tsetlin basis,
+    whose weights are the label frequencies: the mass of X^n on
     label (f, lam), d_lam tr{Pi_f pi_lam(X)}, is cell f[:-1] of the log
     weight-mass table of (lam, X) (`schur_weyl._weight_masses`), and each
     frame keeps one boolean mask of its accepted cells. Since sigma^n is
@@ -281,13 +274,10 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     d = 2 it is the mass of X = sum_s y_s rho'_s off the masks, read off
     per monomial y^c and divided by the multinomial C(n; c) (see
     `_qubit_label_mass`); at d >= 3 it is one minus the trace of the
-    accepted part of each word block against the sorted word of type c
-    (word states are not of the form X^(x n)): per accepted frequency, the
-    sum of its accepted frames is one gather of the frame table
-    (`schur_weyl._frame_sum`), formed once for every type, and no
-    per-frame block is built. No d**n operator is formed. With no label
-    left the test is empty, and the errors are exact: ln t2 = -inf and
-    every miss 1, with no table, form or word block built. Raises VerificationError when the
+    accepted projector on the sorted word of type c, block by block
+    (`schur_weyl._accepted_traces`). No d**n operator is formed. With no
+    label left the errors are exact: ln t2 = -inf and every miss 1, with no
+    table, form or word block built. Raises VerificationError when the
     type-two error is NaN or +inf, or a miss is not finite, which the
     [0, 1] clamp on the misses would otherwise pass through, and ValueError
     when a label does not fit spec.n and spec.d.
@@ -295,25 +285,25 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
     if labels is None:
         labels = lambda_set(spec)
     d, n = spec.d, spec.n
-    checked = ((_freq_counts(f, n, d), _frame_parts(lam, n, d)) for f, lam in labels)
-    labels = sorted(label for label in checked if _dominates(*label))
+    accepted = _accepted_labels(labels, n, d)
     b = spec.basis
     states = [b.conj().T @ assert_state(s) @ b for s in alphabet]
     types = enumerate_frequencies(len(states), n) if states else []
-    if not labels:
+    if not accepted:
         return LabelErrors(log_type_two=np.longdouble(-np.inf), misses=dict.fromkeys(types, 1.0))
-    frames = {lam for _, lam in labels}
+    frames = {lam for lams in accepted.values() for lam in lams}
     masks = {lam: np.zeros((lam[0] + 1,) * (d - 1), dtype=bool) for lam in frames}
-    for f, lam in labels:
-        masks[lam][f[:-1]] = True
+    for f, lams in accepted.items():
+        for lam in lams:
+            masks[lam][f[:-1]] = True
     sigma_key = np.diag(spec.t).astype(complex).tobytes()
-    accepted, full = [np.empty(0)], set()
+    kept, full = [np.empty(0)], set()
     for lam, mask in sorted(masks.items()):
         logs = _weight_masses(lam, d, sigma_key)
-        accepted.append(logs[mask])
+        kept.append(logs[mask])
         if not np.isfinite(logs[~mask]).any():
             full.add(lam)
-    cells = np.concatenate(accepted).astype(np.longdouble)
+    cells = np.concatenate(kept).astype(np.longdouble)
     top = cells.max(initial=-np.inf)
     log_t2 = top + np.log(np.exp(cells - top).sum()) if np.isfinite(top) else top
     if np.isnan(log_t2) or log_t2 == np.inf:
@@ -344,20 +334,8 @@ def label_errors(spec: TestSpec, labels=None, alphabet=()) -> LabelErrors:
             for c in types
         ]
     else:
-        # the accepted part of each word block, summed over its frames, is
-        # built once and read against the word state of every type
-        accepted: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for f, lam in labels:
-            accepted.setdefault(f, []).append(lam)
         words = [[states[s] for s, k in enumerate(c) for _ in range(k)] for c in types]
-        per_type: list[list[float]] = [[] for _ in types]
-        for f, lams in accepted.items():
-            block = _frame_sum(f, lams)
-            for sites, traces in zip(words, per_type):
-                traces.append(
-                    float(np.einsum("ab,ba->", block, word_block_state(f, sites)).real)
-                )
-        misses = [1.0 - sum(traces) for traces in per_type]
+        misses = [1.0 - trace for trace in _accepted_traces(accepted, words)]
     bad = [c for c, miss in zip(types, misses) if not math.isfinite(miss)]
     if bad:
         raise VerificationError(
@@ -640,13 +618,8 @@ def _classical_np(p: np.ndarray, q: np.ndarray, target: float) -> tuple[float, i
 
 
 def _hermitian(a: np.ndarray) -> np.ndarray:
-    """(a + a^dag) / 2, returned real when its imaginary part is within 1e-15 of its largest entry.
-
-    The test is relative: the irrep blocks of rho**n at large n have every
-    entry far below 1, and an absolute cut would drop their whole phase.
-    """
-    a = (a + a.conj().T) / 2.0
-    return a.real if np.abs(a.imag).max() <= 1e-15 * np.abs(a).max() else a
+    """(a + a^dag) / 2, returned real when its imaginary part is negligible (`_drop_imag`)."""
+    return _drop_imag((a + a.conj().T) / 2.0)
 
 
 def _irrep_blocks(rho, sigma, n: int) -> list[tuple[float, np.ndarray, np.ndarray]]:

@@ -41,18 +41,17 @@ def unitary_twirl_invariant(a, d: int, n: int) -> np.ndarray:
 
     On invariant operators the average lands in the span of the frame
     projectors, with each coefficient fixed by trace preservation:
-    sum over lam of (tr{A P_lam}/tr{P_lam}) P_lam.
+    sum over lam of (tr{A P_lam}/tr{P_lam}) P_lam, a real operator built
+    from real coefficients and real frame projectors.
     """
     mat = require_invariant(np.asarray(a, dtype=complex), d, n)
-    out = np.zeros(mat.shape, dtype=complex)
+    out = np.zeros(mat.shape)
     for lam in enumerate_frames(d, n):
         p_lam = isotypical_projector(lam, d, n)
         weight = np.einsum("ij,ji->", mat, p_lam).real
-        tr = np.trace(p_lam).real
+        tr = np.trace(p_lam)
         if tr > 0:
             out += (weight / tr) * p_lam
-    if np.abs(out.imag).max() < 1e-15:
-        return out.real
     return out
 
 

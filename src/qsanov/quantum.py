@@ -9,18 +9,10 @@ import math
 
 import numpy as np
 
-from .tableaux import CHECK_TOL, entropy, majorizes
+from .tableaux import CHECK_TOL, _name, _prob_rows, entropy, majorizes
 
 RHO_SUPPORT_TOL = 1e-9
 SIGMA_NULL_TOL = 1e-12
-
-
-def _name(flags: np.ndarray) -> tuple[tuple[int, ...], str]:
-    """(index, name) of the first flagged state: "state" alone for one state."""
-    idx = np.unravel_index(int(np.flatnonzero(flags)[0]), flags.shape)
-    if not idx:
-        return idx, "state"
-    return idx, f"state {idx[0] if len(idx) == 1 else idx}"
 
 
 def assert_states(states) -> tuple[np.ndarray, np.ndarray]:
@@ -36,15 +28,15 @@ def assert_states(states) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"state must be square, got shape {m.shape}")
     skew = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if (skew > CHECK_TOL).any():
-        raise ValueError(f"{_name(skew > CHECK_TOL)[1]} is not Hermitian")
+        raise ValueError(f"{_name(skew > CHECK_TOL, 'state')[1]} is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if (np.abs(tr - 1.0) > CHECK_TOL).any():
-        i, name = _name(np.abs(tr - 1.0) > CHECK_TOL)
+        i, name = _name(np.abs(tr - 1.0) > CHECK_TOL, "state")
         raise ValueError(f"{name} trace is {tr[i]}, expected 1")
     evals = np.linalg.eigvalsh(m)
     low = evals.min(axis=-1)
     if (low < -CHECK_TOL).any():
-        i, name = _name(low < -CHECK_TOL)
+        i, name = _name(low < -CHECK_TOL, "state")
         raise ValueError(f"{name} has negative eigenvalue {low[i]}")
     return m, evals
 
@@ -58,15 +50,8 @@ def assert_state(rho) -> np.ndarray:
 
 
 def _spectra(evals: np.ndarray) -> np.ndarray:
-    """Descending, clipped and renormalized rows of ascending eigenvalues."""
-    vals = evals[..., ::-1].copy()
-    np.clip(vals, 0.0, None, out=vals)
-    s = vals.sum(axis=-1, keepdims=True)
-    off = np.abs(s[..., 0] - 1.0) > 1e-10
-    if off.any():
-        i, name = _name(off)
-        raise ValueError(f"clipped spectrum of {name} sums to {s[i][0]}")
-    return vals / s
+    """Descending, clipped and renormalized rows of ascending eigenvalues (`_prob_rows`)."""
+    return _prob_rows(evals[..., ::-1], "spectrum of state")
 
 
 def spectrum(rho) -> np.ndarray:
@@ -97,23 +82,8 @@ def assert_basis(basis) -> np.ndarray:
 
 
 def _pinched(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Diagonals of the validated stack m in the orthonormal basis b.
-
-    Each row is checked, clipped at 0 and renormalized at the tolerance
-    of `tableaux.as_prob_vec` (CHECK_TOL).
-    """
-    diag = np.einsum("ji,...jk,ki->...i", b.conj(), m, b).real.copy()
-    low = diag.min(axis=-1)
-    if (low < -CHECK_TOL).any():
-        i, name = _name(low < -CHECK_TOL)
-        raise ValueError(f"negative entry {low[i]} in the pinching of {name}")
-    np.clip(diag, 0.0, None, out=diag)
-    s = diag.sum(axis=-1, keepdims=True)
-    off = np.abs(s[..., 0] - 1.0) > CHECK_TOL
-    if off.any():
-        i, name = _name(off)
-        raise ValueError(f"the pinching of {name} sums to {s[i][0]}, expected 1")
-    return diag / s
+    """Diagonals of the validated stack m in the orthonormal basis b, as `_prob_rows`."""
+    return _prob_rows(np.einsum("ji,...jk,ki->...i", b.conj(), m, b).real, "pinching of state")
 
 
 def pinch(rho, basis) -> np.ndarray:
@@ -123,6 +93,16 @@ def pinch(rho, basis) -> np.ndarray:
     (d,) or (..., d), each row validated, clipped at 0 and renormalized.
     """
     return _pinched(assert_states(rho)[0], assert_basis(basis))
+
+
+def _drop_imag(a: np.ndarray) -> np.ndarray:
+    """a, real when its imaginary part is within 1e-15 of its largest entry.
+
+    Relative, so an operator whose entries all lie far below 1 keeps its phase.
+    """
+    if np.iscomplexobj(a) and np.abs(a.imag).max(initial=0.0) <= 1e-15 * np.abs(a).max(initial=0.0):
+        return a.real
+    return a
 
 
 def qrel_entropy(rho, sigma) -> float:

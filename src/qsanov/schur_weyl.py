@@ -25,11 +25,14 @@ every block entry is read off the orbit of its word pair. The blocks are
 real in the word basis. Per sorted f, the cached frame table keeps one row
 of orbit entries per frame and the pair-orbit index of the block
 (`_frame_table`); a sum of accepted frames is one gather of the summed
-rows (`_frame_sum`), so the label readers form no per-frame block.
+rows (`_frame_sum`), so no reader of a label set forms a per-frame block.
 `class_sum_on_words` keeps the dense m x m class sum as an oracle.
-`dense_from_blocks` is the one path from blocks to d**n operators
-(`block_projector`, `isotypical_projector`), and `word_block_state`
-restricts a product of site states to a block.
+A label set, read once as {f: [lam, ...]} (`tableaux._accepted_labels`),
+has two readers, and no other module turns it into word blocks: its d**n
+operator (`_accepted_operator`) and its traces against word states
+(`_accepted_traces`). `dense_from_blocks` is the one path from blocks to
+d**n operators, and `word_block_state` restricts a product of site
+states to a block.
 Full-space work is guarded: index-level work allows d**n up to 60000,
 dense d**n x d**n matrices up to 4096 (`dense_operator`), whose S_n
 invariance is certified on the two generators of S_n (`invariance_defect`).
@@ -68,8 +71,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import SizeGuardError
-from .quantum import assert_basis, assert_state, spectrum
+from .quantum import _drop_imag, assert_basis, assert_state, spectrum
 from .tableaux import (
+    _accepted_labels,
     _dominates,
     _frame_parts,
     _freq_counts,
@@ -315,10 +319,9 @@ def frequency_blocks(f) -> dict[tuple[int, ...], np.ndarray]:
     table (`_frame_table`: each frame's r orbit entries and the m x m
     pair-orbit index in the smallest unsigned dtype) and this dict of dense
     blocks, gathered from it. The dict is shared between callers and must
-    not be modified. The label readers (`hypotest.build_test`,
-    `hypotest.label_errors`, `isotypical_projector`, word-state
-    `block_weight`) read the table alone (`_frame_sum`): they build no
-    per-frame block and cache no dense dict.
+    not be modified. The readers of a label set (`_accepted_operator`,
+    `_accepted_traces`) and `completeness_check` read the table alone
+    (`_frame_sum`): they build no per-frame block and cache no dense dict.
     """
     return _frequency_blocks(_freq_counts(f))
 
@@ -481,12 +484,10 @@ def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
     """Dense d**n operator assembled from (f, block) word-block pieces.
 
     Each block lands on the rows and columns of the words with letter
-    counts f; pieces sharing an f add up. The label readers pass one piece
-    per f, the sum of its accepted frames (`_frame_sum`), and
-    `block_projector` a `frequency_blocks` block. With a basis, the sum is
-    rotated out of it by basis^(x n), and the result is returned real when
-    its imaginary part is below 1e-15. Only the columns of basis^(x n) at the
-    placed words enter the rotation.
+    counts f; pieces sharing an f add up. With a basis, the sum is rotated
+    out of it by basis^(x n), and the result is returned real when its
+    imaginary part is negligible (`quantum._drop_imag`). Only the columns of
+    basis^(x n) at the placed words enter the rotation.
     """
     dim = guard_dimension(d, n, DENSE_LIMIT)
     out = np.zeros((dim, dim))
@@ -501,37 +502,49 @@ def dense_from_blocks(pieces, d: int, n: int, basis=None) -> np.ndarray:
     if np.allclose(b, np.eye(d), atol=1e-14):
         return out
     t = tensor_power(b, n)[:, used]
-    out = t @ out[np.ix_(used, used)] @ t.conj().T
-    if np.abs(out.imag).max() < 1e-15:
-        out = out.real
-    return out
+    return _drop_imag(t @ out[np.ix_(used, used)] @ t.conj().T)
+
+
+def _accepted_operator(accepted, d: int, n: int, basis=None) -> np.ndarray:
+    """The dense projector onto a label set {f: [lam, ...]}, one `_frame_sum` piece per f."""
+    pieces = ((f, _frame_sum(f, lams)) for f, lams in accepted.items())
+    return dense_from_blocks(pieces, d, n, basis)
+
+
+def _accepted_traces(accepted, words, basis=None) -> list[float]:
+    """tr{P rho_w} for each word state w of `words`, P the projector onto {f: [lam, ...]}.
+
+    Each word is a length-n sequence of site states, taken in `basis` when
+    one is given. The sum of the frames of f (`_frame_sum`) is gathered
+    once and traced against every word on the block of f, in the order of f.
+    """
+    traces: list[list[float]] = [[] for _ in words]
+    for f, lams in accepted.items():
+        block = _frame_sum(f, lams)
+        for sites, out in zip(words, traces):
+            out.append(float(np.einsum("ab,ba->", block, word_block_state(f, sites, basis)).real))
+    return [sum(t) for t in traces]
 
 
 def block_projector(f, lam, basis=None) -> np.ndarray:
     """Dense projector onto the lam component of the frequency-f word block.
 
-    With a basis, the word block is rotated out of it (`dense_from_blocks`).
+    With a basis, the word block is rotated out of it (`_accepted_operator`).
     Vanishing Kostka number gives the zero matrix.
     """
     counts = _freq_counts(f)
-    lam_p = _frame_parts(lam, sum(counts), len(counts))
-    block = frequency_blocks(counts).get(lam_p)
-    pieces = [] if block is None else [(counts, block)]
-    return dense_from_blocks(pieces, len(counts), sum(counts), basis)
+    n, d = sum(counts), len(counts)
+    return _accepted_operator(_accepted_labels([(counts, lam)], n, d), d, n, basis)
 
 
 def isotypical_projector(lam, d: int, n: int) -> np.ndarray:
     """Central projector onto the frame-lam component, lam partitioning n in at most d rows.
 
-    Independent of any basis choice; assembled from the word blocks of the
-    computational basis, each the gather of frame lam's row of the block's
-    frame table (`_frame_sum`), with no dict of dense blocks cached.
+    Independent of any basis choice; the operator of the labels (f, lam)
+    over every frequency f (`_accepted_operator`), in the computational basis.
     """
-    lam_p = _frame_parts(lam, n, d)
-    pieces = (
-        (f, _frame_sum(f, [lam_p])) for f in enumerate_frequencies(d, n) if _dominates(f, lam_p)
-    )
-    return dense_from_blocks(pieces, d, n)
+    labels = ((f, lam) for f in enumerate_frequencies(d, n))
+    return _accepted_operator(_accepted_labels(labels, n, d), d, n)
 
 
 def completeness_check(d: int, n: int) -> float:
@@ -539,17 +552,13 @@ def completeness_check(d: int, n: int) -> float:
 
     Works block by block: distinct frequencies occupy disjoint word
     coordinates, so the deviation is block diagonal and its spectral norm
-    is the max over blocks.
+    is the max over blocks, each the sum of its frames (`_frame_sum`).
     """
     guard_dimension(d, n)
     worst = 0.0
     for f in enumerate_frequencies(d, n):
-        blocks = frequency_blocks(f)
-        m = words_of_type(f).shape[0]
-        total = np.zeros((m, m))
-        for block in blocks.values():
-            total += block
-        worst = max(worst, float(np.abs(np.linalg.eigvalsh(total - np.eye(m))).max()))
+        total = _frame_sum(f, [lam for lam in enumerate_frames(d, n) if _dominates(f, lam)])
+        worst = max(worst, float(np.abs(np.linalg.eigvalsh(total - np.eye(len(total)))).max()))
     return worst
 
 
@@ -560,8 +569,8 @@ def block_weight(f, lam, states, basis=None) -> float:
     taken in `basis` when one is given. One state gives the nonnegative sum
     d_lam sum_{wt T = f} pi_lam(rho)[T, T] on the Gelfand-Tsetlin irrep, with
     no word block or d**n guard; a sequence is restricted to the word block
-    of f (`word_block_state`) and read against the one block of lam
-    (`_frame_sum`), with no other frame's block built. Zero unless |f| = |lam| and lam dominates f;
+    of f and read against the one block of lam (`_accepted_traces`), with
+    no other frame's block built. Zero unless |f| = |lam| and lam dominates f;
     ValueError unless f has d letters, d that of the states.
 
     One state reads cell f[:-1] of the log weight-mass table of (lam, rho')
@@ -584,8 +593,7 @@ def block_weight(f, lam, states, basis=None) -> float:
             rho = b.conj().T @ rho @ b
         logs = _weight_masses(lam_p, d, np.ascontiguousarray(rho).tobytes())
         return math.exp(logs[counts[:-1]])
-    prod = word_block_state(counts, states, basis)
-    return float(np.einsum("ab,ba->", _frame_sum(counts, [lam_p]), prod).real)
+    return _accepted_traces({counts: [lam_p]}, [rho], basis)[0]
 
 
 def word_block_state(f, states, basis=None) -> np.ndarray:

@@ -13,6 +13,8 @@ Conventions used throughout the package:
   empty block read 0 (`kostka`, `schur_weyl.weyl_dimension`,
   `schur_weyl.block_weight`); every other mismatch raises ValueError
   naming the label and the n or d it fails,
+* a label set is read in one place (`_accepted_labels`), and a
+  probability row (vector, spectrum, pinching) by one rule (`_prob_rows`),
 * normalized vectors are numpy arrays summing to one.
 
 Counting functions (`hook_dimension`, `type_class_size`, `kostka`) work in
@@ -33,6 +35,8 @@ import numpy as np
 ALPHA = 1.0 / (2.0 * math.log(2.0))
 # Tolerance of the input checks on probability vectors, states and bases.
 CHECK_TOL = 1e-9
+# Rounding of a state's eigenvalue or pinching sums against its trace (<= 5 eps, d <= 32).
+SUM_ROUNDING = 1e-14
 # Slack of the partial-sum comparisons in `majorizes`.
 MAJORIZE_TOL = 1e-12
 
@@ -71,6 +75,21 @@ def _freq_counts(f, n: int | None = None, d: int | None = None) -> tuple[int, ..
     if n is not None and sum(cs) != n:
         raise ValueError(f"frequency {cs} does not sum to n = {n}")
     return cs
+
+
+def _accepted_labels(labels, n: int, d: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """A set of labels (f, lam) as {f: [lam, ...]}, the one reading of a label set.
+
+    Each label is checked against n and d; labels equal once checked count
+    once, empty blocks (K_{lam,f} = 0) are dropped, and the f and each f's
+    frames are listed in sorted order.
+    """
+    accepted: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for f, lam in labels:
+        counts, parts = _freq_counts(f, n, d), _frame_parts(lam, n, d)
+        if _dominates(counts, parts):
+            accepted.setdefault(counts, set()).add(parts)
+    return {f: sorted(accepted[f]) for f in sorted(accepted)}
 
 
 def enumerate_frames(d: int, n: int) -> list[tuple[int, ...]]:
@@ -118,18 +137,39 @@ def enumerate_frequencies(d: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _name(flags: np.ndarray, noun: str) -> tuple[tuple[int, ...], str]:
+    """(index, name) of the first flagged row: the noun alone for one row."""
+    idx = np.unravel_index(int(np.flatnonzero(flags)[0]), flags.shape)
+    return idx, f"{noun} {idx[0] if len(idx) == 1 else idx}" if idx else noun
+
+
+def _prob_rows(v, noun: str) -> np.ndarray:
+    """The rows of v (last axis) as probability vectors: the one rule for them.
+
+    ValueError, naming the first bad row, when an entry is below -CHECK_TOL
+    or a row sums to more than CHECK_TOL + SUM_ROUNDING off 1, as
+    `quantum.assert_states` bounds eigenvalues and traces; else negatives
+    are clipped to 0 and each row divided by its clipped sum.
+    """
+    rows = np.array(v, dtype=float)
+    low = rows.min(axis=-1)
+    if (low < -CHECK_TOL).any():
+        i, name = _name(low < -CHECK_TOL, noun)
+        raise ValueError(f"negative entry {low[i]} in {name}")
+    s = rows.sum(axis=-1)
+    if (np.abs(s - 1.0) > CHECK_TOL + SUM_ROUNDING).any():
+        i, name = _name(np.abs(s - 1.0) > CHECK_TOL + SUM_ROUNDING, noun)
+        raise ValueError(f"{name} sums to {s[i]}, expected 1")
+    np.clip(rows, 0.0, None, out=rows)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
 def as_prob_vec(p) -> np.ndarray:
-    """Validate and return p as a probability vector (clipping tiny negatives)."""
-    v = np.asarray(p, dtype=float).copy()
+    """Validate and return p as a probability vector (`_prob_rows`)."""
+    v = np.asarray(p, dtype=float)
     if v.ndim != 1:
         raise ValueError("probability vector must be one dimensional")
-    if v.min() < -CHECK_TOL:
-        raise ValueError(f"negative entry {v.min()} in probability vector")
-    np.clip(v, 0.0, None, out=v)
-    s = v.sum()
-    if abs(s - 1.0) > CHECK_TOL:
-        raise ValueError(f"probability vector sums to {s}, expected 1")
-    return v / s
+    return _prob_rows(v, "probability vector")
 
 
 def l1_distance(p, q) -> float:

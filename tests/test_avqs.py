@@ -522,6 +522,22 @@ def smoothed_test_2n_axes(p, delta, d, n):
     return out
 
 
+def test_a_small_operator_keeps_its_phase():
+    # an imaginary part is dropped by one relative rule (`quantum._drop_imag`),
+    # so scaling an operator down does not cut its phase
+    a = nogo.random_invariant_operator(2, 3, np.random.default_rng(1))
+    want = smoothed_test(a, 0.2, 2, 3)
+    got = smoothed_test(1e-20 * a, 0.2, 2, 3)
+    assert np.iscomplexobj(want) and np.iscomplexobj(got)
+    assert np.abs(1e20 * got - want).max() < 1e-12
+    basis = nogo.haar_unitary(2, np.random.default_rng(3))
+    block = schur_weyl.frequency_blocks((2, 1))[(2, 1)]
+    want = schur_weyl.dense_from_blocks([((2, 1), block)], 2, 3, basis)
+    got = schur_weyl.dense_from_blocks([((2, 1), 1e-20 * block)], 2, 3, basis)
+    assert np.iscomplexobj(want) and np.iscomplexobj(got)
+    assert np.abs(1e20 * got - want).max() < 1e-12
+
+
 def test_smoothed_test_holds_one_partial_trace_buffer():
     # d = 2, n = 10: the 8 MiB output plus one 2 MiB partial-trace buffer,
     # with 0.5 MiB of slack; a fresh partial per site (and its scaled copy)

@@ -262,13 +262,40 @@ def test_label_readers_build_no_frame_block():
         schur_weyl._clear_block_caches()
 
 
+def test_a_label_listed_twice_counts_once():
+    # a label set is read once (`tableaux._accepted_labels`): exact repeats
+    # and aliases padded with zero rows leave the test a projector, equal to
+    # that of the set without them, and move no word miss
+    rng = np.random.default_rng(5)
+    sigma, rho, rho2 = (random_state(2, rng) for _ in range(3))
+    cases = [(TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=6), [rho, rho2])]
+    rng = np.random.default_rng(5)
+    rho, sigma, rho2 = (random_state(3, rng) for _ in range(3))
+    cases.append((TestSpec(sigma=sigma, null_set=[rho], epsilon=0.3, n=4), [rho, rho2]))
+    for spec, alphabet in cases:
+        labels = sorted(lambda_set(spec))
+        aliases = [(f, lam + (0,) * (spec.d - len(lam))) for f, lam in labels]
+        repeated = labels + labels[:3] + aliases
+        assert len(repeated) > len(labels) and aliases != labels
+        want = build_test(spec, labels)
+        got = build_test(spec, repeated)
+        assert np.abs(got @ got - got).max() < 1e-12, spec.d
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec.d
+        errs = label_errors(spec, repeated, alphabet)
+        assert errs == label_errors(spec, labels, alphabet), spec.d
+        if spec.d == 3:
+            for word in itertools.product(range(2), repeat=spec.n):
+                c = (spec.n - sum(word), sum(word))
+                assert abs(errs.misses[c] - word_type_one(want, word, alphabet)) < 1e-12, word
+
+
 def test_label_errors_of_the_empty_test_are_exact(monkeypatch):
     # no label left after the K = 0 filter: t2 = 0 and every miss is exactly
     # 1, with no weight-mass table, word-type form or word block built
     def built(*args, **kwargs):
         raise AssertionError("the empty test builds nothing")
 
-    for name in ("_weight_masses", "_qubit_label_mass", "word_block_state", "_frame_sum"):
+    for name in ("_weight_masses", "_qubit_label_mass", "_accepted_traces"):
         monkeypatch.setattr(hypotest, name, built)
     sigma, rho = np.diag([0.75, 0.25]), np.diag([0.3, 0.7])
     word_letters = [rho, np.diag([0.6, 0.4])]

@@ -22,7 +22,9 @@ from qsanov.quantum import (
     trace_distance,
     trace_norm,
 )
-from qsanov.tableaux import entropy, relative_entropy
+from qsanov.hypotest import TestSpec, lambda_set
+from qsanov.nogo import haar_unitary
+from qsanov.tableaux import CHECK_TOL, as_prob_vec, entropy, relative_entropy
 
 
 def birkhoff_mix(vec, rng, terms=4):
@@ -108,6 +110,37 @@ def count_eigvalsh(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     return calls
+
+
+def test_a_state_the_validator_accepts_has_a_spectrum_and_pinchings():
+    # one rule for probability rows (`tableaux._prob_rows`): a trace within
+    # CHECK_TOL of 1 and eigenvalues or pinched entries down to -CHECK_TOL,
+    # clipped, pass `spectrum`, `pinch` and `lambda_set` as they pass the
+    # validator
+    rot = np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2.0)
+    low = np.diag([1.0 + 1.4e-9, -9e-10])
+    states = [np.diag([0.6, 0.4 + 5e-10]), low, rot @ low @ rot.conj().T]
+    for s in states:
+        assert_state(s)
+        for rows in (spectrum(s), pinch(s, np.eye(2)), pinch(s, rot)):
+            assert rows.min() >= 0.0 and abs(rows.sum() - 1.0) < 1e-15
+        spec = TestSpec(sigma=np.diag([0.7, 0.3]), null_set=[s], epsilon=0.3, n=4)
+        assert lambda_set(spec)
+    # at the edge of the trace check, where row sums round past the trace
+    rng = np.random.default_rng(7)
+    for k in range(300):
+        d = 2 + k % 3
+        s = random_state(d, rng) * (1.0 + (-1) ** k * (1.0 - 1e-7 * rng.uniform()) * CHECK_TOL)
+        if np.abs(np.trace(s).real - 1.0) <= CHECK_TOL:
+            assert_state(s)
+            for rows in (spectrum(s), pinch(s, np.eye(d)), pinch(s, haar_unitary(d, rng))):
+                assert rows.min() >= 0.0
+    assert np.array_equal(spectrum(np.stack(states))[0], spectrum(states[0]))
+    assert np.allclose(spectrum(states[0]), [0.6, 0.4])
+    assert as_prob_vec([1.0 + 1.4e-9, -9e-10]).tolist() == [1.0, 0.0]
+    for bad, message in (([0.6, 0.4 + 2e-9], "sums to"), ([1.0 + 2e-9, -2e-9], "negative entry")):
+        with pytest.raises(ValueError, match=message):
+            as_prob_vec(bad)
 
 
 def test_spectrum_runs_one_decomposition(monkeypatch):
